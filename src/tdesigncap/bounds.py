@@ -1,20 +1,27 @@
 """Hermite-interpolation machinery and the capacity upper bounds C_1..C_5.
 
-A polynomial that interpolates eta(x) = -x ln x from below on [0, 1] turns
+A polynomial r that interpolates eta(x) = -x ln x from below on [0, 1] turns
 the index-of-coincidence vector (gamma_1..gamma_t) of a t design into the
 capacity bound ln d - d sum_i a_i gamma_i. The two admissible node patterns
 (single contact at the left endpoint, double contacts inside, optional single
-contact at the right endpoint for odd degree) guarantee the below property;
-the optimal nodes for t <= 5 have closed forms.
+contact at the right endpoint for odd degree) guarantee the below property.
 
-The t=4 discriminant is used in the d4-consistent form
+The optimal nodes are those of a quadrature rule for the overlap
+distribution nu, whose moments are 1, gamma_1..gamma_t: Gauss-Radau with a
+node fixed at 0 for even t, Gauss-Lobatto with nodes fixed at 0 and 1 for
+odd t. The rule integrates r exactly and r = eta on its nodes, so
+C_t = ln d - d sum_j w_j eta(x_j) (Golub & Welsch 1969 give the
+construction). One path computes every t; the interpolant is still built
+and proven below eta on each call, and its assembly cross-checks the value.
+
+For t = 4 the discriminant of the node polynomial is
 
     Delta4 = (g1 g4 - g2 g3)^2 - 4 (g1 g3 - g2^2)(g2 g4 - g3^2),
 
 whose expansion carries a -6 g1 g2 g3 g4 cross term. An alternative variant
 with gamma_5 in that cross term appears in some derivations; it is
-dimensionally inhomogeneous and inconsistent with the node formulas, so it
-is only evaluated as a diagnostic (see BoundReport.diagnostics), never used.
+dimensionally inhomogeneous and inconsistent with the nodes, so it is only
+evaluated as a diagnostic (see BoundReport.diagnostics), never used.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import brentq
@@ -33,7 +41,7 @@ BELOW_TOL = 1e-10
 NODE_MIN_SEPARATION = 1e-9
 DEFINING_RESIDUAL_TOL = 1e-11
 CROSS_CHECK_TOL = 1e-10
-_DEGENERATE_REL = 1e-12
+HANKEL_RANK_TOL = 1e-12
 
 
 class PatternError(ValueError):
@@ -45,8 +53,9 @@ class IllConditionedError(ValueError):
 
 
 class FormulaDomainError(ArithmeticError):
-    """A bound formula left its validity domain (negative discriminant,
-    nodes outside (0, 1), non-positive log arguments)."""
+    """The coincidence vector has no valid quadrature rule (a moment Hankel
+    matrix that is not positive definite, nodes outside (0, 1), non-positive
+    weights) or its interpolant is not below eta."""
 
 
 class GammaConsistencyError(ValueError):
@@ -205,147 +214,97 @@ def _check_gammas(d: int, gammas: np.ndarray, t: int) -> None:
 
 
 def _assemble(d: int, gammas: np.ndarray, nodes: tuple[float, ...],
-              mult: tuple[int, ...]) -> tuple[float, np.ndarray]:
-    spec = InterpolationSpec(nodes=nodes, multiplicities=mult)
-    coeffs = hermite_interpolate(spec)
+              mult: tuple[int, ...]) -> float:
+    """ln d - d sum_i a_i gamma_i for the Hermite interpolant at the given contacts,
+    after proving that the interpolant lies below eta."""
+    coeffs = hermite_interpolate(InterpolationSpec(nodes=nodes, multiplicities=mult))
     if not verify_below(coeffs):
         raise FormulaDomainError(f"interpolant at nodes {nodes} is not below eta")
-    t_eff = len(coeffs) - 1
-    value = math.log(d) - d * float(sum(coeffs[i] * gammas[i - 1] for i in range(1, t_eff + 1)))
-    return value, coeffs
+    return math.log(d) - d * float(coeffs[1:] @ gammas[:len(coeffs) - 1])
 
 
-def _quadratic_nodes(qa: float, qb: float, qc: float, scale: float):
-    """Roots of qa x^2 - qb x + qc (node quadratic); None when degenerate.
+def _hankel(m: np.ndarray, n: int) -> np.ndarray:
+    return np.array([[m[i + j] for j in range(n)] for i in range(n)]).reshape(n, n)
 
-    Degeneracy (vanishing leading coefficient or coincident roots) happens
-    exactly for one-point coincidence vectors, e.g. full depolarization.
+
+def _gauss_rule(m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule for the moments m_0..m_{2n-1}.
+
+    Golub-Welsch on the moments: with H = L L^T the Hankel matrix of
+    m_0..m_{2n-2} and H1 that of m_1..m_{2n-1}, the nodes are the eigenvalues
+    of the Jacobi matrix L^{-1} H1 L^{-T}, and each weight is (m . u)^2 for
+    the H-normalised eigenvector u = L^{-T} z. A Hankel matrix that is not
+    positive definite belongs to no measure with n or more support points.
     """
-    if abs(qa) <= _DEGENERATE_REL * scale:
-        return None, 0.0
-    disc = qb * qb - 4.0 * qa * qc
-    tiny = 1e-10 * max(qb * qb, abs(4.0 * qa * qc))
-    if disc < 0:
-        if disc > -tiny:
-            return None, 0.0
-        raise FormulaDomainError(f"negative discriminant {disc:.6e}")
-    root = math.sqrt(disc)
-    x1 = (qb - root) / (2.0 * qa)
-    x2 = (qb + root) / (2.0 * qa)
-    x1, x2 = min(x1, x2), max(x1, x2)
-    if x2 - x1 < NODE_MIN_SEPARATION:
-        return None, disc
-    return (x1, x2), disc
+    try:
+        L = np.linalg.cholesky(_hankel(m, n))
+    except np.linalg.LinAlgError as exc:
+        raise FormulaDomainError(
+            f"moment Hankel matrix of {m[:2 * n - 1]} is not positive definite") from exc
+    Li = np.linalg.inv(L)
+    x, z = np.linalg.eigh(Li @ _hankel(m[1:], n) @ Li.T)
+    return x, (m[:n] @ Li.T @ z) ** 2
 
 
 def bound_Ct(d: int, gammas, t: int) -> BoundReport:
     """Capacity upper bound C_t from (gamma_1..gamma_t), for t in [1, 5].
 
-    C_1 = ln d needs no data. For t in {2, 3, 4} the closed forms are
-    evaluated and cross-validated against the node-based assembly to 1e-10;
-    C_5 is assembled numerically from its optimal-node quadratic (the closed
-    form is impractically long). For t = 4, when gamma_5 is supplied the
-    dimensionally-inhomogeneous gamma_5 variant of Delta_4 is evaluated into
-    diagnostics alongside the consistent one.
+    C_t = ln d - d sum_j w_j eta(x_j) for the quadrature rule (x_j, w_j) of
+    the overlap distribution nu with moments 1, gamma_1..gamma_t that fixes
+    a node at 0 (Gauss-Radau, even t) or at 0 and 1 (Gauss-Lobatto, odd t).
+    Its t // 2 free nodes are the Gauss nodes of q dnu, with q(x) = x or
+    x (1 - x), which vanishes on the fixed nodes; eta vanishes there too, so
+    only the free nodes enter the value. The Hermite interpolant of eta at
+    the same nodes is built, proven below eta, and its assembly
+    ln d - d sum_i a_i gamma_i must agree with the quadrature value to 1e-10;
+    it is recorded as diagnostics["assembled"].
 
-    Degenerate (one-point) coincidence vectors collapse the optimal nodes;
-    the bound is then evaluated at the collapsed node set, which is the exact
-    limit value (0 at full depolarization).
+    A numerically singular Hankel matrix (a one-point coincidence vector,
+    e.g. full depolarization) drops the rule to fewer free nodes and marks
+    the report degenerate; the value is then the exact limit (0 at full
+    depolarization). For t = 4, when gamma_5 is supplied the dimensionally
+    inhomogeneous gamma_5 variant of Delta_4 is evaluated into diagnostics.
     """
     gam = np.asarray(gammas, dtype=float)
     if t < 1 or t > 5:
         raise ValueError("t must lie in [1, 5]")
-    if t == 1:
-        return BoundReport(t=1, value=math.log(d), nodes=(), gammas=tuple(gam[:1]))
     _check_gammas(d, gam, t)
-    g = [float("nan")] + [float(v) for v in gam[:5]] + [float("nan")] * (5 - min(5, len(gam)))
+    odd = t % 2
+    q = np.array([0.0, 1.0, -1.0])[:2 + odd]  # x, or x (1 - x) = x - x^2
+    n = t // 2
+    g = np.concatenate(([1.0], gam[:t]))
+    m = np.array([q @ g[k:k + len(q)] for k in range(2 * n)])  # moments of q dnu
+    H = _hankel(m, n)
+    while n > 0 and abs(np.linalg.det(H)) <= HANKEL_RANK_TOL * np.prod(np.abs(np.diag(H))):
+        n -= 1
+        H = _hankel(m, n)
+    x, v = _gauss_rule(m, n)
+    if any(not 0.0 < xj < 1.0 for xj in x):
+        raise FormulaDomainError(f"quadrature nodes {x} outside (0, 1)")
+    w = v / np.polynomial.polynomial.polyval(x, q)
+    if any(wj <= 0.0 for wj in w):
+        raise FormulaDomainError(f"quadrature weights {w} are not positive")
+    value = math.log(d) - d * float(w @ eta_vals(x))
 
-    if t == 2:
-        x1 = g[2] / g[1]
-        if not 0.0 < x1 < 1.0:
-            raise FormulaDomainError(f"optimal node {x1} outside (0, 1)")
-        nodes, mult = (0.0, x1), (1, 2)
-        closed = math.log(d) + math.log(g[2] / g[1])
-        assembled, _ = _assemble(d, gam, nodes, mult)
-        _cross_check(closed, assembled, t)
-        return BoundReport(t=2, value=closed, nodes=nodes, gammas=tuple(gam[:2]),
-                           diagnostics={"assembled": assembled})
-
-    if t == 3:
-        den = g[1] - 2 * g[2] + g[3]
-        if den <= 0 or g[1] - g[2] <= 0 or g[2] - g[3] <= 0:
-            raise FormulaDomainError("C_3 formula domain violated (non-positive differences)")
-        x1 = (g[2] - g[3]) / (g[1] - g[2])
-        if not 0.0 < x1 < 1.0:
-            raise FormulaDomainError(f"optimal node {x1} outside (0, 1)")
-        nodes, mult = (0.0, x1, 1.0), (1, 2, 1)
-        closed = math.log(d) + d * (g[1] - g[2]) ** 2 / den * math.log(x1)
-        assembled, _ = _assemble(d, gam, nodes, mult)
-        _cross_check(closed, assembled, t)
-        return BoundReport(t=3, value=closed, nodes=nodes, gammas=tuple(gam[:3]),
-                           diagnostics={"assembled": assembled})
-
-    if t == 4:
-        qa = g[1] * g[3] - g[2] ** 2
-        qb = g[1] * g[4] - g[2] * g[3]
-        qc = g[2] * g[4] - g[3] ** 2
-        pair, delta = _quadratic_nodes(qa, qb, qc, scale=g[1] * g[3])
-        diagnostics: dict = {}
-        if len(gam) >= 5:
-            printed = (-3 * g[2] ** 2 * g[3] ** 2 + 4 * g[1] * g[3] ** 3
-                       + 4 * g[2] ** 3 * g[4] - 6 * g[1] * g[2] * g[3] * g[5]
-                       + g[1] ** 2 * g[4] ** 2)
-            diagnostics["delta4_gamma5_variant"] = printed
-            diagnostics["delta4_variant_discrepancy"] = printed - delta
-        if pair is None:
-            xbar = g[2] / g[1]
-            value, _ = _assemble(d, gam, (0.0, xbar), (1, 2))
-            return BoundReport(t=4, value=value, nodes=(0.0, xbar), gammas=tuple(gam[:4]),
-                               delta=delta, degenerate=True, diagnostics=diagnostics)
-        x1, x2 = pair
-        if not (0.0 < x1 and x2 < 1.0):
-            raise FormulaDomainError(f"optimal nodes {pair} outside (0, 1)")
-        nodes, mult = (0.0, x1, x2), (1, 2, 2)
-        assembled, _ = _assemble(d, gam, nodes, mult)
-        ratio_num = g[2] * g[3] - g[1] * g[4] + math.sqrt(delta)
-        ratio_den = g[2] * g[3] - g[1] * g[4] - math.sqrt(delta)
-        prod = (g[3] ** 2 - g[2] * g[4]) / (g[2] ** 2 - g[1] * g[3])
-        if prod <= 0 or ratio_num / ratio_den <= 0:
-            raise FormulaDomainError("C_4 closed form domain violated")
-        closed = (math.log(d) + 0.5 * math.log(prod)
-                  + d * (g[1] ** 2 * g[4] - 3 * g[1] * g[2] * g[3] + 2 * g[2] ** 3)
-                  / (2 * math.sqrt(delta)) * math.log(ratio_num / ratio_den))
-        _cross_check(closed, assembled, t)
-        diagnostics["assembled"] = assembled
-        return BoundReport(t=4, value=closed, nodes=nodes, gammas=tuple(gam[:4]),
-                           delta=delta, diagnostics=diagnostics)
-
-    # t == 5: assembled from the optimal-node quadratic; no closed form.
-    d1 = g[2] - g[1]
-    d2 = g[3] - g[2]
-    d3 = g[4] - g[3]
-    d4 = g[5] - g[4]
-    qa = d1 * d3 - d2 ** 2
-    qb = d1 * d4 - d2 * d3
-    qc = d2 * d4 - d3 ** 2
-    pair, delta5 = _quadratic_nodes(qa, qb, qc, scale=abs(d1 * d3) + d2 ** 2)
-    if pair is None:
-        xbar = (g[2] - g[3]) / (g[1] - g[2])
-        value, _ = _assemble(d, gam, (0.0, xbar, 1.0), (1, 2, 1))
-        return BoundReport(t=5, value=value, nodes=(0.0, xbar, 1.0), gammas=tuple(gam[:5]),
-                           delta=delta5, degenerate=True)
-    x1, x2 = pair
-    if not (0.0 < x1 and x2 < 1.0):
-        raise FormulaDomainError(f"optimal nodes {pair} outside (0, 1)")
-    nodes, mult = (0.0, x1, x2, 1.0), (1, 2, 2, 1)
-    value, _ = _assemble(d, gam, nodes, mult)
-    return BoundReport(t=5, value=value, nodes=nodes, gammas=tuple(gam[:5]), delta=delta5)
-
-
-def _cross_check(closed: float, assembled: float, t: int) -> None:
-    if abs(closed - assembled) > CROSS_CHECK_TOL:
+    nodes = (0.0, *map(float, x), *(1.0,) * odd)
+    assembled = _assemble(d, gam, nodes, (1, *(2,) * n, *(1,) * odd))
+    if abs(assembled - value) > CROSS_CHECK_TOL:
         raise ArithmeticError(
-            f"C_{t} closed form {closed!r} and node assembly {assembled!r} disagree")
+            f"C_{t} quadrature {value!r} and Hermite assembly {assembled!r} disagree")
+    delta = None
+    if n >= 2:  # det(H)^2 prod (x_i - x_j)^2, the discriminant of the node polynomial
+        delta = float(np.linalg.det(H) ** 2
+                      * np.prod([(a - b) ** 2 for a, b in combinations(x, 2)]))
+    diagnostics: dict = {"assembled": assembled}
+    if t == 4 and len(gam) >= 5:
+        g1, g2, g3, g4, g5 = gam[:5]
+        variant = (-3 * g2 ** 2 * g3 ** 2 + 4 * g1 * g3 ** 3 + 4 * g2 ** 3 * g4
+                   - 6 * g1 * g2 * g3 * g5 + g1 ** 2 * g4 ** 2)
+        diagnostics["delta4_gamma5_variant"] = float(variant)
+        if delta is not None:
+            diagnostics["delta4_variant_discrepancy"] = float(variant) - delta
+    return BoundReport(t=t, value=value, nodes=nodes, gammas=tuple(gam[:t]), delta=delta,
+                       degenerate=n < t // 2, diagnostics=diagnostics)
 
 
 def bound_from_set(eset, t: int, certificate: DesignCertificate | None = None) -> BoundReport:

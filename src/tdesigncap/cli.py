@@ -139,21 +139,30 @@ def cmd_verify(args) -> int:
     return 0 if cert.passed else 2
 
 
-def _oracle_for_spec(spec: DesignSpec, seed: int, tol: float, workers: int):
+def _oracle_inputs(spec: DesignSpec, seed: int):
+    """The lambda = 1 element set the oracle depolarizes, and its state grid.
+
+    The uniform POVM is discretized (d <= 8 only). In d = 8 the grid is
+    seeded with the states of the closed-form optimal ensemble.
+    """
     if spec.family == "uniform":
         if spec.dimension > 8:
             raise ValueError("oracle for the uniform family is limited to d <= 8"
                              " (state-grid blowup)")
-        base = oracle.discretized_uniform_povm(spec.dimension, seed=seed)
-        eset = catalog.depolarize(base, spec.lam) if spec.lam != 1.0 else base
+        eset = oracle.discretized_uniform_povm(spec.dimension, seed=seed)
     else:
-        eset = catalog.build(spec)
+        eset = catalog.build(DesignSpec(spec.family, 1.0, spec.fiducial_phase, spec.dim))
     extra = None
     if spec.dimension == 8 and spec.family != "uniform":
         extra = closedform.optimal_ensemble(spec.family, spec.dim).ops
         extra = np.array([_principal_vector(p) for p in extra])
-    grid = oracle.default_grid(spec.dimension, seed, extra_states=extra)
-    return oracle.informational_power(eset, grid, tol=tol, workers=workers)
+    return eset, oracle.default_grid(spec.dimension, seed, extra_states=extra)
+
+
+def _run_oracle(inputs, lam: float, tol: float, workers: int = 1) -> oracle.OracleResult:
+    eset, grid = inputs
+    target = catalog.depolarize(eset, lam) if lam != 1.0 else eset
+    return oracle.informational_power(target, grid, tol=tol, workers=workers)
 
 
 def _principal_vector(projector: np.ndarray) -> np.ndarray:
@@ -172,7 +181,7 @@ def cmd_capacity(args) -> int:
         result["closed_form"] = closedform.capacity_for(spec) / unit
         result["method"] = "closed-form"
     if args.method in ("oracle", "both"):
-        res = _oracle_for_spec(spec, seed, args.tol, args.workers)
+        res = _run_oracle(_oracle_inputs(spec, seed), spec.lam, args.tol, args.workers)
         result["oracle"] = res.capacity_estimate / unit
         result["oracle_tightness"] = res.tightness
         result["oracle_bracket"] = res.bracket_width
@@ -183,16 +192,18 @@ def cmd_capacity(args) -> int:
     return 0
 
 
-def _analytic_gammas(spec: DesignSpec) -> list[float]:
-    """gamma_1..gamma_5 of the depolarized family from its base moments."""
+def _base_moments(spec: DesignSpec) -> list[float]:
+    """mu_0 = d, mu_1..mu_5 of the family at lambda = 1."""
     d = spec.dimension
     if spec.family == "uniform":
-        base = [float(d)] + [1.0] * 5
-    else:
-        eset = catalog.build(DesignSpec(spec.family, 1.0, spec.fiducial_phase, spec.dim))
-        mv = verify.moments(eset, 5)
-        base = [float(d)] + list(mv.values)
-    mu = catalog.moments_of_depolarized(base, spec.lam, d)
+        return [float(d)] + [1.0] * 5
+    eset = catalog.build(DesignSpec(spec.family, 1.0, spec.fiducial_phase, spec.dim))
+    return [float(d)] + list(verify.moments(eset, 5).values)
+
+
+def _analytic_gammas(base: list[float], lam: float, d: int) -> list[float]:
+    """gamma_1..gamma_5 of the family depolarized to lam, from its base moments."""
+    mu = catalog.moments_of_depolarized(base, lam, d)
     mv = verify.MomentVector(values=tuple(mu[1:]), mu0=d)
     return [verify.gamma_predicted(mv, d, k) for k in range(1, 6)]
 
@@ -206,7 +217,7 @@ def cmd_bound(args) -> int:
     for t in ts:
         if t > t_max:
             raise ValueError(f"{spec.family} is only a {t_max}-design; C_{t} does not apply")
-    gammas = _analytic_gammas(spec)
+    gammas = _analytic_gammas(_base_moments(spec), spec.lam, spec.dimension)
     reports = [bounds.bound_Ct(spec.dimension, gammas, t) for t in ts]
     result = {"spec": catalog.spec_to_json_dict(spec),
               "units": "bits" if args.bits else "nats",
@@ -215,24 +226,18 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _sweep_row(spec: DesignSpec, with_oracle: bool, seed: int, grid_cache: dict,
-               oracle_tol: float) -> dict:
+def _sweep_row(spec: DesignSpec, base: list[float], oracle_inputs, oracle_tol: float) -> dict:
     row = {"family": _family_token(spec), "lambda": spec.lam}
     row["closed_form"] = closedform.capacity_for(spec)
     t_max = min(catalog.design_strength(spec.family), 5)
-    gammas = _analytic_gammas(spec)
+    gammas = _analytic_gammas(base, spec.lam, spec.dimension)
     for t in range(2, 6):
         if t <= t_max:
             row[f"C{t}"] = bounds.bound_Ct(spec.dimension, gammas, t).value
         else:
             row[f"C{t}"] = None
-    if with_oracle:
-        eset, grid = grid_cache[_family_token(spec)]
-        target = catalog.depolarize(eset, spec.lam) if spec.lam != 1.0 else eset
-        res = oracle.informational_power(target, grid, tol=oracle_tol)
-        row["oracle"] = res.capacity_estimate
-    else:
-        row["oracle"] = None
+    row["oracle"] = (None if oracle_inputs is None
+                     else _run_oracle(oracle_inputs, spec.lam, oracle_tol).capacity_estimate)
     return row
 
 
@@ -256,30 +261,22 @@ def cmd_sweep(args) -> int:
             specs.append(DesignSpec(family=name, lam=float(lam),
                                     fiducial_phase=args.fiducial_phase or 0.0, dim=dim))
 
-    grid_cache: dict = {}
-    if args.with_oracle:
-        for i, (name, dim) in enumerate(fams):
-            token = f"{name}:{dim}" if name in ("anti_sic", "uniform") else name
-            if token in grid_cache:
-                continue
-            fam_seed = seed + 7919 * i
-            spec1 = DesignSpec(family=name, lam=1.0,
-                               fiducial_phase=args.fiducial_phase or 0.0, dim=dim)
-            if name == "uniform":
-                if spec1.dimension > 8:
-                    raise ValueError("oracle for the uniform family is limited to d <= 8")
-                eset = oracle.discretized_uniform_povm(spec1.dimension, seed=fam_seed)
-            else:
-                eset = catalog.build(spec1)
-            extra = None
-            if spec1.dimension == 8 and name != "uniform":
-                ens = closedform.optimal_ensemble(name, dim)
-                extra = np.array([_principal_vector(p) for p in ens.ops])
-            grid_cache[token] = (eset, oracle.default_grid(spec1.dimension, fam_seed,
-                                                           extra_states=extra))
+    # per family token: base moments, and the oracle inputs under --with-oracle
+    base_moments: dict = {}
+    oracle_inputs: dict = {}
+    for i, (name, dim) in enumerate(fams):
+        spec1 = DesignSpec(family=name, lam=1.0,
+                           fiducial_phase=args.fiducial_phase or 0.0, dim=dim)
+        token = _family_token(spec1)
+        if token in base_moments:
+            continue
+        base_moments[token] = _base_moments(spec1)
+        if args.with_oracle:
+            oracle_inputs[token] = _oracle_inputs(spec1, seed + 7919 * i)
 
     def compute(spec):
-        return _sweep_row(spec, args.with_oracle, seed, grid_cache, args.tol)
+        token = _family_token(spec)
+        return _sweep_row(spec, base_moments[token], oracle_inputs.get(token), args.tol)
 
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:

@@ -325,7 +325,8 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid, tol: float = 
     sigma = np.einsum("x,xi,xj->ij", opt_weights, opt_states, opt_states.conj())
     tight_res = _identity_hull_residual(opt_states, d)
 
-    assert best <= math.log(d) + 1e-9
+    if best > math.log(d) + 1e-9:
+        raise ArithmeticError(f"oracle capacity {best!r} exceeds ln d = {math.log(d)!r}")
     return OracleResult(capacity_estimate=float(best), optimizer_states=opt_states,
                         optimizer_weights=opt_weights, average_state=sigma,
                         tightness=tight_res <= TIGHTNESS_RESIDUAL_TOL,

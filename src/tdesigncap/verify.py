@@ -73,44 +73,16 @@ def moments(eset: WeightedElementSet, k_max: int) -> MomentVector:
 def bell_polynomial(x: list[float]) -> float:
     """Complete exponential Bell polynomial B_k(x_1..x_k) for k <= 5.
 
-    Evaluated from the defining double sum over partial polynomials B_{k,j},
-    enumerating multiplicity sequences (i_1, ..., i_{k-j+1}) with
-    sum i_l = j and sum l*i_l = k.
+    Evaluated by the recurrence B_0 = 1,
+    B_{n+1} = sum_{j=0}^{n} C(n, j) x_{j+1} B_{n-j}.
     """
     k = len(x)
-    if k == 0:
-        return 1.0
     if k > 5:
         raise ValueError("bell_polynomial supports k <= 5")
-    total = 0.0
-    for j in range(1, k + 1):
-        total += _bell_partial(k, j, x)
-    return total
-
-
-def _bell_partial(k: int, j: int, x: list[float]) -> float:
-    n_vars = k - j + 1
-    acc = 0.0
-    for seq in _multiplicity_sequences(n_vars, j, k):
-        term = math.factorial(k)
-        for length, count in enumerate(seq, start=1):
-            term /= math.factorial(count)
-            term *= (x[length - 1] / math.factorial(length)) ** count
-        acc += term
-    return acc
-
-
-def _multiplicity_sequences(n_vars: int, parts: int, weight: int):
-    """All (i_1..i_n) with sum i = parts and sum l*i_l = weight."""
-    def rec(pos, parts_left, weight_left, prefix):
-        if pos == n_vars:
-            if parts_left == 0 and weight_left == 0:
-                yield tuple(prefix)
-            return
-        length = pos + 1
-        for c in range(min(parts_left, weight_left // length) + 1):
-            yield from rec(pos + 1, parts_left - c, weight_left - c * length, prefix + [c])
-    yield from rec(0, parts, weight, [])
+    b = [1.0]
+    for n in range(k):
+        b.append(sum(math.comb(n, j) * x[j] * b[n - j] for j in range(n + 1)))
+    return b[k]
 
 
 def gamma_from_bell(mv: MomentVector, d: int, k: int) -> float:

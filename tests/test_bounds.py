@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from tdesigncap import (
+    DesignSpec,
     InterpolationSpec,
     MomentVector,
     bound_Ct,
     bound_from_set,
+    build,
     certify,
     depolarize,
+    design_strength,
     gamma_predicted,
     hermite_interpolate,
     moments,
@@ -30,11 +33,41 @@ def projective_gammas(d, k_max=5):
 
 
 def depolarized_gammas(base_set, lam, k_max=5):
-    d = base_set.dim
-    mv1 = moments(base_set, k_max)
-    mus = moments_of_depolarized([float(d)] + list(mv1.values), lam, d)
+    return gammas_from_moments(list(moments(base_set, k_max).values), base_set.dim, lam)
+
+
+def gammas_from_moments(base_mus, d, lam):
+    mus = moments_of_depolarized([float(d)] + list(base_mus), lam, d)
     mv = MomentVector(values=tuple(mus[1:]), mu0=d)
-    return [gamma_predicted(mv, d, k) for k in range(1, k_max + 1)]
+    return [gamma_predicted(mv, d, k) for k in range(1, len(base_mus) + 1)]
+
+
+# The family tokens of the figure sweeps (figures 2 and 3).
+SWEEP_TOKENS = ("qubit_sic", "qubit_mub", "icosahedron", "uniform:2", "anti_sic:2",
+                "qutrit_sic", "qutrit_mub", "uniform:3", "anti_sic:3",
+                "hoggar_sic", "uniform:8", "anti_sic:8")
+
+
+# Closed forms of C_2..C_4 (the optimal-node formulas written out), kept as
+# references for the quadrature rule that bound_Ct evaluates.
+def closed_c2(d, g):
+    return math.log(d) + math.log(g[1] / g[0])
+
+
+def closed_c3(d, g):
+    g1, g2, g3 = g[:3]
+    x1 = (g2 - g3) / (g1 - g2)
+    return math.log(d) + d * (g1 - g2) ** 2 / (g1 - 2 * g2 + g3) * math.log(x1)
+
+
+def closed_c4(d, g):
+    g1, g2, g3, g4 = g[:4]
+    delta = (g1 * g4 - g2 * g3) ** 2 - 4 * (g1 * g3 - g2 ** 2) * (g2 * g4 - g3 ** 2)
+    root = math.sqrt(delta)
+    ratio = (g2 * g3 - g1 * g4 + root) / (g2 * g3 - g1 * g4 - root)
+    prod = (g3 ** 2 - g2 * g4) / (g2 ** 2 - g1 * g3)
+    return (math.log(d) + 0.5 * math.log(prod)
+            + d * (g1 ** 2 * g4 - 3 * g1 * g2 * g3 + 2 * g2 ** 3) / (2 * root) * math.log(ratio))
 
 
 class TestHermiteInterpolate:
@@ -166,6 +199,27 @@ class TestBoundCt:
         # gamma_2 - gamma_3 > gamma_1 - gamma_2 pushes the t=3 node past 1
         with pytest.raises(FormulaDomainError):
             bound_Ct(2, [0.5, 0.4, 0.28], 3)
+
+    def test_indefinite_hankel_raises(self):
+        # gamma_1 gamma_3 < gamma_2^2: no measure on [0, 1] has these moments,
+        # although the t = 4 node quadratic has roots inside (0, 1)
+        with pytest.raises(FormulaDomainError):
+            bound_Ct(2, [0.5, 0.4, 0.15, 0.05], 4)
+
+    def test_matches_closed_forms_over_sweep(self):
+        closed = {2: closed_c2, 3: closed_c3, 4: closed_c4}
+        for token in SWEEP_TOKENS:
+            name, _, dim = token.partition(":")
+            spec = DesignSpec(name, 1.0, 0.0, int(dim) if dim else None)
+            d = spec.dimension
+            base = [1.0] * 5 if name == "uniform" else moments(build(spec), 5).values
+            for lam in np.linspace(0.0, 1.0, 31):
+                g = gammas_from_moments(base, d, lam)
+                for t in range(2, min(design_strength(name), 4) + 1):
+                    if t == 4 and lam == 0.0:
+                        continue  # 0/0 in the closed form; see test_degenerate_one_point
+                    assert bound_Ct(d, g, t).value == pytest.approx(
+                        closed[t](d, g), abs=1e-10), (token, lam, t)
 
     def test_closed_form_cross_validation_runs(self, icosahedron):
         # any closed-form/assembly disagreement beyond 1e-10 raises inside

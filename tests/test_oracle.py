@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from tdesigncap import (
     pure_ensemble,
     uniform_capacity,
 )
+from tdesigncap import oracle
 from tdesigncap.closedform import ConvergenceError
 from tdesigncap.oracle import StateGrid, fibonacci_bloch_states
 
@@ -180,6 +182,16 @@ class TestInformationalPower:
         a = informational_power(qubit_sic, qubit_grid, tol=1e-6, workers=1)
         b = informational_power(qubit_sic, qubit_grid, tol=1e-6, workers=3)
         assert a.capacity_estimate == b.capacity_estimate
+
+    def test_capacity_above_ln_d_raises(self, qubit_sic, monkeypatch):
+        real = oracle.blahut_arimoto
+
+        def inflated(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), capacity=math.log(2) + 0.1)
+
+        monkeypatch.setattr(oracle, "blahut_arimoto", inflated)
+        with pytest.raises(ArithmeticError, match="exceeds ln d"):
+            informational_power(qubit_sic, default_grid(2, seed=2016, resolution=200))
 
 
 class TestDiscretizedUniform:

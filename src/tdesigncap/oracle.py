@@ -21,6 +21,7 @@ from .core import WeightedElementSet, eta_array, haar_random_states
 
 DEFAULT_GRID_SIZES = {2: 4096, 3: 20000, 8: 60000}
 TIGHTNESS_RESIDUAL_TOL = 1e-6
+REFINE_MAX_ITER = 500_000  # iteration cap of each refinement Blahut-Arimoto run
 
 
 @dataclass(frozen=True)
@@ -274,6 +275,10 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid, tol: float = 
     output marginal, re-running BA on the refined support, until one round
     gains less than ``tol``. The returned estimate is achievable, hence a
     lower bound on the true informational power.
+
+    ``diagnostics["bracket_met"]`` says whether the reported bracket is within
+    ``tol``; ``diagnostics["refine_capped"]`` counts the refinement BA runs
+    that stopped at their iteration cap instead of closing their bracket.
     """
     if eset.role != "povm":
         raise ValueError("informational_power expects a POVM-role set")
@@ -295,6 +300,7 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid, tol: float = 
     best_prior = coarse.prior[cand_idx]
     bracket = coarse.bracket_width
     rounds = 0
+    refine_capped = 0
     weights = eset.weights
     ops = eset.ops
     for _ in range(8):
@@ -308,8 +314,9 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid, tol: float = 
         cands = np.array([_coordinate_ascent(relent_vs_out, c)[0] for c in cands])
         cands = _dedupe_states(cands)
         sub = povm_channel(eset, cands)
-        res = blahut_arimoto(sub, tol=min(tol, 1e-9), max_iter=500_000, strict=False)
+        res = blahut_arimoto(sub, tol=min(tol, 1e-9), max_iter=REFINE_MAX_ITER, strict=False)
         rounds += 1
+        refine_capped += res.iterations >= REFINE_MAX_ITER
         out = res.prior @ sub
         if res.capacity > best:
             best, best_states, best_prior = res.capacity, cands, res.prior
@@ -333,7 +340,8 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid, tol: float = 
                         tightness_residual=float(tight_res), refinement_rounds=rounds,
                         bracket_width=float(bracket),
                         diagnostics={"grid": grid.provenance, "grid_points": grid.resolution,
-                                     "seeded": grid.seeded})
+                                     "seeded": grid.seeded, "bracket_met": bool(bracket <= tol),
+                                     "refine_capped": refine_capped})
 
 
 def _dedupe_states(states: np.ndarray) -> np.ndarray:

@@ -6,13 +6,22 @@ t design must (a) lie in the span of the permutation operators W_sigma on
 products Tr[M_t W_sigma] equal to the product of moments over the cycles
 of sigma. Both conditions together pin M_t to the Haar average, so the
 verdict is exact up to the stated numerical thresholds.
+
+Both are decided from scalars, never from the d^t x d^t matrix M_t: the
+cycle-product traces sum_x p_x prod_l Tr[chi_x^l], the frame potential
+||M_t||^2 = sum_xy p_x p_y (Tr[chi_x chi_y])^t, and the exact integer Gram
+matrix of the conjugacy-class sums of S_t. The kernels are evaluated in
+extended precision (np.longdouble) and the residual's last subtraction in
+exact rationals. The cost grows with the number of elements and with t!,
+not with d^t; certify admits 1 <= t <= MAX_T.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -22,7 +31,7 @@ from .core import WeightedElementSet, haar_random_state
 SPAN_RESIDUAL_TOL = 1e-8
 TRACE_MISMATCH_TOL = 1e-8
 MU_CONSISTENCY_TOL = 1e-9
-RESOURCE_GUARD = 4096  # max d**t; covers d=2 t<=5, d=3 t<=5, d=8 t<=4
+MAX_T = 7  # the class Gram matrix costs p(t) * t! permutation products: ~0.3 s at t = 7, ~3 s at 8
 
 
 class ResourceGuardError(ValueError):
@@ -133,36 +142,7 @@ def gamma_empirical(eset: WeightedElementSet, phi: np.ndarray, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# permutation operator machinery (cached per (d, t))
-
-class _PermutationBasis:
-    def __init__(self, d: int, t: int):
-        self.d = d
-        self.t = t
-        self.perms = list(permutations(range(t)))
-        dims = (d,) * t
-        J = np.array(np.unravel_index(np.arange(d ** t), dims))  # (t, d^t)
-        self.index_maps = []
-        for sigma in self.perms:
-            inv = _invert(sigma)
-            # W_sigma |j_1..j_t> = |j_{sigma^{-1}(1)} ... j_{sigma^{-1}(t)}>
-            self.index_maps.append(np.ravel_multi_index(tuple(J[list(inv), :]), dims))
-        self.cycle_types = [_cycle_type(s) for s in self.perms]
-        n = len(self.perms)
-        self.gram = np.empty((n, n))
-        for i, s in enumerate(self.perms):
-            si = _invert(s)
-            for j, tau in enumerate(self.perms):
-                self.gram[i, j] = float(d) ** len(_cycle_type(_compose(si, tau)))
-        self.inverse_pos = [self.perms.index(_invert(s)) for s in self.perms]
-
-
-def _invert(sigma):
-    inv = [0] * len(sigma)
-    for i, v in enumerate(sigma):
-        inv[v] = i
-    return tuple(inv)
-
+# conjugacy classes of S_t and the exact Gram matrix of their class sums
 
 def _compose(s1, s2):
     return tuple(s1[s2[i]] for i in range(len(s1)))
@@ -184,20 +164,113 @@ def _cycle_type(sigma) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
-_BASIS_CACHE: dict[tuple[int, int], _PermutationBasis] = {}
-_BASIS_LOCK = threading.Lock()
+def _rref(rows):
+    """Reduced row echelon form over the rationals, and its pivot columns."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for j in range(len(rows[0])):
+        i = len(pivots)
+        if i == len(rows):
+            break
+        r = next((k for k in range(i, len(rows)) if rows[k][j]), None)
+        if r is None:
+            continue
+        rows[i], rows[r] = rows[r], rows[i]
+        rows[i] = [v / rows[i][j] for v in rows[i]]
+        for k in range(len(rows)):
+            if k != i and rows[k][j]:
+                f = rows[k][j]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[i])]
+        pivots.append(j)
+    return rows, pivots
 
 
-def _permutation_basis(d: int, t: int) -> _PermutationBasis:
-    key = (d, t)
-    basis = _BASIS_CACHE.get(key)
-    if basis is None:
-        with _BASIS_LOCK:
-            basis = _BASIS_CACHE.get(key)
-            if basis is None:
-                basis = _PermutationBasis(d, t)
-                _BASIS_CACHE[key] = basis
-    return basis
+@dataclass(frozen=True)
+class _ClassGram:
+    """The class sums C_lambda = sum_{sigma in lambda} W_sigma on (C^d)^{ot t}.
+
+    ``gram[a][b] = Tr[C_a^dag C_b]`` exactly; ``pivots`` index a maximal
+    independent set S of class sums, and the integers ``quad`` and ``quad_den``
+    give |S_i| |S_j| (H_S^-1)_ij = quad[i][j] / quad_den, so that
+    beta^T H_S^-1 beta = sum_ij T_i T_j quad[i][j] / quad_den for beta_a = |a| T_a.
+    """
+
+    classes: tuple[tuple[int, ...], ...]
+    gram: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...]
+    quad: tuple[tuple[int, ...], ...]
+    quad_den: int
+
+
+@cache
+def _class_gram(d: int, t: int) -> _ClassGram:
+    # Tr[W_sigma^dag W_tau] = d^{cycles(sigma^-1 tau)}. The sum over tau in a
+    # class depends only on the class of sigma^-1, which is that of sigma, so
+    # the sum over sigma in a class is |class| times that for one member.
+    perms = list(permutations(range(t)))
+    types = [_cycle_type(s) for s in perms]
+    classes = tuple(sorted(set(types)))
+    col = {ct: j for j, ct in enumerate(classes)}
+    sizes = [types.count(ct) for ct in classes]
+    gram = []
+    for ct, size in zip(classes, sizes):
+        rep = perms[types.index(ct)]
+        row = [0] * len(classes)
+        for tau, ct_tau in zip(perms, types):
+            row[col[ct_tau]] += d ** len(_cycle_type(_compose(rep, tau)))
+        gram.append(tuple(size * h for h in row))
+    pivots = tuple(_rref(gram)[1])
+    s = len(pivots)
+    augmented = [[gram[a][b] for b in pivots] + [int(i == j) for j in range(s)]
+                 for i, a in enumerate(pivots)]
+    inverse = [row[s:] for row in _rref(augmented)[0]]
+    den = math.lcm(*(v.denominator for row in inverse for v in row))
+    quad = tuple(tuple(int(sizes[a] * sizes[b] * inverse[i][j] * den)
+                       for j, b in enumerate(pivots)) for i, a in enumerate(pivots))
+    return _ClassGram(classes, tuple(gram), pivots, quad, den)
+
+
+def _power_traces(ops: np.ndarray, t: int) -> np.ndarray:
+    """(n, t + 1) array of Tr[chi_x^l], l = 0..t, in extended precision.
+
+    Tr[chi^(a+b)] = sum_ij (chi^a)_ij conj((chi^b)_ij) for Hermitian powers, so
+    powers up to ceil(t/2) suffice.
+    """
+    n, d, _ = ops.shape
+    chi = ops.astype(np.clongdouble)
+    powers = [None, chi]
+    for _ in range((t + 1) // 2 - 1):
+        powers.append(powers[-1] @ chi)
+    out = np.empty((n, t + 1), dtype=np.longdouble)
+    out[:, 0] = d
+    out[:, 1] = np.einsum("xii->x", chi).real
+    for l in range(2, t + 1):
+        a, b = powers[(l + 1) // 2], powers[l // 2]
+        out[:, l] = (a.real * b.real + a.imag * b.imag).sum(axis=(1, 2))
+    return out
+
+
+def _frame_potential(ops: np.ndarray, weights: np.ndarray, t: int) -> np.longdouble:
+    """||M_t||^2 = sum_xy p_x p_y (Tr[chi_x chi_y])^t in extended precision.
+
+    K_xy = Tr[chi_x chi_y] is the Gram matrix of the rows a_x = (Re chi_x,
+    Im chi_x). A longdouble matmul is slow, so each row is split exactly as
+    hi + lo with hi rounded to b = (53 - log2 m) / 2 bits below the row's
+    largest entry: hi @ hi.T is then exact in float64, and the rest is about
+    2^-b of K, so its float64 rounding lies below longdouble resolution.
+    """
+    n = ops.shape[0]
+    a = np.concatenate([ops.real.reshape(n, -1), ops.imag.reshape(n, -1)], axis=1)
+    bits = (53 - math.ceil(math.log2(a.shape[1]))) // 2
+    unit = np.ldexp(1.0, np.frexp(np.abs(a).max(axis=1, keepdims=True))[1] - bits)
+    hi = np.round(a / unit) * unit
+    lo = a - hi
+    k = (hi @ hi.T).astype(np.longdouble) + (hi @ lo.T + lo @ a.T)
+    kt = k.copy()
+    for _ in range(t - 1):
+        kt *= k
+    w = weights.astype(np.longdouble)
+    return w @ kt @ w
 
 
 # ---------------------------------------------------------------------------
@@ -243,72 +316,57 @@ def certify(eset: WeightedElementSet, t: int, n_spotchecks: int = 25,
             seed: int = 0) -> DesignCertificate:
     """Exact mixed t-design certificate for a finite weighted element set.
 
-    Builds M_t = sum_x p_x chi_x^{ot t} and checks (a) membership in the
-    permutation-operator span (least squares through the Gram matrix, with a
-    pseudo-inverse fallback when the W_sigma are dependent) and (b) the
-    cycle-product trace identities, with the moments mu_k read off the
-    single-k-cycle traces themselves. Traces of permutations sharing a cycle
-    type must agree to 1e-9; a spread beyond that fails the certificate
-    outright instead of being averaged away.
+    Works from scalars of M_t = sum_x p_x chi_x^{ot t}; no d^t-sized array is
+    formed. T_lambda = sum_x p_x prod_{l in lambda} Tr[chi_x^l] equals
+    Tr[M_t W_sigma] for every sigma of cycle type lambda. The certificate checks
+    (a) membership in the permutation span: M_t commutes with every W_pi, so
+    its projection lies in the span of the class sums C_lambda, and the squared
+    residual is ||M_t||^2 - beta^T H_S^-1 beta, with ||M_t||^2 = sum_xy p_x p_y
+    (Tr[chi_x chi_y])^t, beta_lambda = |lambda| T_lambda and H_S the exact
+    integer Gram matrix of a maximal independent set S of class sums; and
+    (b) the cycle-product identities T_lambda = prod_{l in lambda} mu_l.
+    The kernels are formed in extended precision (np.longdouble) and the
+    subtraction in exact rationals: in float64 the cancellation alone reaches
+    the 1e-8 threshold on genuine designs. ``mu_spread`` is the largest
+    difference between the power-trace moments and the eigenvalue moments of
+    :func:`moments`. Admits 1 <= t <= MAX_T.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
+    if t > MAX_T:
+        raise ResourceGuardError(
+            f"t = {t} is outside the admitted range 1 <= t <= {MAX_T}: the class Gram"
+            f" matrix enumerates {math.factorial(t)} permutation products per cycle type")
     d = eset.dim
-    if d ** t > RESOURCE_GUARD:
-        raise ResourceGuardError(f"d^t = {d ** t} exceeds the guard {RESOURCE_GUARD}")
-    basis = _permutation_basis(d, t)
-    D = d ** t
+    cg = _class_gram(d, t)
+    w = eset.weights.astype(np.longdouble)
+    tr = _power_traces(eset.ops, t)
+    T = [w @ np.prod(tr[:, list(ct)], axis=1) for ct in cg.classes]
 
-    M = np.zeros((D, D), dtype=complex)
-    for w, op in zip(eset.weights, eset.ops):
-        K = op
-        for _ in range(t - 1):
-            K = np.kron(K, op)
-        M += w * K
-
-    cols = np.arange(D)
-    traces = np.array([M[cols, idx].sum() for idx in basis.index_maps])
-
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, ct in enumerate(basis.cycle_types):
-        groups.setdefault(ct, []).append(i)
-    spread = 0.0
-    for ct, idxs in groups.items():
-        vals = traces[idxs]
-        spread = max(spread, float(np.abs(vals - vals[0]).max()))
+    mu_traces = [float(w @ tr[:, k]) for k in range(1, t + 1)]
+    # mu_1 = 1 is guaranteed by the element-set type (unit traces).
+    mus = dict(enumerate([1.0] + mu_traces[1:], start=1))
+    mismatches = {ct: abs(float(T_ct) - math.prod(mus[l] for l in ct))
+                  for ct, T_ct in zip(cg.classes, T)}
+    spread = max(abs(a - b) for a, b in zip(mu_traces, moments(eset, t).values))
     mu_consistent = spread <= MU_CONSISTENCY_TOL
 
-    # mu_1 = 1 is guaranteed by the element-set type (unit traces); higher
-    # moments come from the single-k-cycle traces.
-    mus = {1: 1.0}
-    for k in range(2, t + 1):
-        ct = tuple(sorted([k] + [1] * (t - k)))
-        mus[k] = float(np.mean(traces[groups[ct]].real))
-    mismatches = {}
-    for ct, idxs in groups.items():
-        predicted = 1.0
-        for l in ct:
-            predicted *= mus[l]
-        mismatches[ct] = float(np.abs(traces[idxs] - predicted).max())
-
-    # span membership: least squares against the Gram matrix, then an
-    # explicit residual matrix (avoids the cancellation of the normal-equation
-    # residual formula).
-    b = np.array([traces[basis.inverse_pos[i]] for i in range(len(basis.perms))])
-    try:
-        coeffs = np.linalg.solve(basis.gram, b)
-    except np.linalg.LinAlgError:
-        coeffs, *_ = np.linalg.lstsq(basis.gram, b, rcond=None)
-    R = M.copy()
-    for idx, c in zip(basis.index_maps, coeffs):
-        R[idx, cols] -= c
-    span_residual = float(np.linalg.norm(R))
+    # r^2 = ||M_t||^2 - beta^T H_S^-1 beta, subtracted exactly: every T_a is a
+    # dyadic rational, brought here to the common denominator `scale`.
+    nums, dens = zip(*(T[a].as_integer_ratio() for a in cg.pivots))
+    scale = max(dens)
+    b = [n * (scale // q) for n, q in zip(nums, dens)]
+    proj = sum(bi * q * bj for bi, row in zip(b, cg.quad) for q, bj in zip(row, b))
+    r2 = (Fraction(*_frame_potential(eset.ops, eset.weights, t).as_integer_ratio())
+          - Fraction(proj, cg.quad_den * scale * scale))
+    span_residual = math.sqrt(abs(r2))
 
     verdict = "pass" if (span_residual <= SPAN_RESIDUAL_TOL
                          and max(mismatches.values()) <= TRACE_MISMATCH_TOL
                          and mu_consistent) else "fail"
     notes = "" if mu_consistent else (
-        f"same-cycle-type traces disagree by {spread:.3e} (> {MU_CONSISTENCY_TOL:.0e})")
+        f"power-trace and eigenvalue moments disagree by {spread:.3e}"
+        f" (> {MU_CONSISTENCY_TOL:.0e})")
 
     try:
         mv = MomentVector(values=tuple(mus[k] for k in range(1, t + 1)), mu0=d)
@@ -318,26 +376,22 @@ def certify(eset: WeightedElementSet, t: int, n_spotchecks: int = 25,
     spotchecks: list[tuple[int, int, float]] = []
     if n_spotchecks > 0 and mv is not None:
         rng = np.random.default_rng(seed)
-        probe_seeds = rng.integers(0, 2 ** 63 - 1, size=n_spotchecks)
-        for ps in probe_seeds:
-            phi = haar_random_state(d, int(ps))
-            for k in range(1, min(t, 5) + 1):
-                err = abs(gamma_empirical(eset, phi, k) - gamma_predicted(mv, d, k))
-                spotchecks.append((int(ps), k, float(err)))
+        probe_seeds = [int(s) for s in rng.integers(0, 2 ** 63 - 1, size=n_spotchecks)]
+        phis = np.array([haar_random_state(d, s) for s in probe_seeds])
+        # <phi|chi_x|phi> = sum_ij conj(phi_i) chi_ij phi_j, one matmul for all probes
+        outer = (phis.conj()[:, :, None] * phis[:, None, :]).reshape(len(phis), d * d)
+        ov = (outer @ eset.ops.reshape(len(eset), d * d).T).real
+        ks = range(1, min(t, 5) + 1)
+        predicted = np.array([gamma_predicted(mv, d, k) for k in ks])
+        ov_powers = [ov]
+        for _ in ks[1:]:
+            ov_powers.append(ov_powers[-1] * ov)
+        errors = np.abs(np.array(ov_powers) @ eset.weights - predicted[:, None])  # (k, probe)
+        spotchecks = [(s, k, float(errors[k - 1, i]))
+                      for i, s in enumerate(probe_seeds) for k in ks]
 
     return DesignCertificate(strength_tested=t, span_residual=span_residual,
                              trace_mismatches=mismatches, verdict=verdict,
                              gamma_spotchecks=spotchecks, moments=mv,
                              mu_spread=spread, mu_consistent=mu_consistent,
                              seed=seed, notes=notes)
-
-
-def symmetric_projector(d: int, t: int) -> np.ndarray:
-    """Projector onto the symmetric subspace of (C^d)^{ot t}."""
-    basis = _permutation_basis(d, t)
-    D = d ** t
-    P = np.zeros((D, D))
-    cols = np.arange(D)
-    for idx in basis.index_maps:
-        P[idx, cols] += 1.0
-    return P / math.factorial(t)

@@ -193,6 +193,25 @@ class TestInformationalPower:
         with pytest.raises(ArithmeticError, match="exceeds ln d"):
             informational_power(qubit_sic, default_grid(2, seed=2016, resolution=200))
 
+    def test_bracket_and_cap_flags(self, qubit_sic, monkeypatch):
+        grid = default_grid(2, seed=2016, resolution=200)
+        res = informational_power(qubit_sic, grid, tol=1e-6)
+        assert res.bracket_width <= 1e-6
+        assert res.diagnostics["bracket_met"] is True
+        assert res.diagnostics["refine_capped"] == 0
+
+        real = oracle.blahut_arimoto
+
+        def stalled(channel, tol=1e-6, max_iter=200_000, strict=True):
+            res = real(channel, tol=tol, max_iter=min(max_iter, 2000), strict=False)
+            return dataclasses.replace(res, iterations=max_iter, bracket_width=1e-3)
+
+        monkeypatch.setattr(oracle, "blahut_arimoto", stalled)
+        res = informational_power(qubit_sic, grid, tol=1e-6)
+        assert res.bracket_width == 1e-3
+        assert res.diagnostics["bracket_met"] is False
+        assert res.diagnostics["refine_capped"] == res.refinement_rounds >= 1
+
 
 class TestDiscretizedUniform:
     def test_is_exact_povm(self):

@@ -1,10 +1,10 @@
 import math
 from functools import reduce
-from itertools import permutations
 
 import numpy as np
 import pytest
 
+from dense_reference import dense_certificate, permutation_basis, symmetric_projector
 from tdesigncap import (
     DesignSpec,
     MomentVector,
@@ -15,14 +15,15 @@ from tdesigncap import (
     gamma_empirical,
     gamma_predicted,
     moments,
+    verify,
 )
 from tdesigncap.core import haar_random_states
 from tdesigncap.verify import (
+    MAX_T,
     ResourceGuardError,
+    _class_gram,
     _cycle_type,
-    _permutation_basis,
     gamma_from_bell,
-    symmetric_projector,
 )
 
 
@@ -126,7 +127,7 @@ class TestPermutationMachinery:
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         a = a + a.conj().T
         kron = reduce(np.kron, [a] * t)
-        basis = _permutation_basis(d, t)
+        basis = permutation_basis(d, t)
         cols = np.arange(d ** t)
         for sigma, idx in zip(basis.perms, basis.index_maps):
             tr = kron[cols, idx].sum()
@@ -136,15 +137,40 @@ class TestPermutationMachinery:
 
     def test_gram_entries(self):
         # Tr[W_sigma^dag W_tau] = d^{cycles(sigma^-1 tau)}
-        basis = _permutation_basis(2, 3)
+        basis = permutation_basis(2, 3)
         assert basis.gram[0, 0] == 2 ** 3  # identity vs identity
-        total = sum(len(list(permutations(range(3)))) for _ in range(1))
         assert basis.gram.shape == (6, 6)
 
     def test_symmetric_projector(self):
         p = symmetric_projector(2, 3)
         assert np.allclose(p @ p, p, atol=1e-12)
         assert np.trace(p) == pytest.approx(math.comb(2 + 3 - 1, 3), abs=1e-9)
+
+    def test_class_gram_matches_dense_class_sums(self):
+        # Tr[C_a^dag C_b] for the class sums C_a = sum_{sigma in a} W_sigma
+        for d, t in ((2, 3), (3, 3), (2, 4)):
+            basis = permutation_basis(d, t)
+            cg = _class_gram(d, t)
+            cols = np.arange(d ** t)
+            sums = []
+            for ct in cg.classes:
+                c = np.zeros((d ** t, d ** t))
+                for idx, ct_sigma in zip(basis.index_maps, basis.cycle_types):
+                    if ct_sigma == ct:
+                        c[idx, cols] += 1.0
+                sums.append(c)
+            dense = [[float(np.sum(a * b)) for b in sums] for a in sums]
+            assert dense == [[float(h) for h in row] for row in cg.gram]
+
+    def test_class_gram_rank_is_schur_weyl(self):
+        # the W_sigma span the commutant, whose class-function part has one
+        # dimension per partition of t with at most d parts
+        partition_counts = [1, 2, 3, 5, 7, 11]
+        for d in (2, 3, 8):
+            for t in range(1, 7):
+                cg = _class_gram(d, t)
+                assert len(cg.classes) == partition_counts[t - 1]
+                assert len(cg.pivots) == sum(len(ct) <= d for ct in cg.classes)
 
 
 class TestCertify:
@@ -193,17 +219,68 @@ class TestCertify:
         b = certify(qubit_sic, 2, n_spotchecks=5, seed=42)
         assert a.gamma_spotchecks == b.gamma_spotchecks
 
-    def test_resource_guard(self, hoggar):
-        with pytest.raises(ResourceGuardError):
-            certify(hoggar, 5, n_spotchecks=0)
+    def test_resource_guard(self, qubit_sic):
+        assert certify(qubit_sic, MAX_T, n_spotchecks=0).verdict == "fail"
+        with pytest.raises(ResourceGuardError, match=f"1 <= t <= {MAX_T}"):
+            certify(qubit_sic, MAX_T + 1, n_spotchecks=0)
+
+    def test_hoggar_t5_fails(self, hoggar):
+        # d^t = 32768: beyond any dense M_t the package could form
+        cert = certify(hoggar, 5, n_spotchecks=0)
+        assert cert.verdict == "fail"
+        assert cert.span_residual > 1e-4
 
     def test_mu_consistency_reported(self, qutrit_mub):
         cert = certify(qutrit_mub, 2, n_spotchecks=0)
         assert cert.mu_consistent
         assert cert.mu_spread < 1e-12
 
+    def test_mu_inconsistency_fails(self, qutrit_mub, monkeypatch):
+        # eigenvalue moments that disagree with the power traces fail the certificate
+        real = verify.moments
+
+        def shifted(eset, k_max):
+            mv = real(eset, k_max)
+            return MomentVector(values=(1.0,) + tuple(v - 1e-6 for v in mv.values[1:]),
+                                mu0=mv.mu0)
+
+        monkeypatch.setattr(verify, "moments", shifted)
+        cert = certify(qutrit_mub, 2, n_spotchecks=0)
+        assert not cert.mu_consistent
+        assert cert.mu_spread == pytest.approx(1e-6, rel=1e-6)
+        assert cert.verdict == "fail"
+        assert "disagree" in cert.notes
+
     def test_certificate_serializes(self, qubit_sic):
         import json
         cert = certify(qubit_sic, 2, n_spotchecks=2, seed=1)
         payload = json.dumps(cert.to_json_dict())
         assert "span_residual" in payload
+
+
+def _dense_cases():
+    phases = {"qutrit_sic": (0.0, 0.7, 2.1)}
+    matrix = [("qubit_sic", None, 2), ("qubit_sic", None, 3), ("qubit_mub", None, 3),
+              ("qubit_mub", None, 4), ("icosahedron", None, 5), ("qutrit_sic", None, 2),
+              ("qutrit_mub", None, 2), ("qutrit_mub", None, 3), ("hoggar_sic", None, 2),
+              ("anti_sic", 2, 2), ("anti_sic", 3, 2), ("anti_sic", 8, 2)]
+    cases = [(fam, dim, phase, t, lam) for fam, dim, t in matrix
+             for phase in phases.get(fam, (0.0,)) for lam in (1.0, 0.75, 0.5, 0.25)]
+    cases += [("qutrit_sic", None, 0.0, t, 1.0) for t in (3, 4, 5)]
+    cases.append(("hoggar_sic", None, 0.0, 3, 1.0))
+    return cases
+
+
+def test_kernel_matches_dense_reference():
+    # acceptance 1's matrix plus the larger failing cases that still fit densely
+    for fam, dim, phase, t, lam in _dense_cases():
+        eset = build(DesignSpec(fam, lam, phase, dim))
+        cert = certify(eset, t, n_spotchecks=0)
+        residual, _, verdict = dense_certificate(eset, t)
+        label = (fam, dim, phase, t, lam)
+        assert cert.verdict == verdict, label
+        if verdict == "fail":
+            assert cert.span_residual == pytest.approx(residual, rel=1e-6), label
+        else:
+            # a float64 kernel leaves up to ~1e-8 of cancellation error here
+            assert cert.span_residual <= 1e-9 and residual <= 1e-9, label

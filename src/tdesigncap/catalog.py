@@ -56,7 +56,8 @@ class DesignSpec:
     ``dim`` is required for the dimension-generic families (anti_sic, uniform)
     and ignored otherwise. ``fiducial_phase`` selects a member of the qutrit
     SIC fiducial family (0, 1, -e^{i theta})/sqrt(2); the default 0 is the
-    Hesse fiducial.
+    Hesse fiducial. The uniform family has no element list to check ``lam``
+    against at build time, so its [1/(1 - d), 1] is checked here.
     """
 
     family: str
@@ -72,8 +73,13 @@ class DesignSpec:
                 raise UnsupportedFamilyError(f"{self.family} requires an explicit dim")
             if self.family == "anti_sic" and self.dim not in (2, 3, 8):
                 raise UnsupportedFamilyError("anti_sic is cataloged for dim in {2, 3, 8}")
-            if self.family == "uniform" and self.dim < 2:
-                raise UnsupportedFamilyError("uniform requires dim >= 2")
+            if self.family == "uniform":
+                if self.dim < 2:
+                    raise UnsupportedFamilyError("uniform requires dim >= 2")
+                interval = AdmissibleInterval(1.0 / (1 - self.dim), 1.0)
+                if not interval.contains(self.lam):
+                    raise LambdaRangeError(f"lambda={self.lam} outside admissible interval"
+                                           f" [{interval.lo:.6g}, 1] for uniform")
 
     @property
     def dimension(self) -> int:

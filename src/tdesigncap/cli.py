@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -118,23 +117,29 @@ def cmd_verify(args) -> int:
     tolerances = {"span_residual": verify.SPAN_RESIDUAL_TOL,
                   "trace_mismatch": verify.TRACE_MISMATCH_TOL,
                   "mu_consistency": verify.MU_CONSISTENCY_TOL}
-    family = _parse_family(args.family)[0] if args.family else None
-    if family == "uniform":
+    family, token_dim = _parse_family(args.family) if args.family else (None, None)
+    if family == "uniform" and args.dim is None and token_dim is None:
+        # no dimension: admit the lambdas that are admissible in every d
+        lam = args.lam if args.lam is not None else 1.0
+        if not 0.0 <= lam <= 1.0:
+            raise catalog.LambdaRangeError(
+                f"lambda={lam} outside [0, 1]; give --dim for [1/(1-d), 1]")
+        spec_dict = {"family": "uniform", "lambda": lam, "fiducial_phase": None}
+    else:
+        spec = _resolve_spec(args)
+        spec_dict = catalog.spec_to_json_dict(spec)
+    if spec_dict["family"] == "uniform":
         # analytic route, valid at every t and dimension; --dim is optional here
-        spec_dict = {"family": "uniform", "lambda": args.lam if args.lam is not None else 1.0,
-                     "fiducial_phase": None}
-        if args.dim is not None:
-            spec_dict["dim"] = args.dim
+        if args.t < 1:
+            raise ValueError(f"t must be >= 1, got {args.t}")
         result = {"spec": spec_dict,
                   "certificate": {"strength_tested": args.t, "verdict": "pass",
                                   "notes": "analytic: the Haar-uniform POVM is a t design"
                                            " for every t"}}
         _emit(_envelope(result, seed, tolerances), args)
         return 0
-    spec = _resolve_spec(args)
-    eset = catalog.build(spec)
-    cert = verify.certify(eset, args.t, n_spotchecks=args.spotchecks, seed=seed)
-    result = {"spec": catalog.spec_to_json_dict(spec), "certificate": cert.to_json_dict()}
+    cert = verify.certify(catalog.build(spec), args.t, n_spotchecks=args.spotchecks, seed=seed)
+    result = {"spec": spec_dict, "certificate": cert.to_json_dict()}
     _emit(_envelope(result, seed, tolerances), args)
     return 0 if cert.passed else 2
 
@@ -159,10 +164,10 @@ def _oracle_inputs(spec: DesignSpec, seed: int):
     return eset, oracle.default_grid(spec.dimension, seed, extra_states=extra)
 
 
-def _run_oracle(inputs, lam: float, tol: float, workers: int = 1) -> oracle.OracleResult:
+def _run_oracle(inputs, lam: float, tol: float) -> oracle.OracleResult:
     eset, grid = inputs
     target = catalog.depolarize(eset, lam) if lam != 1.0 else eset
-    return oracle.informational_power(target, grid, tol=tol, workers=workers)
+    return oracle.informational_power(target, grid, tol=tol)
 
 
 def _principal_vector(projector: np.ndarray) -> np.ndarray:
@@ -181,7 +186,7 @@ def cmd_capacity(args) -> int:
         result["closed_form"] = closedform.capacity_for(spec) / unit
         result["method"] = "closed-form"
     if args.method in ("oracle", "both"):
-        res = _run_oracle(_oracle_inputs(spec, seed), spec.lam, args.tol, args.workers)
+        res = _run_oracle(_oracle_inputs(spec, seed), spec.lam, args.tol)
         result["oracle"] = res.capacity_estimate / unit
         result["oracle_tightness"] = res.tightness
         result["oracle_bracket"] = res.bracket_width
@@ -213,7 +218,7 @@ def cmd_bound(args) -> int:
     seed = _seed(args)
     unit = LN2 if args.bits else 1.0
     t_max = catalog.design_strength(spec.family)
-    ts = [args.t] if args.t else list(range(2, min(t_max, 5) + 1))
+    ts = [args.t] if args.t is not None else list(range(2, min(t_max, 5) + 1))
     for t in ts:
         if t > t_max:
             raise ValueError(f"{spec.family} is only a {t_max}-design; C_{t} does not apply")
@@ -274,15 +279,10 @@ def cmd_sweep(args) -> int:
         if args.with_oracle:
             oracle_inputs[token] = _oracle_inputs(spec1, seed + 7919 * i)
 
-    def compute(spec):
+    rows = []
+    for spec in specs:
         token = _family_token(spec)
-        return _sweep_row(spec, base_moments[token], oracle_inputs.get(token), args.tol)
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(compute, specs))
-    else:
-        rows = [compute(s) for s in specs]
+        rows.append(_sweep_row(spec, base_moments[token], oracle_inputs.get(token), args.tol))
     rows.sort(key=lambda r: (r["family"], r["lambda"]))
 
     def fmt(v):
@@ -340,7 +340,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["closed", "oracle", "both"], default="closed")
     p.add_argument("--bits", action="store_true", help="report bits instead of nats")
     p.add_argument("--tol", type=float, default=1e-5, help="oracle refinement tolerance")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("bound", help="capacity upper bounds C_t")
@@ -358,7 +357,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-oracle", dest="with_oracle", action="store_true")
     p.add_argument("--fiducial-phase", dest="fiducial_phase", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-5, help="oracle refinement tolerance")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_sweep)

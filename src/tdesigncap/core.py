@@ -125,6 +125,19 @@ def haar_random_states(dim: int, count: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
+def overlaps(states: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """<phi_x|chi_y|phi_x> for every state row and operator, (n, m) real.
+
+    With A_ij = phi_i conj(phi_j) this is Re sum_ij conj(A_ij) chi_ij, one real
+    matmul of the interleaved (re, im) views: no complex (n, m) temporary.
+    """
+    states = np.asarray(states, dtype=complex)
+    n, d = states.shape
+    a = np.ascontiguousarray((states[:, :, None] * states.conj()[:, None, :]).reshape(n, d * d))
+    b = np.ascontiguousarray(np.reshape(ops, (-1, d * d)), dtype=complex)
+    return a.view(float) @ b.view(float).T
+
+
 @dataclass(frozen=True)
 class WeightedElementSet:
     """A finite weighted family of unit-trace positive operators.

@@ -10,14 +10,13 @@ forms they are meant to check.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import nnls
 
 from .closedform import ConvergenceError
-from .core import WeightedElementSet, eta_array, haar_random_states
+from .core import WeightedElementSet, eta_array, haar_random_states, overlaps
 
 DEFAULT_GRID_SIZES = {2: 4096, 3: 20000, 8: 60000}
 TIGHTNESS_RESIDUAL_TOL = 1e-6
@@ -74,25 +73,12 @@ def default_grid(dim: int, seed: int, extra_states: np.ndarray | None = None,
     return StateGrid(dim, sampled, provenance, n)
 
 
-def _overlaps(states: np.ndarray, ops: np.ndarray, workers: int = 1) -> np.ndarray:
-    """<phi_x| chi_y |phi_x> for all grid states and elements, (n, m) real."""
-    def block(chunk):
-        out = np.empty((chunk.shape[0], ops.shape[0]))
-        for y in range(ops.shape[0]):
-            out[:, y] = np.einsum("xi,xi->x", chunk.conj(), chunk @ ops[y].T).real
-        return out
+def povm_channel(eset: WeightedElementSet, states: np.ndarray) -> np.ndarray:
+    """Conditional distribution p(y|x) = d q_y <phi_x|chi_y|phi_x>; rows sum to 1.
 
-    if workers <= 1 or states.shape[0] < 4096:
-        return block(states)
-    chunks = np.array_split(states, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(block, chunks))
-    return np.vstack(parts)
-
-
-def povm_channel(eset: WeightedElementSet, states: np.ndarray, workers: int = 1) -> np.ndarray:
-    """Conditional distribution p(y|x) = d q_y <phi_x|chi_y|phi_x>; rows sum to 1."""
-    ov = _overlaps(states, eset.ops, workers)
+    The overlaps come from one :func:`core.overlaps` matmul.
+    """
+    ov = overlaps(states, eset.ops)
     return np.clip(eset.dim * eset.weights[None, :] * ov, 0.0, None)
 
 
@@ -220,9 +206,9 @@ def _coordinate_ascent(objective, phi: np.ndarray, max_iter: int = 200,
     return phi, best, it
 
 
-def kl_maximize(eset: WeightedElementSet, grid: StateGrid,
-                workers: int = 1) -> tuple[float, np.ndarray]:
-    """Grid search plus local refinement of kl_objective.
+def kl_maximize(eset: WeightedElementSet, grid: StateGrid) -> tuple[float, np.ndarray]:
+    """Grid search (one :func:`core.overlaps` matmul) plus local refinement of
+    kl_objective.
 
     Returns the refined maximum and every refined candidate within 1e-8 of
     it (deduplicated by projector overlap); those states feed the convex
@@ -230,7 +216,7 @@ def kl_maximize(eset: WeightedElementSet, grid: StateGrid,
     """
     if eset.dim != grid.dim:
         raise ValueError("grid and element set dimensions differ")
-    ov = _overlaps(grid.states, eset.ops, workers)
+    ov = overlaps(grid.states, eset.ops)
     vals = math.log(eset.dim) - eset.dim * (eta_array(ov) @ eset.weights)
     order = np.argsort(vals)[::-1]
     n_cand = min(64, len(order))
@@ -242,12 +228,8 @@ def kl_maximize(eset: WeightedElementSet, grid: StateGrid,
         phi, val, _ = _coordinate_ascent(lambda p: kl_objective(eset, p), grid.states[i])
         refined.append((val, phi))
     best_val = max(v for v, _ in refined)
-    argmax: list[np.ndarray] = []
-    for val, phi in refined:
-        if val >= best_val - 1e-8:
-            if not any(abs(np.vdot(phi, other)) ** 2 > 1 - 1e-6 for other in argmax):
-                argmax.append(phi)
-    return float(best_val), np.array(argmax)
+    near = [phi for val, phi in refined if val >= best_val - 1e-8]
+    return float(best_val), _dedupe_states(near, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +248,16 @@ class OracleResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def informational_power(eset: WeightedElementSet, grid: StateGrid, tol: float = 1e-6,
-                        workers: int = 1) -> OracleResult:
+def informational_power(eset: WeightedElementSet, grid: StateGrid,
+                        tol: float = 1e-6) -> OracleResult:
     """Maximize mutual information over the grid, then refine off-grid.
 
-    Stage 1 runs Blahut-Arimoto over the whole grid; the surviving support is
-    then improved by coordinate ascent of D(p(.|phi) || out) against the last
-    output marginal, re-running BA on the refined support, until one round
-    gains less than ``tol``. The returned estimate is achievable, hence a
-    lower bound on the true informational power.
+    Stage 1 runs Blahut-Arimoto over the whole grid, whose channel is one
+    :func:`povm_channel` matmul; the surviving support is then improved by
+    coordinate ascent of D(p(.|phi) || out) against the last output marginal,
+    re-running BA on the refined support, until one round gains less than
+    ``tol``. The returned estimate is achievable, hence a lower bound on the
+    true informational power.
 
     ``diagnostics["bracket_met"]`` says whether the reported bracket is within
     ``tol``; ``diagnostics["refine_capped"]`` counts the refinement BA runs
@@ -286,7 +269,7 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid, tol: float = 
         raise ValueError("grid and element set dimensions differ")
     d = eset.dim
     states = grid.states
-    channel = povm_channel(eset, states, workers)
+    channel = povm_channel(eset, states)
     coarse = blahut_arimoto(channel, tol=max(tol, 1e-4), max_iter=4000, strict=False)
 
     order = np.argsort(coarse.prior)[::-1]
@@ -344,10 +327,10 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid, tol: float = 
                                      "refine_capped": refine_capped})
 
 
-def _dedupe_states(states: np.ndarray) -> np.ndarray:
+def _dedupe_states(states, tol: float = 1e-8) -> np.ndarray:
     kept: list[np.ndarray] = []
     for phi in states:
-        if not any(abs(np.vdot(phi, other)) ** 2 > 1 - 1e-8 for other in kept):
+        if not any(abs(np.vdot(phi, other)) ** 2 > 1 - tol for other in kept):
             kept.append(phi)
     return np.array(kept)
 

@@ -26,7 +26,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import WeightedElementSet, haar_random_state
+from .core import WeightedElementSet, haar_random_state, overlaps
 
 SPAN_RESIDUAL_TOL = 1e-8
 TRACE_MISMATCH_TOL = 1e-8
@@ -378,9 +378,7 @@ def certify(eset: WeightedElementSet, t: int, n_spotchecks: int = 25,
         rng = np.random.default_rng(seed)
         probe_seeds = [int(s) for s in rng.integers(0, 2 ** 63 - 1, size=n_spotchecks)]
         phis = np.array([haar_random_state(d, s) for s in probe_seeds])
-        # <phi|chi_x|phi> = sum_ij conj(phi_i) chi_ij phi_j, one matmul for all probes
-        outer = (phis.conj()[:, :, None] * phis[:, None, :]).reshape(len(phis), d * d)
-        ov = (outer @ eset.ops.reshape(len(eset), d * d).T).real
+        ov = overlaps(phis, eset.ops)  # (probe, element)
         ks = range(1, min(t, 5) + 1)
         predicted = np.array([gamma_predicted(mv, d, k) for k in ks])
         ov_powers = [ov]

@@ -89,6 +89,14 @@ class TestBuild:
         with pytest.raises(AnalyticFamilyError):
             build(DesignSpec("uniform", dim=2))
 
+    def test_uniform_lambda_interval(self):
+        # rank-one elements: [1/(1-d), 1], the anti-design endpoint included
+        for d in (2, 3, 8):
+            DesignSpec("uniform", 1.0 / (1 - d), dim=d)
+            for lam in (1.0 / (1 - d) - 1e-6, 1.0 + 1e-6, 5.0):
+                with pytest.raises(LambdaRangeError):
+                    DesignSpec("uniform", lam, dim=d)
+
     def test_unknown_family(self):
         with pytest.raises(UnsupportedFamilyError):
             DesignSpec("dodecahedron")

@@ -40,6 +40,35 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["result"]["certificate"]["verdict"] == "pass"
 
+    @pytest.mark.parametrize("argv", [
+        ["--t", "0"], ["--t", "-4"], ["--dim", "3", "--t", "0"],
+        ["--dim", "1", "--t", "2"], ["--dim", "3", "--lambda", "5", "--t", "2"],
+        ["--dim", "3", "--lambda", "-0.6", "--t", "2"],
+        ["--lambda", "5", "--t", "2"], ["--lambda", "-0.2", "--t", "2"]])
+    def test_uniform_impossible_input_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, "verify", "--family", "uniform", *argv)
+        assert code == 1
+        assert out == ""
+        assert err
+
+    def test_uniform_negative_lambda_admitted_with_dim(self, capsys):
+        # [1/(1-d), 1] = [-0.5, 1] in d = 3
+        code, out, _ = run(capsys, "verify", "--family", "uniform:3", "--lambda", "-0.4",
+                           "--t", "2")
+        assert code == 0
+        assert json.loads(out)["result"]["spec"]["dim"] == 3
+
+    def test_uniform_spec_file_takes_analytic_route(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"family": "uniform", "dim": 3, "lambda": 0.5}))
+        code, out, _ = run(capsys, "verify", "--spec", str(path), "--t", "4")
+        assert code == 0
+        assert json.loads(out)["result"]["certificate"]["verdict"] == "pass"
+        path.write_text(json.dumps({"family": "uniform", "dim": 3, "lambda": 5}))
+        code, _, err = run(capsys, "verify", "--spec", str(path), "--t", "4")
+        assert code == 1
+        assert "admissible interval" in err
+
     def test_malformed_spec_exits_one(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "not_a_family", "--t", "2")
         assert code == 1
@@ -105,6 +134,12 @@ class TestBoundCommand:
         assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
         assert all(len(b["nodes"]) > 0 for b in bounds)
 
+    def test_t_zero_rejected(self, capsys):
+        code, out, err = run(capsys, "bound", "--family", "icosahedron", "--t", "0")
+        assert code == 1
+        assert out == ""
+        assert "[1, 5]" in err
+
     def test_t_beyond_strength_rejected(self, capsys):
         code, _, err = run(capsys, "bound", "--family", "qubit_sic", "--t", "4")
         assert code == 1
@@ -138,6 +173,13 @@ class TestSpecFileAndPrecedence:
         assert code == 0
         assert json.loads(out)["result"]["analytic"] is True
 
+    def test_build_uniform_lambda_outside_interval(self, capsys):
+        code, out, err = run(capsys, "build", "--family", "uniform", "--dim", "3",
+                             "--lambda", "5")
+        assert code == 1
+        assert out == ""
+        assert "admissible interval" in err
+
 
 class TestSweepCommand:
     def test_csv_schema(self, capsys, tmp_path):
@@ -170,14 +212,6 @@ class TestSweepCommand:
         for path in (a, b):
             run(capsys, "sweep", "--families", "qubit_sic", "--steps", "3",
                 "--with-oracle", "--tol", "1e-4", "--seed", "5", "--out", str(path))
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_workers_do_not_change_output(self, capsys, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(capsys, "sweep", "--families", "qubit_sic,icosahedron", "--steps", "4",
-            "--seed", "5", "--out", str(a))
-        run(capsys, "sweep", "--families", "qubit_sic,icosahedron", "--steps", "4",
-            "--seed", "5", "--workers", "4", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_steps_exit_one(self, capsys):

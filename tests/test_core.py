@@ -15,7 +15,7 @@ from tdesigncap import (
     pure_ensemble,
     relative_entropy,
 )
-from tdesigncap.core import SupportViolationError, haar_random_states
+from tdesigncap.core import SupportViolationError, haar_random_states, overlaps
 
 
 class TestEta:
@@ -209,3 +209,19 @@ class TestWeightedElementSet:
         povm = build(spec)
         ens = pure_ensemble(3, haar_random_states(3, 4, seed=3), weights=np.full(4, 0.25))
         assert pair_probability(ens, povm).sum() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestOverlaps:
+    @pytest.mark.parametrize("family,dim", [("qubit_sic", 2), ("qutrit_sic", 3),
+                                            ("hoggar_sic", 8)])
+    @pytest.mark.parametrize("kind", ["pure", "depolarized", "anti"])
+    def test_matches_per_state_einsum(self, family, dim, kind):
+        eset = build(DesignSpec("anti_sic", dim=dim) if kind == "anti" else DesignSpec(family))
+        if kind == "depolarized":
+            eset = depolarize(eset, 0.5)
+        states = haar_random_states(dim, 200, seed=dim)
+        expected = np.array([np.einsum("i,yij,j->y", phi.conj(), eset.ops, phi).real
+                             for phi in states])
+        got = overlaps(states, eset.ops)
+        assert got.shape == (200, len(eset))
+        assert np.abs(got - expected).max() <= 1e-15

@@ -178,11 +178,6 @@ class TestInformationalPower:
         with pytest.raises(ValueError):
             informational_power(ens, qubit_grid)
 
-    def test_worker_count_does_not_change_result(self, qubit_sic, qubit_grid):
-        a = informational_power(qubit_sic, qubit_grid, tol=1e-6, workers=1)
-        b = informational_power(qubit_sic, qubit_grid, tol=1e-6, workers=3)
-        assert a.capacity_estimate == b.capacity_estimate
-
     def test_capacity_above_ln_d_raises(self, qubit_sic, monkeypatch):
         real = oracle.blahut_arimoto
 
@@ -219,6 +214,12 @@ class TestDiscretizedUniform:
             eset = discretized_uniform_povm(d, n_effects=512, seed=5)
             total = eset.effects.sum(axis=0)
             assert np.abs(total - np.eye(d)).max() < 1e-12
+
+    def test_channel_rows_sum_to_one(self, qubit_grid):
+        channel = oracle.povm_channel(discretized_uniform_povm(2), qubit_grid.states)
+        assert channel.shape == (qubit_grid.states.shape[0], 2048)
+        assert channel.min() >= 0.0
+        assert np.abs(channel.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_capacity_matches_closed_form(self, qubit_grid):
         povm = discretized_uniform_povm(2, seed=2016)

@@ -13,14 +13,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize import minimize, nnls
 
 from .closedform import ConvergenceError
 from .core import WeightedElementSet, eta_array, haar_random_states, overlaps
 
 DEFAULT_GRID_SIZES = {2: 4096, 3: 20000, 8: 60000}
 TIGHTNESS_RESIDUAL_TOL = 1e-6
-REFINE_MAX_ITER = 500_000  # iteration cap of each refinement Blahut-Arimoto run
+REFINE_TOL = 1e-9  # bracket each refinement solve aims for (or the caller's tol, if smaller)
+REFINE_SLSQP_ITER = 500  # SLSQP iteration cap of each refinement solve
+REFINE_NEWTON_STEPS = 8  # KKT Newton step cap of each refinement solve after SLSQP
+KL_CANDIDATE_WINDOW = 1e-3  # grid values this far below the best are refined in kl_maximize
 
 
 @dataclass(frozen=True)
@@ -113,10 +116,11 @@ def blahut_arimoto(channel: np.ndarray, tol: float = 1e-6, max_iter: int = 200_0
 
     m = P.shape[0]
     full_P = P
-    full_lnP = _masked_log(full_P)
+    # D_x = sum_y P log P - P . log out: the row term once, one matvec per iteration
+    full_H = np.einsum("xy,xy->x", P, _masked_log(P))
     active = np.arange(m)
     r = np.full(m, 1.0 / m)
-    lnP = full_lnP
+    H = full_H
     best_lower = 0.0
     best_upper = math.inf
     check_every = 25
@@ -124,11 +128,11 @@ def blahut_arimoto(channel: np.ndarray, tol: float = 1e-6, max_iter: int = 200_0
     while it < max_iter:
         out = r @ P
         lnout = _masked_log(out[None, :])[0]
-        D = np.einsum("xy,xy->x", P, lnP - lnout[None, :])
+        D = H - np.einsum("xy,y->x", P, lnout)
         best_lower = max(best_lower, float(r @ D))
         if it % check_every == 0:
             if len(active) < m:
-                D_full = np.einsum("xy,xy->x", full_P, full_lnP - lnout[None, :])
+                D_full = full_H - np.einsum("xy,y->x", full_P, lnout)
                 best_upper = min(best_upper, float(D_full.max()))
             else:
                 best_upper = min(best_upper, float(D.max()))
@@ -141,7 +145,7 @@ def blahut_arimoto(channel: np.ndarray, tol: float = 1e-6, max_iter: int = 200_0
                     r = r[keep]
                     r /= r.sum()
                     P = full_P[active]
-                    lnP = full_lnP[active]
+                    H = full_H[active]
                     continue
         r = r * np.exp(D - D.max())
         r /= r.sum()
@@ -155,6 +159,70 @@ def blahut_arimoto(channel: np.ndarray, tol: float = 1e-6, max_iter: int = 200_0
     prior[active] = r
     return BAResult(capacity=best_lower, prior=prior, iterations=it,
                     bracket_width=float(width))
+
+
+def _refine_solve(channel: np.ndarray, tol: float) -> BAResult:
+    """Capacity of a channel with few rows by a direct convex solve.
+
+    Maximizes I(r) = sum_x r_x D(P_x || rP) over the simplex: SLSQP first,
+    then Newton steps on the KKT system D_x(r) = C over the support, solved
+    by least squares because the system is singular when the optimal prior
+    is not unique. Each iterate is clipped to a valid prior r, so I(r) is an
+    achievable rate and max_x D(P_x || rP) an upper bound on the capacity;
+    the iterate with the narrowest bracket is returned. The cost grows with
+    the row count, and the step count is capped by ``REFINE_SLSQP_ITER`` and
+    ``REFINE_NEWTON_STEPS``; a bracket wider than ``tol`` is returned as is.
+    """
+    P = np.asarray(channel, dtype=float)
+    n = P.shape[0]
+    if n == 1:  # one input carries no information
+        return BAResult(capacity=0.0, prior=np.ones(1), iterations=0, bracket_width=0.0)
+    H = np.einsum("xy,xy->x", P, _masked_log(P))
+
+    def divergences(r):
+        out = np.maximum(r @ P, np.finfo(float).tiny)  # an unreached output makes D huge
+        return H - np.einsum("xy,y->x", P, np.log(out)), out
+
+    def neg_rate(r):
+        D, _ = divergences(r)
+        return -float(r @ D), 1.0 - D
+
+    def iterate(r):
+        """r clipped to a valid prior, with D(P_x || rP), rP, I(r) and the bracket width."""
+        r = np.clip(r, 0.0, None)
+        r /= r.sum()
+        D, out = divergences(r)
+        lower = float(r @ D)
+        return r, D, out, lower, max(float(D.max()) - lower, 0.0)
+
+    best = cur = iterate(np.full(n, 1.0 / n))
+    steps = 0
+    if best[4] > tol:
+        res = minimize(neg_rate, best[0], jac=True, method="SLSQP", bounds=[(0.0, 1.0)] * n,
+                       constraints=[{"type": "eq", "fun": lambda r: r.sum() - 1.0,
+                                     "jac": lambda r: np.ones_like(r)}],
+                       options={"maxiter": REFINE_SLSQP_ITER, "ftol": 1e-16})
+        steps = int(res.nit)
+        cur = iterate(res.x)
+        best = min(best, cur, key=lambda it: it[4])
+    for _ in range(REFINE_NEWTON_STEPS):
+        if best[4] <= tol:
+            break
+        r, D, out = cur[:3]
+        s = np.flatnonzero(r > 1e-12 * r.max())
+        k = len(s)
+        # D_s(r + dr) ~ D_s - K dr with K = P_s diag(1/out) P_s^T; solve for dr and C
+        kkt = np.ones((k + 1, k + 1))
+        kkt[:k, :k] = (P[s] / out) @ P[s].T
+        kkt[k, k] = 0.0
+        dr = np.linalg.lstsq(kkt, np.append(D[s], 0.0), rcond=None)[0][:k]
+        r = r.copy()
+        r[s] += dr
+        cur = iterate(r)
+        best = min(best, cur, key=lambda it: it[4])
+        steps += 1
+    r, _, _, lower, width = best
+    return BAResult(capacity=lower, prior=r, iterations=steps, bracket_width=width)
 
 
 def _masked_log(a: np.ndarray) -> np.ndarray:
@@ -220,7 +288,7 @@ def kl_maximize(eset: WeightedElementSet, grid: StateGrid) -> tuple[float, np.nd
     vals = math.log(eset.dim) - eset.dim * (eta_array(ov) @ eset.weights)
     order = np.argsort(vals)[::-1]
     n_cand = min(64, len(order))
-    cutoff = vals[order[0]] - max(1e-3, 1e-6)
+    cutoff = vals[order[0]] - KL_CANDIDATE_WINDOW
     cand_idx = [i for i in order[:n_cand] if vals[i] >= cutoff] or [order[0]]
 
     refined = []
@@ -255,13 +323,17 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
     Stage 1 runs Blahut-Arimoto over the whole grid, whose channel is one
     :func:`povm_channel` matmul; the surviving support is then improved by
     coordinate ascent of D(p(.|phi) || out) against the last output marginal,
-    re-running BA on the refined support, until one round gains less than
-    ``tol``. The returned estimate is achievable, hence a lower bound on the
-    true informational power.
+    and the capacity of the refined support (at most max(32, 4 d^2) states) is
+    solved exactly by a small convex solve, until one round gains less than
+    ``tol``. The solve's bracket is certified: its lower side I(r) is the rate
+    of a valid prior r and its upper side max_x D(p(.|x) || rP) bounds the
+    support's capacity. The returned estimate is achievable, hence a lower
+    bound on the true informational power.
 
     ``diagnostics["bracket_met"]`` says whether the reported bracket is within
-    ``tol``; ``diagnostics["refine_capped"]`` counts the refinement BA runs
-    that stopped at their iteration cap instead of closing their bracket.
+    ``tol``; ``diagnostics["refine_capped"]`` counts the refinement solves
+    that ended at their step cap without closing their bracket to
+    min(tol, ``REFINE_TOL``).
     """
     if eset.role != "povm":
         raise ValueError("informational_power expects a POVM-role set")
@@ -284,6 +356,7 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
     bracket = coarse.bracket_width
     rounds = 0
     refine_capped = 0
+    refine_tol = min(tol, REFINE_TOL)
     weights = eset.weights
     ops = eset.ops
     for _ in range(8):
@@ -297,9 +370,9 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
         cands = np.array([_coordinate_ascent(relent_vs_out, c)[0] for c in cands])
         cands = _dedupe_states(cands)
         sub = povm_channel(eset, cands)
-        res = blahut_arimoto(sub, tol=min(tol, 1e-9), max_iter=REFINE_MAX_ITER, strict=False)
+        res = _refine_solve(sub, refine_tol)
         rounds += 1
-        refine_capped += res.iterations >= REFINE_MAX_ITER
+        refine_capped += res.bracket_width > refine_tol
         out = res.prior @ sub
         if res.capacity > best:
             best, best_states, best_prior = res.capacity, cands, res.prior

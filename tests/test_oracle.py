@@ -20,6 +20,7 @@ from tdesigncap import (
 )
 from tdesigncap import oracle
 from tdesigncap.closedform import ConvergenceError
+from tdesigncap.core import haar_random_states
 from tdesigncap.oracle import StateGrid, fibonacci_bloch_states
 
 
@@ -195,17 +196,88 @@ class TestInformationalPower:
         assert res.diagnostics["bracket_met"] is True
         assert res.diagnostics["refine_capped"] == 0
 
-        real = oracle.blahut_arimoto
+        real = oracle._refine_solve
 
-        def stalled(channel, tol=1e-6, max_iter=200_000, strict=True):
-            res = real(channel, tol=tol, max_iter=min(max_iter, 2000), strict=False)
-            return dataclasses.replace(res, iterations=max_iter, bracket_width=1e-3)
+        def stalled(channel, tol):
+            res = real(channel, tol)
+            return dataclasses.replace(res, iterations=oracle.REFINE_SLSQP_ITER
+                                       + oracle.REFINE_NEWTON_STEPS, bracket_width=1e-3)
 
-        monkeypatch.setattr(oracle, "blahut_arimoto", stalled)
+        monkeypatch.setattr(oracle, "_refine_solve", stalled)
         res = informational_power(qubit_sic, grid, tol=1e-6)
         assert res.bracket_width == 1e-3
         assert res.diagnostics["bracket_met"] is False
         assert res.diagnostics["refine_capped"] == res.refinement_rounds >= 1
+
+    def test_qutrit_sic_refinement_closes(self, qutrit_sic):
+        # the refinement channel here has a non-unique optimal prior, on which
+        # Blahut-Arimoto converges sublinearly
+        povm = depolarize(qutrit_sic, 0.25)
+        res = informational_power(povm, default_grid(3, seed=2016, resolution=2000), tol=1e-5)
+        assert res.diagnostics["bracket_met"] is True
+        assert res.diagnostics["refine_capped"] == 0
+        assert res.capacity_estimate == pytest.approx(capacity("qutrit_sic", 0.25), abs=2e-3)
+
+
+def _direct_bracket(channel, prior):
+    """I(prior) and max_x D(P_x || prior P), summed term by term from the definitions."""
+    out = prior @ channel
+    div = [math.fsum(p * math.log(p / o) for p, o in zip(row, out) if p > 0) for row in channel]
+    return math.fsum(r * dx for r, dx in zip(prior, div)), max(div)
+
+
+class TestRefineSolve:
+    def _check_certified(self, channel, res):
+        assert res.prior.min() >= 0.0
+        assert abs(res.prior.sum() - 1.0) <= 1e-12
+        assert res.bracket_width >= 0.0
+        lower, upper = _direct_bracket(channel, res.prior)
+        assert lower == pytest.approx(res.capacity, abs=1e-12)
+        assert lower - 1e-12 <= res.capacity <= upper + 1e-12
+        assert upper - res.capacity <= res.bracket_width + 1e-12
+
+    def test_identity_channel(self):
+        res = oracle._refine_solve(np.eye(4), 1e-12)
+        assert res.capacity == pytest.approx(math.log(4), abs=1e-12)
+        self._check_certified(np.eye(4), res)
+
+    def test_binary_symmetric_channel(self):
+        channel = np.array([[0.75, 0.25], [0.25, 0.75]])
+        expected = math.log(2) + 0.25 * math.log(0.25) + 0.75 * math.log(0.75)
+        res = oracle._refine_solve(channel, 1e-12)
+        assert res.capacity == pytest.approx(expected, abs=1e-12)
+        self._check_certified(channel, res)
+
+    def test_z_channel(self):
+        # asymmetric: the optimal prior is not uniform; C = ln(1 + (1-p) p^(p/(1-p)))
+        p = 0.3
+        channel = np.array([[1.0, 0.0], [p, 1 - p]])
+        expected = math.log(1 + (1 - p) * p ** (p / (1 - p)))
+        res = oracle._refine_solve(channel, 1e-12)
+        assert res.bracket_width <= 1e-12
+        assert res.capacity == pytest.approx(expected, abs=1e-12)
+        self._check_certified(channel, res)
+
+    def test_one_row_channel(self):
+        channel = np.array([[0.2, 0.3, 0.5]])
+        res = oracle._refine_solve(channel, 1e-9)
+        assert res.capacity == 0.0
+        assert res.bracket_width == 0.0
+        self._check_certified(channel, res)
+
+    def test_non_unique_optimal_prior(self, qutrit_sic):
+        povm = depolarize(qutrit_sic, 0.25)
+        anti = build(DesignSpec("anti_sic", 1.0, 0.0, 3))
+        states = np.vstack([[np.linalg.eigh(op)[1][:, -1] for op in anti.ops],
+                            haar_random_states(3, 3, seed=11)])
+        channel = oracle.povm_channel(povm, states)
+        res = oracle._refine_solve(channel, 1e-9)
+        # the optimal prior is not unique: its support rows are linearly dependent
+        support = res.prior > 1e-9
+        assert np.linalg.matrix_rank(channel[support]) < support.sum()
+        assert res.bracket_width <= 1e-9
+        assert res.capacity == pytest.approx(capacity("qutrit_sic", 0.25), abs=1e-9)
+        self._check_certified(channel, res)
 
 
 class TestDiscretizedUniform:

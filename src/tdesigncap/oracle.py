@@ -1,5 +1,6 @@
 """Brute-force capacity route: Blahut-Arimoto over discretized pure-state
-ensembles, with local refinement, plus the KL upper-bound objective and its
+ensembles, refined off the grid by L-BFGS ascents with analytic gradients,
+plus the KL upper-bound objective (maximized by the same ascent) and its
 tightness certificate.
 
 The oracle lower-bounds capacity by construction (it exhibits an achievable
@@ -24,6 +25,8 @@ REFINE_TOL = 1e-9  # bracket each refinement solve aims for (or the caller's tol
 REFINE_SLSQP_ITER = 500  # SLSQP iteration cap of each refinement solve
 REFINE_NEWTON_STEPS = 8  # KKT Newton step cap of each refinement solve after SLSQP
 KL_CANDIDATE_WINDOW = 1e-3  # grid values this far below the best are refined in kl_maximize
+COARSE_MAX_ITER = 4000  # iteration cap of the coarse Blahut-Arimoto over the whole grid
+ASCENT_MAX_ITER = 500  # L-BFGS iteration cap of each local ascent over pure states
 
 
 @dataclass(frozen=True)
@@ -242,45 +245,41 @@ def kl_objective(eset: WeightedElementSet, phi: np.ndarray) -> float:
     return math.log(eset.dim) - eset.dim * float(eset.weights @ eta_array(ov))
 
 
-def _coordinate_ascent(objective, phi: np.ndarray, max_iter: int = 200,
-                       h0: float = 0.25, min_step: float = 1e-9):
-    """Maximize a pure-state objective with step-halving coordinate ascent.
+def _ascent_objective(v: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """-F and its gradient at the interleaved (re, im) view v of phi; see :func:`_ascend`."""
+    z = v.view(complex)
+    w = ops @ z  # chi_y phi, (m, d)
+    norm2 = float(v @ v)
+    x = np.maximum((w @ z.conj()).real / norm2, np.finfo(float).tiny)
+    lnx = np.log(x)
+    g = a * (lnx + 1.0) + b
+    grad = (2.0 / norm2) * (g @ w - (g @ x) * z)
+    return -float(a @ (x * lnx) + b @ x), -grad.view(float)
 
-    The state is parametrized on the affine chart fixing its largest-modulus
-    amplitude, i.e. d-1 free complex coordinates.
+
+def _ascend(ops: np.ndarray, a: np.ndarray, b: np.ndarray, phi: np.ndarray):
+    """Maximize F(phi) = sum_y a_y x_y ln x_y + b_y x_y, x_y = <phi|chi_y|phi> / <phi|phi>.
+
+    L-BFGS on (Re phi, Im phi) with the analytic gradient 2 / |phi|^2 (B phi - (g . x) phi),
+    g = a (ln x + 1) + b and B = sum_y g_y chi_y, from one ``ops @ phi``. x is clamped at
+    the smallest normal float before the log, since an optimal state may have zero overlaps.
+    Returns the normalized maximizer and whether the ascent stopped at ``ASCENT_MAX_ITER``.
     """
-    d = phi.shape[0]
-    best = objective(phi)
-    h = h0
-    it = 0
-    while it < max_iter and h > min_step:
-        pivot = int(np.argmax(np.abs(phi)))
-        base = phi / phi[pivot]
-        improved = False
-        for i in range(d):
-            if i == pivot:
-                continue
-            for dz in (h, -h, 1j * h, -1j * h):
-                cand = base.copy()
-                cand[i] += dz
-                cand /= np.linalg.norm(cand)
-                val = objective(cand)
-                if val > best + 1e-15:
-                    best, phi, improved = val, cand, True
-                    base = phi / phi[pivot] if abs(phi[pivot]) > 0 else phi
-        if not improved:
-            h *= 0.5
-        it += 1
-    return phi, best, it
+    v0 = np.ascontiguousarray(phi, dtype=complex).view(float)
+    res = minimize(_ascent_objective, v0, args=(ops, a, b), jac=True, method="L-BFGS-B",
+                   options={"maxiter": ASCENT_MAX_ITER, "gtol": 1e-12, "ftol": 1e-15})
+    return res.x.view(complex) / np.linalg.norm(res.x), res.status == 1
 
 
 def kl_maximize(eset: WeightedElementSet, grid: StateGrid) -> tuple[float, np.ndarray]:
     """Grid search (one :func:`core.overlaps` matmul) plus local refinement of
     kl_objective.
 
-    Returns the refined maximum and every refined candidate within 1e-8 of
-    it (deduplicated by projector overlap); those states feed the convex
-    tightness check of the oracle.
+    Each grid value within ``KL_CANDIDATE_WINDOW`` of the best (at most 64)
+    starts an L-BFGS ascent with the analytic gradient, scored by
+    :func:`kl_objective`. Returns the refined maximum and every refined
+    candidate within 1e-8 of it (deduplicated by projector overlap); those
+    states feed the convex tightness check of the oracle.
     """
     if eset.dim != grid.dim:
         raise ValueError("grid and element set dimensions differ")
@@ -291,12 +290,11 @@ def kl_maximize(eset: WeightedElementSet, grid: StateGrid) -> tuple[float, np.nd
     cutoff = vals[order[0]] - KL_CANDIDATE_WINDOW
     cand_idx = [i for i in order[:n_cand] if vals[i] >= cutoff] or [order[0]]
 
-    refined = []
-    for i in cand_idx:
-        phi, val, _ = _coordinate_ascent(lambda p: kl_objective(eset, p), grid.states[i])
-        refined.append((val, phi))
-    best_val = max(v for v, _ in refined)
-    near = [phi for val, phi in refined if val >= best_val - 1e-8]
+    a = eset.dim * eset.weights
+    refined = [_ascend(eset.ops, a, np.zeros_like(a), grid.states[i])[0] for i in cand_idx]
+    scores = [kl_objective(eset, phi) for phi in refined]
+    best_val = max(scores)
+    near = [phi for val, phi in zip(scores, refined) if val >= best_val - 1e-8]
     return float(best_val), _dedupe_states(near, 1e-6)
 
 
@@ -321,9 +319,10 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
     """Maximize mutual information over the grid, then refine off-grid.
 
     Stage 1 runs Blahut-Arimoto over the whole grid, whose channel is one
-    :func:`povm_channel` matmul; the surviving support is then improved by
-    coordinate ascent of D(p(.|phi) || out) against the last output marginal,
-    and the capacity of the refined support (at most max(32, 4 d^2) states) is
+    :func:`povm_channel` matmul, for at most ``COARSE_MAX_ITER`` iterations;
+    each surviving support state then climbs D(p(.|phi) || out) against the
+    last output marginal by an L-BFGS ascent with the analytic gradient, and
+    the capacity of the refined support (at most max(32, 4 d^2) states) is
     solved exactly by a small convex solve, until one round gains less than
     ``tol``. The solve's bracket is certified: its lower side I(r) is the rate
     of a valid prior r and its upper side max_x D(p(.|x) || rP) bounds the
@@ -333,7 +332,10 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
     ``diagnostics["bracket_met"]`` says whether the reported bracket is within
     ``tol``; ``diagnostics["refine_capped"]`` counts the refinement solves
     that ended at their step cap without closing their bracket to
-    min(tol, ``REFINE_TOL``).
+    min(tol, ``REFINE_TOL``), and ``"ascent_capped"`` the ascents that stopped
+    at ``ASCENT_MAX_ITER``; ``"coarse_iterations"`` is the coarse stage's count,
+    and ``"coarse_capped"`` says it stopped at its cap with a bracket wider than
+    max(tol, 1e-4).
     """
     if eset.role != "povm":
         raise ValueError("informational_power expects a POVM-role set")
@@ -342,7 +344,8 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
     d = eset.dim
     states = grid.states
     channel = povm_channel(eset, states)
-    coarse = blahut_arimoto(channel, tol=max(tol, 1e-4), max_iter=4000, strict=False)
+    coarse_tol = max(tol, 1e-4)
+    coarse = blahut_arimoto(channel, tol=coarse_tol, max_iter=COARSE_MAX_ITER, strict=False)
 
     order = np.argsort(coarse.prior)[::-1]
     cap = max(32, 4 * d * d)
@@ -355,20 +358,15 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
     best_prior = coarse.prior[cand_idx]
     bracket = coarse.bracket_width
     rounds = 0
-    refine_capped = 0
+    refine_capped = ascent_capped = 0
     refine_tol = min(tol, REFINE_TOL)
-    weights = eset.weights
-    ops = eset.ops
+    # D(p(.|phi) || out) = sum_y a_y x_y ln x_y + a_y (ln a_y - ln out_y) x_y, p_y = a_y x_y
+    a = d * eset.weights
     for _ in range(8):
-        lnout = _masked_log(out[None, :])[0]
-
-        def relent_vs_out(phi):
-            p = d * weights * np.einsum("i,yij,j->y", phi.conj(), ops, phi).real
-            mask = p > 0
-            return float(np.sum(p[mask] * (np.log(p[mask]) - lnout[mask])))
-
-        cands = np.array([_coordinate_ascent(relent_vs_out, c)[0] for c in cands])
-        cands = _dedupe_states(cands)
+        b = a * (_masked_log(a) - _masked_log(out))
+        ascents = [_ascend(eset.ops, a, b, c) for c in cands]
+        ascent_capped += sum(capped for _, capped in ascents)
+        cands = _dedupe_states([phi for phi, _ in ascents])
         sub = povm_channel(eset, cands)
         res = _refine_solve(sub, refine_tol)
         rounds += 1
@@ -397,7 +395,9 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
                         bracket_width=float(bracket),
                         diagnostics={"grid": grid.provenance, "grid_points": grid.resolution,
                                      "seeded": grid.seeded, "bracket_met": bool(bracket <= tol),
-                                     "refine_capped": refine_capped})
+                                     "refine_capped": refine_capped, "ascent_capped": ascent_capped,
+                                     "coarse_iterations": coarse.iterations,
+                                     "coarse_capped": bool(coarse.bracket_width >= coarse_tol)})
 
 
 def _dedupe_states(states, tol: float = 1e-8) -> np.ndarray:

@@ -1,0 +1,67 @@
+"""Reference local search for the KL maximizer: step-halving coordinate ascent.
+
+`tdesigncap.oracle` refines its grid candidates with an L-BFGS ascent and an
+analytic gradient. The tests keep the coordinate ascent it replaced, which
+uses objective values only, so that the two searches can be compared on the
+same grid and candidates.
+"""
+
+import math
+
+import numpy as np
+
+from tdesigncap.core import eta_array, overlaps
+from tdesigncap.oracle import KL_CANDIDATE_WINDOW, _dedupe_states, kl_objective
+
+
+def _coordinate_ascent(objective, phi: np.ndarray, max_iter: int = 200,
+                       h0: float = 0.25, min_step: float = 1e-9):
+    """Maximize a pure-state objective with step-halving coordinate ascent.
+
+    The state is parametrized on the affine chart fixing its largest-modulus
+    amplitude, i.e. d-1 free complex coordinates.
+    """
+    d = phi.shape[0]
+    best = objective(phi)
+    h = h0
+    it = 0
+    while it < max_iter and h > min_step:
+        pivot = int(np.argmax(np.abs(phi)))
+        base = phi / phi[pivot]
+        improved = False
+        for i in range(d):
+            if i == pivot:
+                continue
+            for dz in (h, -h, 1j * h, -1j * h):
+                cand = base.copy()
+                cand[i] += dz
+                cand /= np.linalg.norm(cand)
+                val = objective(cand)
+                if val > best + 1e-15:
+                    best, phi, improved = val, cand, True
+                    base = phi / phi[pivot] if abs(phi[pivot]) > 0 else phi
+        if not improved:
+            h *= 0.5
+        it += 1
+    return phi, best, it
+
+
+def kl_maximize_reference(eset, grid) -> tuple[float, np.ndarray]:
+    """`oracle.kl_maximize` with every candidate refined by coordinate ascent.
+
+    The ascent runs until its step falls below ``min_step`` (at most 10 000
+    sweeps). At the default cap of 200 sweeps it can stop short: 3.1e-5 below
+    the maximum for anti_sic:3 at lambda = 1 on ``default_grid(3, 2016,
+    resolution=256)``.
+    """
+    ov = overlaps(grid.states, eset.ops)
+    vals = math.log(eset.dim) - eset.dim * (eta_array(ov) @ eset.weights)
+    order = np.argsort(vals)[::-1]
+    n_cand = min(64, len(order))
+    cutoff = vals[order[0]] - KL_CANDIDATE_WINDOW
+    cand_idx = [i for i in order[:n_cand] if vals[i] >= cutoff] or [order[0]]
+    refined = [_coordinate_ascent(lambda p: kl_objective(eset, p), grid.states[i],
+                                  max_iter=10_000)[:2][::-1] for i in cand_idx]
+    best_val = max(v for v, _ in refined)
+    near = [phi for val, phi in refined if val >= best_val - 1e-8]
+    return float(best_val), _dedupe_states(near, 1e-6)

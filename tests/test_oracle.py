@@ -19,9 +19,17 @@ from tdesigncap import (
     uniform_capacity,
 )
 from tdesigncap import oracle
-from tdesigncap.closedform import ConvergenceError
+from tdesigncap.closedform import ConvergenceError, optimal_ensemble
 from tdesigncap.core import haar_random_states
 from tdesigncap.oracle import StateGrid, fibonacci_bloch_states
+
+from reference_ascent import kl_maximize_reference
+
+
+def _seeded_d8_grid(family):
+    """256 Haar states in d = 8 after the closed-form optimal ensemble's states."""
+    duals = np.array([np.linalg.eigh(p)[1][:, -1] for p in optimal_ensemble(family).ops])
+    return default_grid(8, seed=2016, extra_states=duals, resolution=256)
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +146,51 @@ class TestKlMaximize:
         assert val == pytest.approx(capacity("icosahedron", 1.0), abs=1e-9)
         assert argmax.shape[0] == 12
 
+    def test_projective_sic_values(self, qubit_sic, qutrit_sic, hoggar, qubit_grid, qutrit_grid):
+        # at lambda = 1 the maximizer has zero overlaps, where eta' is singular
+        for eset, grid, want in [(qubit_sic, qubit_grid, 4 / 3), (qutrit_sic, qutrit_grid, 3 / 2),
+                                 (hoggar, _seeded_d8_grid("hoggar_sic"), 16 / 9)]:
+            val, _ = kl_maximize(eset, grid)
+            assert val == pytest.approx(math.log(want), abs=1e-12)
+
+    @pytest.mark.parametrize("family,dim", [("qubit_sic", None), ("icosahedron", None),
+                                            ("anti_sic", 3), ("hoggar_sic", None)])
+    def test_matches_coordinate_ascent_reference(self, family, dim):
+        base = build(DesignSpec(family, 1.0, 0.0, dim))
+        grid = (_seeded_d8_grid(family) if base.dim == 8
+                else default_grid(base.dim, seed=2016, resolution=256))
+        for lam in (0.5, 1.0):
+            eset = depolarize(base, lam)
+            val, argmax = kl_maximize(eset, grid)
+            ref_val, ref_argmax = kl_maximize_reference(eset, grid)
+            assert val == pytest.approx(ref_val, abs=1e-12)
+            assert argmax.shape[0] == ref_argmax.shape[0]
+
+
+class TestAscent:
+    @pytest.mark.parametrize("family", ["qubit_sic", "qutrit_sic", "hoggar_sic"])
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_gradient_matches_central_differences(self, family, lam):
+        eset = depolarize(build(DesignSpec(family, 1.0)), lam)
+        d = eset.dim
+        a = d * eset.weights
+        probes = haar_random_states(d, 4, seed=23)
+        out = np.full(4, 0.25) @ oracle.povm_channel(eset, probes)
+        kl_form = np.zeros_like(a)
+        step = 1e-6
+        for b in (kl_form, a * (np.log(a) - np.log(out))):  # KL and D(p(.|phi) || out)
+            for phi in 1.3 * haar_random_states(d, 3, seed=29):  # off the unit sphere
+                v = phi.view(float)
+                val, grad = oracle._ascent_objective(v, eset.ops, a, b)
+                fd = np.array([(oracle._ascent_objective(v + step * e, eset.ops, a, b)[0]
+                                - oracle._ascent_objective(v - step * e, eset.ops, a, b)[0])
+                               / (2 * step) for e in np.eye(2 * d)])
+                assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
+                if b is kl_form:
+                    unit = phi / np.linalg.norm(phi)
+                    assert -val == pytest.approx(kl_objective(eset, unit) - math.log(d),
+                                                 abs=1e-14)
+
 
 class TestInformationalPower:
     def test_basis_measurement(self, qubit_grid):
@@ -208,6 +261,26 @@ class TestInformationalPower:
         assert res.bracket_width == 1e-3
         assert res.diagnostics["bracket_met"] is False
         assert res.diagnostics["refine_capped"] == res.refinement_rounds >= 1
+
+    def test_coarse_and_ascent_flags(self, qubit_sic, monkeypatch):
+        grid = default_grid(2, seed=2016, resolution=200)
+        res = informational_power(qubit_sic, grid, tol=1e-6)
+        assert res.diagnostics["coarse_iterations"] < oracle.COARSE_MAX_ITER
+        assert res.diagnostics["coarse_capped"] is False
+        assert res.diagnostics["ascent_capped"] == 0
+
+        monkeypatch.setattr(oracle, "COARSE_MAX_ITER", 3)
+        monkeypatch.setattr(oracle, "ASCENT_MAX_ITER", 1)
+        res = informational_power(depolarize(qubit_sic, 0.5), grid, tol=1e-6)
+        assert res.diagnostics["coarse_iterations"] == 3
+        assert res.diagnostics["coarse_capped"] is True
+        assert res.diagnostics["ascent_capped"] >= 1
+
+    def test_icosahedron_half_bracket_met(self, icosahedron, qubit_grid):
+        # the coarse stage stops at iteration 0 here; the ascent must close the bracket
+        res = informational_power(depolarize(icosahedron, 0.5), qubit_grid, tol=1e-5)
+        assert res.diagnostics["bracket_met"] is True
+        assert res.capacity_estimate == pytest.approx(capacity("icosahedron", 0.5), abs=2e-3)
 
     def test_qutrit_sic_refinement_closes(self, qutrit_sic):
         # the refinement channel here has a non-unique optimal prior, on which

@@ -1,7 +1,7 @@
-"""Brute-force capacity route: Blahut-Arimoto over discretized pure-state
-ensembles, refined off the grid by L-BFGS ascents with analytic gradients,
-plus the KL upper-bound objective (maximized by the same ascent) and its
-tightness certificate.
+"""Brute-force capacity route: column generation over pure-state ensembles,
+priced on a state grid and refined off it by L-BFGS ascents with analytic
+gradients, plus the KL upper-bound objective (maximized by the same ascent) and
+its tightness certificate. Blahut-Arimoto stays as the reference channel solver.
 
 The oracle lower-bounds capacity by construction (it exhibits an achievable
 ensemble); the KL route upper-bounds it. Together they bracket the closed
@@ -25,7 +25,7 @@ REFINE_TOL = 1e-9  # bracket each refinement solve aims for (or the caller's tol
 REFINE_SLSQP_ITER = 500  # SLSQP iteration cap of each refinement solve
 REFINE_NEWTON_STEPS = 8  # KKT Newton step cap of each refinement solve after SLSQP
 KL_CANDIDATE_WINDOW = 1e-3  # grid values this far below the best are refined in kl_maximize
-COARSE_MAX_ITER = 4000  # iteration cap of the coarse Blahut-Arimoto over the whole grid
+PRICING_MAX_ROUNDS = 32  # column-generation round cap of informational_power
 ASCENT_MAX_ITER = 500  # L-BFGS iteration cap of each local ascent over pure states
 
 
@@ -164,7 +164,7 @@ def blahut_arimoto(channel: np.ndarray, tol: float = 1e-6, max_iter: int = 200_0
                     bracket_width=float(width))
 
 
-def _refine_solve(channel: np.ndarray, tol: float) -> BAResult:
+def _refine_solve(channel: np.ndarray, tol: float, prior: np.ndarray | None = None) -> BAResult:
     """Capacity of a channel with few rows by a direct convex solve.
 
     Maximizes I(r) = sum_x r_x D(P_x || rP) over the simplex: SLSQP first,
@@ -175,6 +175,7 @@ def _refine_solve(channel: np.ndarray, tol: float) -> BAResult:
     the iterate with the narrowest bracket is returned. The cost grows with
     the row count, and the step count is capped by ``REFINE_SLSQP_ITER`` and
     ``REFINE_NEWTON_STEPS``; a bracket wider than ``tol`` is returned as is.
+    SLSQP starts from ``prior`` if given, else from the flat prior.
     """
     P = np.asarray(channel, dtype=float)
     n = P.shape[0]
@@ -198,7 +199,7 @@ def _refine_solve(channel: np.ndarray, tol: float) -> BAResult:
         lower = float(r @ D)
         return r, D, out, lower, max(float(D.max()) - lower, 0.0)
 
-    best = cur = iterate(np.full(n, 1.0 / n))
+    best = cur = iterate(np.full(n, 1.0 / n) if prior is None else prior)
     steps = 0
     if best[4] > tol:
         res = minimize(neg_rate, best[0], jac=True, method="SLSQP", bounds=[(0.0, 1.0)] * n,
@@ -263,12 +264,12 @@ def _ascend(ops: np.ndarray, a: np.ndarray, b: np.ndarray, phi: np.ndarray):
     L-BFGS on (Re phi, Im phi) with the analytic gradient 2 / |phi|^2 (B phi - (g . x) phi),
     g = a (ln x + 1) + b and B = sum_y g_y chi_y, from one ``ops @ phi``. x is clamped at
     the smallest normal float before the log, since an optimal state may have zero overlaps.
-    Returns the normalized maximizer and whether the ascent stopped at ``ASCENT_MAX_ITER``.
+    Returns the normalized maximizer, F there and whether it stopped at ``ASCENT_MAX_ITER``.
     """
     v0 = np.ascontiguousarray(phi, dtype=complex).view(float)
     res = minimize(_ascent_objective, v0, args=(ops, a, b), jac=True, method="L-BFGS-B",
                    options={"maxiter": ASCENT_MAX_ITER, "gtol": 1e-12, "ftol": 1e-15})
-    return res.x.view(complex) / np.linalg.norm(res.x), res.status == 1
+    return res.x.view(complex) / np.linalg.norm(res.x), -float(res.fun), res.status == 1
 
 
 def kl_maximize(eset: WeightedElementSet, grid: StateGrid) -> tuple[float, np.ndarray]:
@@ -316,88 +317,83 @@ class OracleResult:
 
 def informational_power(eset: WeightedElementSet, grid: StateGrid,
                         tol: float = 1e-6) -> OracleResult:
-    """Maximize mutual information over the grid, then refine off-grid.
+    """Maximize mutual information by column generation, with the grid as the pricing set.
 
-    Stage 1 runs Blahut-Arimoto over the whole grid, whose channel is one
-    :func:`povm_channel` matmul, for at most ``COARSE_MAX_ITER`` iterations;
-    each surviving support state then climbs D(p(.|phi) || out) against the
-    last output marginal by an L-BFGS ascent with the analytic gradient, and
-    the capacity of the refined support (at most max(32, 4 d^2) states) is
-    solved exactly by a small convex solve, until one round gains less than
-    ``tol``. The solve's bracket is certified: its lower side I(r) is the rate
-    of a valid prior r and its upper side max_x D(p(.|x) || rP) bounds the
-    support's capacity. The returned estimate is achievable, hence a lower
-    bound on the true informational power.
+    Capacity is max_r I(r) = min_q max_phi D(p(.|phi) || q) (Csiszar-Korner), so
+    one matvec prices every grid state against an output q, and the largest
+    price bounds the grid's capacity. The value starts as the flat grid prior's
+    rate, and the first q is the maximally mixed input's output. Each round
+    climbs from the top max(32, d^2) grid states by an L-BFGS ascent of
+    D(p(.|phi) || q); climbs that end above value + tol join the support, whose
+    capacity a small convex solve, warm-started from the last prior, gives as
+    the new value, its output as the next q; states of zero weight leave. No
+    round runs if no grid state beats the flat rate by more than ``tol``; then
+    the loop stops when no climb ends above value + tol, or after
+    ``PRICING_MAX_ROUNDS`` rounds. The solve's bracket is certified: I(r) of a
+    valid prior r below, max_x D(p(.|x) || rP) above. The estimate is the rate of
+    the returned ensemble (the flat grid if no round ran), a lower bound.
 
-    ``diagnostics["bracket_met"]`` says whether the reported bracket is within
-    ``tol``; ``diagnostics["refine_capped"]`` counts the refinement solves
-    that ended at their step cap without closing their bracket to
-    min(tol, ``REFINE_TOL``), and ``"ascent_capped"`` the ascents that stopped
-    at ``ASCENT_MAX_ITER``; ``"coarse_iterations"`` is the coarse stage's count,
-    and ``"coarse_capped"`` says it stopped at its cap with a bracket wider than
-    max(tol, 1e-4).
+    ``diagnostics["grid_gap"]`` is the last largest price minus the value
+    (negative when the support beats every grid state); ``"pricing_capped"``
+    says the round cap stopped the loop; ``"bracket_met"`` says the reported
+    bracket is within ``tol``; ``"refine_capped"`` counts the solves that ended
+    at their step cap without closing their bracket to min(tol, ``REFINE_TOL``),
+    and ``"ascent_capped"`` the ascents that stopped at ``ASCENT_MAX_ITER``.
     """
     if eset.role != "povm":
         raise ValueError("informational_power expects a POVM-role set")
     if eset.dim != grid.dim:
         raise ValueError("grid and element set dimensions differ")
     d = eset.dim
-    states = grid.states
-    channel = povm_channel(eset, states)
-    coarse_tol = max(tol, 1e-4)
-    coarse = blahut_arimoto(channel, tol=coarse_tol, max_iter=COARSE_MAX_ITER, strict=False)
+    channel = povm_channel(eset, grid.states)
+    row_terms = np.einsum("xy,xy->x", channel, _masked_log(channel))
+    states, prior = grid.states, np.full(len(channel), 1.0 / len(channel))
+    value = float(prior @ (row_terms - channel @ _masked_log(prior @ channel)))
+    lnout = _masked_log(eset.weights)  # the maximally mixed input's output (unit-trace ops)
+    priced = row_terms - channel @ lnout
+    bracket = max(float(priced.max()) - value, 0.0)
 
-    order = np.argsort(coarse.prior)[::-1]
-    cap = max(32, 4 * d * d)
-    cand_idx = [i for i in order[:cap] if coarse.prior[i] > 1e-6 * coarse.prior[order[0]]]
-    cands = states[cand_idx]
-    out = coarse.prior @ channel
-
-    best = coarse.capacity
-    best_states = cands
-    best_prior = coarse.prior[cand_idx]
-    bracket = coarse.bracket_width
-    rounds = 0
-    refine_capped = ascent_capped = 0
     refine_tol = min(tol, REFINE_TOL)
     # D(p(.|phi) || out) = sum_y a_y x_y ln x_y + a_y (ln a_y - ln out_y) x_y, p_y = a_y x_y
     a = d * eset.weights
-    for _ in range(8):
-        b = a * (_masked_log(a) - _masked_log(out))
-        ascents = [_ascend(eset.ops, a, b, c) for c in cands]
-        ascent_capped += sum(capped for _, capped in ascents)
-        cands = _dedupe_states([phi for phi, _ in ascents])
-        sub = povm_channel(eset, cands)
-        res = _refine_solve(sub, refine_tol)
+    rounds = refine_capped = ascent_capped = 0
+    while rounds < PRICING_MAX_ROUNDS and (rounds or priced.max() > value + tol):
+        top = np.argsort(priced)[::-1][:max(32, d * d)]
+        b = a * (_masked_log(a) - lnout)
+        ascents = [_ascend(eset.ops, a, b, phi) for phi in grid.states[top]]
+        ascent_capped += sum(capped for *_, capped in ascents)
+        # the climbs start at the best grid prices: none above value + tol, no grid state either
+        if max(price for _, price, _ in ascents) <= value + tol:
+            break
+        kept = len(states) if rounds else 0  # before round 1, states is the flat grid
+        states = _dedupe_states([*states[:kept],
+                                 *(phi for phi, price, _ in ascents if price > value + tol)])
+        sub = povm_channel(eset, states)
+        res = _refine_solve(sub, refine_tol, np.append(prior, np.zeros(len(states) - kept))
+                            if kept else None)
         rounds += 1
         refine_capped += res.bracket_width > refine_tol
-        out = res.prior @ sub
-        if res.capacity > best:
-            best, best_states, best_prior = res.capacity, cands, res.prior
-            bracket = res.bracket_width
-        if res.capacity < best + tol:
-            break
-        keep = res.prior > 1e-9
-        cands = cands[keep]
+        keep = res.prior > 0.0
+        states, prior = states[keep], res.prior[keep]
+        value, bracket = res.capacity, res.bracket_width
+        # floored: an outcome the support never reaches prices the states reaching it high
+        lnout = np.log(np.maximum(prior @ sub[keep], np.finfo(float).tiny))
+        priced = row_terms - channel @ lnout
 
-    support = best_prior > 1e-8
-    opt_states = best_states[support]
-    opt_weights = best_prior[support] / best_prior[support].sum()
-    sigma = np.einsum("x,xi,xj->ij", opt_weights, opt_states, opt_states.conj())
-    tight_res = _identity_hull_residual(opt_states, d)
-
-    if best > math.log(d) + 1e-9:
-        raise ArithmeticError(f"oracle capacity {best!r} exceeds ln d = {math.log(d)!r}")
-    return OracleResult(capacity_estimate=float(best), optimizer_states=opt_states,
-                        optimizer_weights=opt_weights, average_state=sigma,
+    sigma = np.einsum("x,xi,xj->ij", prior, states, states.conj())
+    tight_res = _identity_hull_residual(states, d)
+    if value > math.log(d) + 1e-9:
+        raise ArithmeticError(f"oracle capacity {value!r} exceeds ln d = {math.log(d)!r}")
+    return OracleResult(capacity_estimate=float(value), optimizer_states=states,
+                        optimizer_weights=prior, average_state=sigma,
                         tightness=tight_res <= TIGHTNESS_RESIDUAL_TOL,
                         tightness_residual=float(tight_res), refinement_rounds=rounds,
                         bracket_width=float(bracket),
                         diagnostics={"grid": grid.provenance, "grid_points": grid.resolution,
                                      "seeded": grid.seeded, "bracket_met": bool(bracket <= tol),
                                      "refine_capped": refine_capped, "ascent_capped": ascent_capped,
-                                     "coarse_iterations": coarse.iterations,
-                                     "coarse_capped": bool(coarse.bracket_width >= coarse_tol)})
+                                     "grid_gap": float(priced.max()) - value,
+                                     "pricing_capped": rounds == PRICING_MAX_ROUNDS})
 
 
 def _dedupe_states(states, tol: float = 1e-8) -> np.ndarray:
@@ -413,13 +409,16 @@ def _identity_hull_residual(states: np.ndarray, d: int) -> float:
 
     Solved as a nonnegative least squares in the real embedding of Hermitian
     matrices; the simplex constraint is implied because every projector has
-    unit trace.
+    unit trace. An evenly spaced subset of 8 d^2 states is solved first: its
+    residual bounds the full one and is returned if it meets the tolerance,
+    which spares the full solve on a grid-sized ensemble.
     """
-    projs = np.einsum("xi,xj->xij", states, states.conj())
-    cols = [np.concatenate([p.real.ravel(), p.imag.ravel()]) for p in projs]
-    a = np.array(cols).T
+    projs = np.einsum("xi,xj->xij", states, states.conj()).reshape(len(states), -1)
+    a = np.concatenate([projs.real, projs.imag], axis=1).T
     target = np.concatenate([(np.eye(d) / d).ravel(), np.zeros(d * d)])
-    _, resid = nnls(a, target)
+    _, resid = nnls(a[:, ::max(1, len(states) // (8 * d * d))], target)
+    if resid > TIGHTNESS_RESIDUAL_TOL:
+        _, resid = nnls(a, target)
     return float(resid)
 
 

@@ -136,6 +136,8 @@ def test_acceptance_4_oracle_agreement():
         want = CLOSED[label](lam)
         if abs(res.capacity_estimate - want) > 2e-3:
             failures.append((label, lam, res.capacity_estimate, want, "closed-form gap"))
+        if not res.diagnostics["bracket_met"] or res.diagnostics["refine_capped"] > 0:
+            failures.append((label, lam, res.bracket_width, res.diagnostics, "solve bracket open"))
         kl_val, _ = kl_maximize(eset, grid)
         if res.capacity_estimate > kl_val + 1e-6:
             failures.append((label, lam, res.capacity_estimate, kl_val, "exceeds KL bound"))
@@ -175,7 +177,8 @@ def test_acceptance_4_oracle_agreement():
     for lam in (0.5, 1.0):
         run_case("hoggar_sic", depolarize(hoggar, lam), grid8, lam)
 
-    _report(4, "oracle within 2e-3 of closed forms, never above the KL value by 1e-6",
+    _report(4, "oracle within 2e-3 of closed forms, never above the KL value by 1e-6,"
+            " every solve bracket closed",
             failures, time.perf_counter() - t0, budget=600.0)
 
 

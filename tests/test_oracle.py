@@ -233,12 +233,12 @@ class TestInformationalPower:
             informational_power(ens, qubit_grid)
 
     def test_capacity_above_ln_d_raises(self, qubit_sic, monkeypatch):
-        real = oracle.blahut_arimoto
+        real = oracle._refine_solve
 
         def inflated(*args, **kwargs):
             return dataclasses.replace(real(*args, **kwargs), capacity=math.log(2) + 0.1)
 
-        monkeypatch.setattr(oracle, "blahut_arimoto", inflated)
+        monkeypatch.setattr(oracle, "_refine_solve", inflated)
         with pytest.raises(ArithmeticError, match="exceeds ln d"):
             informational_power(qubit_sic, default_grid(2, seed=2016, resolution=200))
 
@@ -251,8 +251,8 @@ class TestInformationalPower:
 
         real = oracle._refine_solve
 
-        def stalled(channel, tol):
-            res = real(channel, tol)
+        def stalled(channel, tol, prior=None):
+            res = real(channel, tol, prior)
             return dataclasses.replace(res, iterations=oracle.REFINE_SLSQP_ITER
                                        + oracle.REFINE_NEWTON_STEPS, bracket_width=1e-3)
 
@@ -262,25 +262,67 @@ class TestInformationalPower:
         assert res.diagnostics["bracket_met"] is False
         assert res.diagnostics["refine_capped"] == res.refinement_rounds >= 1
 
-    def test_coarse_and_ascent_flags(self, qubit_sic, monkeypatch):
+    def test_pricing_and_ascent_flags(self, qubit_sic, monkeypatch):
         grid = default_grid(2, seed=2016, resolution=200)
         res = informational_power(qubit_sic, grid, tol=1e-6)
-        assert res.diagnostics["coarse_iterations"] < oracle.COARSE_MAX_ITER
-        assert res.diagnostics["coarse_capped"] is False
+        assert res.refinement_rounds < oracle.PRICING_MAX_ROUNDS
+        assert res.diagnostics["pricing_capped"] is False
         assert res.diagnostics["ascent_capped"] == 0
 
-        monkeypatch.setattr(oracle, "COARSE_MAX_ITER", 3)
+        # a POVM that is no design needs several pricing rounds on this grid
+        non_design = depolarize(discretized_uniform_povm(2, n_effects=5), 0.3)
+        monkeypatch.setattr(oracle, "PRICING_MAX_ROUNDS", 1)
+        res = informational_power(non_design, grid, tol=1e-6)
+        assert res.refinement_rounds == 1
+        assert res.diagnostics["pricing_capped"] is True
+        assert res.diagnostics["grid_gap"] > 1e-6
+
         monkeypatch.setattr(oracle, "ASCENT_MAX_ITER", 1)
         res = informational_power(depolarize(qubit_sic, 0.5), grid, tol=1e-6)
-        assert res.diagnostics["coarse_iterations"] == 3
-        assert res.diagnostics["coarse_capped"] is True
         assert res.diagnostics["ascent_capped"] >= 1
 
     def test_icosahedron_half_bracket_met(self, icosahedron, qubit_grid):
-        # the coarse stage stops at iteration 0 here; the ascent must close the bracket
         res = informational_power(depolarize(icosahedron, 0.5), qubit_grid, tol=1e-5)
         assert res.diagnostics["bracket_met"] is True
         assert res.capacity_estimate == pytest.approx(capacity("icosahedron", 0.5), abs=2e-3)
+
+    def test_icosahedron_projective_solve_closes(self, icosahedron, qubit_grid):
+        # 12 rows of rank 4 whose entropies differ by about 1e-9: the optimum is a sparse vertex
+        res = informational_power(icosahedron, qubit_grid, tol=1e-5)
+        assert res.diagnostics["refine_capped"] == 0
+        assert res.diagnostics["bracket_met"] is True
+        assert res.capacity_estimate == pytest.approx(capacity("icosahedron", 1.0), abs=1e-9)
+
+    @pytest.mark.parametrize("family,lam", [("uniform:2", 0.5), ("uniform:2", 1.0),
+                                            ("qubit_sic", 0.5)])
+    def test_reported_ensemble_achieves_value(self, family, lam, qubit_sic, qubit_grid):
+        base = discretized_uniform_povm(2, seed=2016) if family == "uniform:2" else qubit_sic
+        povm = depolarize(base, lam)
+        res = informational_power(povm, qubit_grid, tol=1e-5)
+        channel = oracle.povm_channel(povm, res.optimizer_states)
+        out = res.optimizer_weights @ channel
+        ratio = np.divide(channel, out, out=np.ones_like(channel), where=channel > 0)
+        rate = res.optimizer_weights @ np.einsum("xy,xy->x", channel, np.log(ratio))
+        assert abs(res.optimizer_weights.sum() - 1.0) <= 1e-12
+        assert rate == pytest.approx(res.capacity_estimate, abs=1e-12)
+        assert res.diagnostics["pricing_capped"] is False
+        assert res.diagnostics["grid_gap"] <= 1e-5
+
+    def test_pricing_takes_several_rounds(self, qubit_grid):
+        # five effects that form no design: the optimal average state is not 1/2, so
+        # the first pricing, against the maximally mixed input's output, is not final
+        povm = depolarize(discretized_uniform_povm(2, n_effects=5), 0.3)
+        res = informational_power(povm, qubit_grid, tol=1e-6)
+        assert res.refinement_rounds >= 2
+        assert res.diagnostics["pricing_capped"] is False
+        assert res.diagnostics["grid_gap"] <= 1e-6
+        assert res.diagnostics["bracket_met"] is True
+        # any Blahut-Arimoto iterate is an achievable grid rate, and the grid gap bounds them all
+        grid_rate = blahut_arimoto(oracle.povm_channel(povm, qubit_grid.states), tol=1e-9,
+                                   max_iter=5000, strict=False).capacity
+        assert res.capacity_estimate >= grid_rate - 1e-6
+        kl_val, _ = kl_maximize(povm, qubit_grid)
+        assert res.capacity_estimate <= kl_val + 1e-6
 
     def test_qutrit_sic_refinement_closes(self, qutrit_sic):
         # the refinement channel here has a non-unique optimal prior, on which

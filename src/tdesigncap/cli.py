@@ -46,23 +46,16 @@ def _resolve_spec(args) -> DesignSpec:
     if getattr(args, "spec", None):
         with open(args.spec, encoding="utf-8") as fh:
             data = json.load(fh)
-    family = data.get("family")
-    lam = data.get("lambda", 1.0)
-    phase = data.get("fiducial_phase") or 0.0
-    dim = data.get("dim")
     if getattr(args, "family", None):
-        family, flag_dim = _parse_family(args.family)
-        if flag_dim is not None:
-            dim = flag_dim
-    if getattr(args, "lam", None) is not None:
-        lam = args.lam
-    if getattr(args, "fiducial_phase", None) is not None:
-        phase = args.fiducial_phase
-    if getattr(args, "dim", None) is not None:
-        dim = args.dim
-    if family is None:
+        data["family"], token_dim = _parse_family(args.family)
+        if token_dim is not None:
+            data["dim"] = token_dim
+    for key, attr in (("lambda", "lam"), ("fiducial_phase", "fiducial_phase"), ("dim", "dim")):
+        if getattr(args, attr, None) is not None:
+            data[key] = getattr(args, attr)
+    if data.get("family") is None:
         raise ValueError("no family given (use --family or --spec)")
-    return DesignSpec(family=family, lam=float(lam), fiducial_phase=float(phase), dim=dim)
+    return catalog.spec_from_json_dict(data)
 
 
 def _seed(args) -> int:

@@ -9,11 +9,13 @@ verdict is exact up to the stated numerical thresholds.
 
 Both are decided from scalars, never from the d^t x d^t matrix M_t: the
 cycle-product traces sum_x p_x prod_l Tr[chi_x^l], the frame potential
-||M_t||^2 = sum_xy p_x p_y (Tr[chi_x chi_y])^t, and the exact integer Gram
-matrix of the conjugacy-class sums of S_t. The kernels are evaluated in
+||M_t||^2 = sum_xy p_x p_y (Tr[chi_x chi_y])^t, and the characters of S_t,
+which give the projection onto the conjugacy-class sums as a sum over
+mutually orthogonal isotypic components. The kernels are evaluated in
 extended precision (np.longdouble) and the residual's last subtraction in
-exact rationals. The cost grows with the number of elements and with t!,
-not with d^t; certify admits 1 <= t <= MAX_T.
+exact rationals. The cost grows with the number of elements and with the
+number of partitions of t, not with d^t or t!; certify admits
+1 <= t <= MAX_T.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .core import WeightedElementSet, haar_random_state, overlaps
 SPAN_RESIDUAL_TOL = 1e-8
 TRACE_MISMATCH_TOL = 1e-8
 MU_CONSISTENCY_TOL = 1e-9
-MAX_T = 7  # the class Gram matrix costs p(t) * t! permutation products: ~0.3 s at t = 7, ~3 s at 8
+MAX_T = 7  # the cancellation floor of passing designs is measured only up to t = 7
 
 
 class ResourceGuardError(ValueError):
@@ -94,42 +95,18 @@ def bell_polynomial(x: list[float]) -> float:
     return b[k]
 
 
-def gamma_from_bell(mv: MomentVector, d: int, k: int) -> float:
-    """gamma_k through the Bell-polynomial form with x_i = (i-1)! mu_i."""
-    xs = [math.factorial(i - 1) * mv[i] for i in range(1, k + 1)]
-    return math.factorial(d - 1) / math.factorial(d + k - 1) * bell_polynomial(xs)
-
-
 def gamma_predicted(mv: MomentVector, d: int, k: int) -> float:
-    """The closed-form index of coincidence gamma_k, k <= 5.
+    """The index of coincidence gamma_k of a mixed k design, k <= 5.
 
-    Cross-checked against the Bell-polynomial form to 1e-12; a mismatch is an
-    internal inconsistency and raises.
+    gamma_k = B_k(x_1..x_k) / (d (d+1) ... (d+k-1)), the complete Bell
+    polynomial with x_i = (i-1)! mu_i.
     """
     if k < 1 or k > 5:
         raise ValueError("gamma_predicted supports k in [1, 5]")
     if k > len(mv):
         raise ValueError(f"need moments up to {k}, have {len(mv)}")
-    mu2 = mv[2] if k >= 2 else 0.0
-    mu3 = mv[3] if k >= 3 else 0.0
-    mu4 = mv[4] if k >= 4 else 0.0
-    mu5 = mv[5] if k >= 5 else 0.0
-    if k == 1:
-        val = 1.0 / d
-    elif k == 2:
-        val = (1.0 + mu2) / (d * (d + 1))
-    elif k == 3:
-        val = (1.0 + 3 * mu2 + 2 * mu3) / (d * (d + 1) * (d + 2))
-    elif k == 4:
-        val = (1.0 + 6 * mu2 + 3 * mu2 ** 2 + 8 * mu3 + 6 * mu4) / (d * (d + 1) * (d + 2) * (d + 3))
-    else:
-        val = (1.0 + 10 * mu2 + 15 * mu2 ** 2 + 20 * mu3 + 30 * mu4 + 20 * mu2 * mu3 + 24 * mu5) / (
-            d * (d + 1) * (d + 2) * (d + 3) * (d + 4))
-    alt = gamma_from_bell(mv, d, k)
-    if abs(val - alt) > 1e-12:
-        raise ArithmeticError(
-            f"gamma_{k} closed form ({val!r}) disagrees with Bell form ({alt!r})")
-    return val
+    xs = [math.factorial(i - 1) * mv[i] for i in range(1, k + 1)]
+    return bell_polynomial(xs) / math.prod(range(d, d + k))
 
 
 def gamma_empirical(eset: WeightedElementSet, phi: np.ndarray, k: int) -> float:
@@ -142,92 +119,78 @@ def gamma_empirical(eset: WeightedElementSet, phi: np.ndarray, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# conjugacy classes of S_t and the exact Gram matrix of their class sums
+# characters of S_t and the isotypic components of (C^d)^{ot t}
 
-def _compose(s1, s2):
-    return tuple(s1[s2[i]] for i in range(len(s1)))
-
-
-def _cycle_type(sigma) -> tuple[int, ...]:
-    t = len(sigma)
-    seen = [False] * t
-    lengths = []
-    for i in range(t):
-        if seen[i]:
-            continue
-        l, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            l += 1
-        lengths.append(l)
-    return tuple(sorted(lengths))
-
-
-def _rref(rows):
-    """Reduced row echelon form over the rationals, and its pivot columns."""
-    rows = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    for j in range(len(rows[0])):
-        i = len(pivots)
-        if i == len(rows):
-            break
-        r = next((k for k in range(i, len(rows)) if rows[k][j]), None)
-        if r is None:
-            continue
-        rows[i], rows[r] = rows[r], rows[i]
-        rows[i] = [v / rows[i][j] for v in rows[i]]
-        for k in range(len(rows)):
-            if k != i and rows[k][j]:
-                f = rows[k][j]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[i])]
-        pivots.append(j)
-    return rows, pivots
-
-
-@dataclass(frozen=True)
-class _ClassGram:
-    """The class sums C_lambda = sum_{sigma in lambda} W_sigma on (C^d)^{ot t}.
-
-    ``gram[a][b] = Tr[C_a^dag C_b]`` exactly; ``pivots`` index a maximal
-    independent set S of class sums, and the integers ``quad`` and ``quad_den``
-    give |S_i| |S_j| (H_S^-1)_ij = quad[i][j] / quad_den, so that
-    beta^T H_S^-1 beta = sum_ij T_i T_j quad[i][j] / quad_den for beta_a = |a| T_a.
-    """
-
-    classes: tuple[tuple[int, ...], ...]
-    gram: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...]
-    quad: tuple[tuple[int, ...], ...]
-    quad_den: int
+def _partitions(n: int, most: int | None = None) -> list[tuple[int, ...]]:
+    """The partitions of n into parts <= most, as descending tuples."""
+    most = n if most is None else most
+    if n == 0:
+        return [()]
+    return [(p,) + rest for p in range(min(n, most), 0, -1) for rest in _partitions(n - p, p)]
 
 
 @cache
-def _class_gram(d: int, t: int) -> _ClassGram:
-    # Tr[W_sigma^dag W_tau] = d^{cycles(sigma^-1 tau)}. The sum over tau in a
-    # class depends only on the class of sigma^-1, which is that of sigma, so
-    # the sum over sigma in a class is |class| times that for one member.
-    perms = list(permutations(range(t)))
-    types = [_cycle_type(s) for s in perms]
-    classes = tuple(sorted(set(types)))
-    col = {ct: j for j, ct in enumerate(classes)}
-    sizes = [types.count(ct) for ct in classes]
-    gram = []
-    for ct, size in zip(classes, sizes):
-        rep = perms[types.index(ct)]
-        row = [0] * len(classes)
-        for tau, ct_tau in zip(perms, types):
-            row[col[ct_tau]] += d ** len(_cycle_type(_compose(rep, tau)))
-        gram.append(tuple(size * h for h in row))
-    pivots = tuple(_rref(gram)[1])
-    s = len(pivots)
-    augmented = [[gram[a][b] for b in pivots] + [int(i == j) for j in range(s)]
-                 for i, a in enumerate(pivots)]
-    inverse = [row[s:] for row in _rref(augmented)[0]]
-    den = math.lcm(*(v.denominator for row in inverse for v in row))
-    quad = tuple(tuple(int(sizes[a] * sizes[b] * inverse[i][j] * den)
-                       for j, b in enumerate(pivots)) for i, a in enumerate(pivots))
-    return _ClassGram(classes, tuple(gram), pivots, quad, den)
+def _character(beta: tuple[int, ...], parts: tuple[int, ...]) -> int:
+    """chi^mu(lambda) by Murnaghan-Nakayama on the beta-set of mu.
+
+    Removing a border strip of length r moves a bead from b to a free b - r,
+    with sign (-1)^(beads in between).
+    """
+    if not parts:
+        return 1
+    r = parts[-1]
+    return sum((-1) ** sum(b - r < c < b for c in beta)
+               * _character(tuple(sorted(c if c != b else b - r for c in beta)), parts[:-1])
+               for b in beta if b >= r and b - r not in beta)
+
+
+@dataclass(frozen=True)
+class _CharacterTable:
+    """chi^mu(lambda) for mu |- t with at most d parts, and its integer form.
+
+    coef = chi^mu(lambda) lcm(z) / z_lambda, weight = f^mu lcm(s) / s_mu(1^d)
+    and den = lcm(s) lcm(z)^2.
+    """
+
+    classes: tuple[tuple[int, ...], ...]  # lambda |- t, ascending parts, sorted
+    z: tuple[int, ...]  # centraliser orders z_lambda
+    chi: tuple[tuple[int, ...], ...]
+    f: tuple[int, ...]  # f^mu from hook lengths
+    s: tuple[int, ...]  # s_mu(1^d) from hook lengths and contents
+    coef: tuple[tuple[int, ...], ...]
+    weight: tuple[int, ...]
+    den: int
+
+
+@cache
+def _character_table(d: int, t: int) -> _CharacterTable:
+    classes = tuple(sorted(lam[::-1] for lam in _partitions(t)))
+    z = tuple(math.prod(l ** lam.count(l) * math.factorial(lam.count(l)) for l in set(lam))
+              for lam in classes)
+    chi, f, s = [], [], []
+    for mu in _partitions(t):
+        if len(mu) > d:
+            continue
+        beta = tuple(sorted(m + len(mu) - 1 - i for i, m in enumerate(mu)))
+        chi.append(tuple(_character(beta, lam) for lam in classes))
+        cells = [(i, j) for i, m in enumerate(mu) for j in range(m)]
+        hooks = math.prod(mu[i] - j + sum(n > j for n in mu[i + 1:]) for i, j in cells)
+        f.append(math.factorial(t) // hooks)
+        s.append(math.prod(d + j - i for i, j in cells) // hooks)
+    zl, sl = math.lcm(*z), math.lcm(*s)
+    return _CharacterTable(classes, z, tuple(chi), tuple(f), tuple(s),
+                           tuple(tuple(c * (zl // zi) for c, zi in zip(row, z)) for row in chi),
+                           tuple(fi * (sl // si) for fi, si in zip(f, s)), sl * zl * zl)
+
+
+def _projection_norm2(table: _CharacterTable, T) -> Fraction:
+    """sum_mu f^mu (sum_lambda chi^mu(lambda) T_lambda / z_lambda)^2 / s_mu(1^d), exactly."""
+    nums, dens = zip(*(x.as_integer_ratio() for x in T))
+    scale = math.lcm(*dens)
+    n = [a * (scale // q) for a, q in zip(nums, dens)]
+    proj = sum(w * sum(c * x for c, x in zip(row, n)) ** 2
+               for w, row in zip(table.weight, table.coef))
+    return Fraction(proj, table.den * scale * scale)
 
 
 def _power_traces(ops: np.ndarray, t: int) -> np.ndarray:
@@ -320,10 +283,11 @@ def certify(eset: WeightedElementSet, t: int, n_spotchecks: int = 25,
     formed. T_lambda = sum_x p_x prod_{l in lambda} Tr[chi_x^l] equals
     Tr[M_t W_sigma] for every sigma of cycle type lambda. The certificate checks
     (a) membership in the permutation span: M_t commutes with every W_pi, so
-    its projection lies in the span of the class sums C_lambda, and the squared
-    residual is ||M_t||^2 - beta^T H_S^-1 beta, with ||M_t||^2 = sum_xy p_x p_y
-    (Tr[chi_x chi_y])^t, beta_lambda = |lambda| T_lambda and H_S the exact
-    integer Gram matrix of a maximal independent set S of class sums; and
+    its projection lies in the span of the class sums, which is that of the
+    isotypic projectors P_mu (mu |- t, at most d parts), and the squared
+    residual is ||M_t||^2 - sum_mu f^mu (sum_lambda chi^mu(lambda) T_lambda /
+    z_lambda)^2 / s_mu(1^d), with ||M_t||^2 = sum_xy p_x p_y
+    (Tr[chi_x chi_y])^t; and
     (b) the cycle-product identities T_lambda = prod_{l in lambda} mu_l.
     The kernels are formed in extended precision (np.longdouble) and the
     subtraction in exact rationals: in float64 the cancellation alone reaches
@@ -335,30 +299,24 @@ def certify(eset: WeightedElementSet, t: int, n_spotchecks: int = 25,
         raise ValueError("t must be >= 1")
     if t > MAX_T:
         raise ResourceGuardError(
-            f"t = {t} is outside the admitted range 1 <= t <= {MAX_T}: the class Gram"
-            f" matrix enumerates {math.factorial(t)} permutation products per cycle type")
+            f"t = {t} is outside the admitted range 1 <= t <= {MAX_T}: the cancellation"
+            f" floor of passing designs is measured only up to t = {MAX_T}")
     d = eset.dim
-    cg = _class_gram(d, t)
+    table = _character_table(d, t)
     w = eset.weights.astype(np.longdouble)
     tr = _power_traces(eset.ops, t)
-    T = [w @ np.prod(tr[:, list(ct)], axis=1) for ct in cg.classes]
+    T = [w @ np.prod(tr[:, list(ct)], axis=1) for ct in table.classes]
 
     mu_traces = [float(w @ tr[:, k]) for k in range(1, t + 1)]
     # mu_1 = 1 is guaranteed by the element-set type (unit traces).
     mus = dict(enumerate([1.0] + mu_traces[1:], start=1))
     mismatches = {ct: abs(float(T_ct) - math.prod(mus[l] for l in ct))
-                  for ct, T_ct in zip(cg.classes, T)}
+                  for ct, T_ct in zip(table.classes, T)}
     spread = max(abs(a - b) for a, b in zip(mu_traces, moments(eset, t).values))
     mu_consistent = spread <= MU_CONSISTENCY_TOL
 
-    # r^2 = ||M_t||^2 - beta^T H_S^-1 beta, subtracted exactly: every T_a is a
-    # dyadic rational, brought here to the common denominator `scale`.
-    nums, dens = zip(*(T[a].as_integer_ratio() for a in cg.pivots))
-    scale = max(dens)
-    b = [n * (scale // q) for n, q in zip(nums, dens)]
-    proj = sum(bi * q * bj for bi, row in zip(b, cg.quad) for q, bj in zip(row, b))
     r2 = (Fraction(*_frame_potential(eset.ops, eset.weights, t).as_integer_ratio())
-          - Fraction(proj, cg.quad_den * scale * scale))
+          - _projection_norm2(table, T))
     span_residual = math.sqrt(abs(r2))
 
     verdict = "pass" if (span_residual <= SPAN_RESIDUAL_TOL

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, set before numpy loads: the L-BFGS ascents and the small
+# matmuls of the oracle run several times slower under OpenBLAS's default
+# threads. A caller's own setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

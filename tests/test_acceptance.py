@@ -35,7 +35,8 @@ from tdesigncap import (
 )
 from tdesigncap.bounds import PatternError
 from tdesigncap.cli import main as cli_main
-from tdesigncap.verify import gamma_from_bell
+
+from reference_gamma import gamma_explicit
 
 SEED = 2016
 
@@ -279,7 +280,7 @@ def test_acceptance_7_coincidence_consistency():
             vals.append(vals[-1] * float(rng.uniform(0.15, 1.0)))
         mv = MomentVector(values=tuple(vals), mu0=d)
         for k in range(1, 6):
-            if abs(gamma_predicted(mv, d, k) - gamma_from_bell(mv, d, k)) > 1e-12:
+            if abs(gamma_predicted(mv, d, k) - gamma_explicit(mv, d, k)) > 1e-12:
                 failures.append(("bell-vs-explicit", d, vals, k))
 
     probes = 50

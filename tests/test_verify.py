@@ -1,10 +1,19 @@
 import math
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from dense_reference import dense_certificate, permutation_basis, symmetric_projector
+from dense_reference import (
+    class_gram,
+    class_gram_projection,
+    cycle_type,
+    dense_certificate,
+    permutation_basis,
+    symmetric_projector,
+)
+from reference_gamma import gamma_explicit
 from tdesigncap import (
     DesignSpec,
     MomentVector,
@@ -18,13 +27,7 @@ from tdesigncap import (
     verify,
 )
 from tdesigncap.core import haar_random_states
-from tdesigncap.verify import (
-    MAX_T,
-    ResourceGuardError,
-    _class_gram,
-    _cycle_type,
-    gamma_from_bell,
-)
+from tdesigncap.verify import MAX_T, ResourceGuardError, _character_table, _projection_norm2
 
 
 class TestMoments:
@@ -94,7 +97,7 @@ class TestGamma:
                 vals.append(vals[-1] * rng.uniform(0.2, 1.0))
             mv = MomentVector(values=tuple(vals), mu0=d)
             for k in range(1, 6):
-                assert abs(gamma_predicted(mv, d, k) - gamma_from_bell(mv, d, k)) < 1e-12
+                assert abs(gamma_predicted(mv, d, k) - gamma_explicit(mv, d, k)) < 1e-12
 
     def test_k_out_of_range(self):
         mv = MomentVector(values=(1.0,), mu0=2)
@@ -132,7 +135,7 @@ class TestPermutationMachinery:
         for sigma, idx in zip(basis.perms, basis.index_maps):
             tr = kron[cols, idx].sum()
             expected = np.prod([np.trace(np.linalg.matrix_power(a, l))
-                                for l in _cycle_type(sigma)])
+                                for l in cycle_type(sigma)])
             assert abs(tr - expected) < 1e-8 * max(1.0, abs(expected))
 
     def test_gram_entries(self):
@@ -147,30 +150,72 @@ class TestPermutationMachinery:
         assert np.trace(p) == pytest.approx(math.comb(2 + 3 - 1, 3), abs=1e-9)
 
     def test_class_gram_matches_dense_class_sums(self):
-        # Tr[C_a^dag C_b] for the class sums C_a = sum_{sigma in a} W_sigma
+        # Tr[C_a^dag C_b] = |a||b| sum_mu s_mu(1^d) chi^mu(a) chi^mu(b) / f^mu for
+        # the class sums C_a = sum_{sigma in a} W_sigma
         for d, t in ((2, 3), (3, 3), (2, 4)):
             basis = permutation_basis(d, t)
-            cg = _class_gram(d, t)
+            table = _character_table(d, t)
             cols = np.arange(d ** t)
             sums = []
-            for ct in cg.classes:
+            for ct in table.classes:
                 c = np.zeros((d ** t, d ** t))
                 for idx, ct_sigma in zip(basis.index_maps, basis.cycle_types):
                     if ct_sigma == ct:
                         c[idx, cols] += 1.0
                 sums.append(c)
-            dense = [[float(np.sum(a * b)) for b in sums] for a in sums]
-            assert dense == [[float(h) for h in row] for row in cg.gram]
+            dense = [[int(np.sum(a * b)) for b in sums] for a in sums]
+            size = [math.factorial(t) // z for z in table.z]
+            n = len(table.classes)
+            from_characters = [[size[a] * size[b] * sum(
+                Fraction(s * chi[a] * chi[b], f) for chi, f, s in zip(table.chi, table.f, table.s))
+                for b in range(n)] for a in range(n)]
+            assert dense == from_characters
+            assert dense == [list(row) for row in class_gram(d, t).gram]
 
     def test_class_gram_rank_is_schur_weyl(self):
         # the W_sigma span the commutant, whose class-function part has one
-        # dimension per partition of t with at most d parts
+        # dimension per partition of t with at most d parts: one table term each
         partition_counts = [1, 2, 3, 5, 7, 11]
         for d in (2, 3, 8):
             for t in range(1, 7):
-                cg = _class_gram(d, t)
-                assert len(cg.classes) == partition_counts[t - 1]
-                assert len(cg.pivots) == sum(len(ct) <= d for ct in cg.classes)
+                table = _character_table(d, t)
+                assert len(table.classes) == partition_counts[t - 1]
+                assert len(table.chi) == sum(len(ct) <= d for ct in table.classes)
+                assert len(table.chi) == len(class_gram(d, t).pivots)
+
+    def test_character_orthogonality(self):
+        for t in range(1, 9):
+            table = _character_table(t, t)  # every mu |- t has at most t parts
+            n = len(table.classes)
+            assert table.classes[0] == (1,) * t
+            assert [row[0] for row in table.chi] == list(table.f)
+            assert sum(f * f for f in table.f) == math.factorial(t)
+            for a in range(n):
+                for b in range(n):
+                    col = sum(chi[a] * chi[b] for chi in table.chi)
+                    assert col == (table.z[a] if a == b else 0), (t, a, b)
+
+    def test_isotypic_dimensions_fill_the_space(self):
+        # (C^d)^{ot t} = sum_mu (S_t irrep f^mu) ot (GL(d) irrep s_mu(1^d))
+        for d in (1, 2, 3, 8):
+            for t in range(1, 9):
+                table = _character_table(d, t)
+                assert sum(f * s for f, s in zip(table.f, table.s)) == d ** t
+
+    def test_character_projection_equals_class_gram_inverse(self, rng):
+        # on trace vectors of actual operators, beta^T H_S^-1 beta from the exact
+        # class-sum Gram matrix equals the isotypic sum, as exact rationals
+        for d in (2, 3, 8):
+            for t in range(1, 7):
+                table = _character_table(d, t)
+                assert table.classes == class_gram(d, t).classes
+                for _ in range(3):
+                    spectra = [[Fraction(int(v), 20) for v in rng.integers(-20, 21, size=d)]
+                               for _ in range(4)]
+                    weights = [Fraction(int(v), 7) for v in rng.integers(1, 8, size=4)]
+                    T = [sum(w * math.prod(sum(e ** l for e in spec) for l in ct)
+                             for w, spec in zip(weights, spectra)) for ct in table.classes]
+                    assert _projection_norm2(table, T) == class_gram_projection(d, t, T)
 
 
 class TestCertify:

@@ -34,28 +34,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_family(token: str) -> tuple[str, int | None]:
-    name, _, dim = token.partition(":")
-    name = _ALIASES.get(name, name)
-    return name, (int(dim) if dim else None)
+def _spec_fields(args, token: str | None = None) -> dict:
+    """Design-spec fields: flags > family token ('anti_sic:3') > JSON spec file.
 
-
-def _resolve_spec(args) -> DesignSpec:
-    """Flags > JSON spec file > defaults."""
+    ``token`` stands in for ``--family``; flags the subcommand lacks count as unset.
+    """
     data: dict = {}
     if getattr(args, "spec", None):
         with open(args.spec, encoding="utf-8") as fh:
             data = json.load(fh)
-    if getattr(args, "family", None):
-        data["family"], token_dim = _parse_family(args.family)
-        if token_dim is not None:
-            data["dim"] = token_dim
+    token = token or getattr(args, "family", None)
+    if token:
+        name, _, dim = token.partition(":")
+        data["family"] = _ALIASES.get(name, name)
+        if dim:
+            data["dim"] = int(dim)
     for key, attr in (("lambda", "lam"), ("fiducial_phase", "fiducial_phase"), ("dim", "dim")):
         if getattr(args, attr, None) is not None:
             data[key] = getattr(args, attr)
     if data.get("family") is None:
         raise ValueError("no family given (use --family or --spec)")
-    return catalog.spec_from_json_dict(data)
+    return data
+
+
+def _resolve_spec(args) -> DesignSpec:
+    return catalog.spec_from_json_dict(_spec_fields(args))
 
 
 def _seed(args) -> int:
@@ -110,16 +113,16 @@ def cmd_verify(args) -> int:
     tolerances = {"span_residual": verify.SPAN_RESIDUAL_TOL,
                   "trace_mismatch": verify.TRACE_MISMATCH_TOL,
                   "mu_consistency": verify.MU_CONSISTENCY_TOL}
-    family, token_dim = _parse_family(args.family) if args.family else (None, None)
-    if family == "uniform" and args.dim is None and token_dim is None:
+    fields = _spec_fields(args)
+    if fields["family"] == "uniform" and fields.get("dim") is None:
         # no dimension: admit the lambdas that are admissible in every d
-        lam = args.lam if args.lam is not None else 1.0
+        lam = float(fields.get("lambda", 1.0))
         if not 0.0 <= lam <= 1.0:
             raise catalog.LambdaRangeError(
                 f"lambda={lam} outside [0, 1]; give --dim for [1/(1-d), 1]")
         spec_dict = {"family": "uniform", "lambda": lam, "fiducial_phase": None}
     else:
-        spec = _resolve_spec(args)
+        spec = catalog.spec_from_json_dict(fields)
         spec_dict = catalog.spec_to_json_dict(spec)
     if spec_dict["family"] == "uniform":
         # analytic route, valid at every t and dimension; --dim is optional here
@@ -252,19 +255,15 @@ def cmd_sweep(args) -> int:
     if args.lambda_end < args.lambda_start:
         raise ValueError("lambda-end must be >= lambda-start")
     lams = np.linspace(args.lambda_start, args.lambda_end, args.steps)
-    fams = [_parse_family(tok) for tok in args.families.split(",") if tok]
-    specs = []
-    for name, dim in fams:
-        for lam in lams:
-            specs.append(DesignSpec(family=name, lam=float(lam),
-                                    fiducial_phase=args.fiducial_phase or 0.0, dim=dim))
+    fams = [_spec_fields(args, tok) for tok in args.families.split(",") if tok]
+    specs = [catalog.spec_from_json_dict({**fields, "lambda": float(lam)})
+             for fields in fams for lam in lams]
 
     # per family token: base moments, and the oracle inputs under --with-oracle
     base_moments: dict = {}
     oracle_inputs: dict = {}
-    for i, (name, dim) in enumerate(fams):
-        spec1 = DesignSpec(family=name, lam=1.0,
-                           fiducial_phase=args.fiducial_phase or 0.0, dim=dim)
+    for i, fields in enumerate(fams):
+        spec1 = catalog.spec_from_json_dict({**fields, "lambda": 1.0})
         token = _family_token(spec1)
         if token in base_moments:
             continue

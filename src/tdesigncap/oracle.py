@@ -6,6 +6,9 @@ its tightness certificate. Blahut-Arimoto stays as the reference channel solver.
 The oracle lower-bounds capacity by construction (it exhibits an achievable
 ensemble); the KL route upper-bounds it. Together they bracket the closed
 forms they are meant to check.
+
+scipy.optimize is imported inside the functions that call it, so importing
+the package (and every analytic CLI path) does not pay for loading it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, nnls
 
 from .closedform import ConvergenceError
 from .core import WeightedElementSet, eta_array, haar_random_states, overlaps
@@ -177,6 +179,8 @@ def _refine_solve(channel: np.ndarray, tol: float, prior: np.ndarray | None = No
     ``REFINE_NEWTON_STEPS``; a bracket wider than ``tol`` is returned as is.
     SLSQP starts from ``prior`` if given, else from the flat prior.
     """
+    from scipy.optimize import minimize
+
     P = np.asarray(channel, dtype=float)
     n = P.shape[0]
     if n == 1:  # one input carries no information
@@ -266,6 +270,8 @@ def _ascend(ops: np.ndarray, a: np.ndarray, b: np.ndarray, phi: np.ndarray):
     the smallest normal float before the log, since an optimal state may have zero overlaps.
     Returns the normalized maximizer, F there and whether it stopped at ``ASCENT_MAX_ITER``.
     """
+    from scipy.optimize import minimize
+
     v0 = np.ascontiguousarray(phi, dtype=complex).view(float)
     res = minimize(_ascent_objective, v0, args=(ops, a, b), jac=True, method="L-BFGS-B",
                    options={"maxiter": ASCENT_MAX_ITER, "gtol": 1e-12, "ftol": 1e-15})
@@ -413,6 +419,8 @@ def _identity_hull_residual(states: np.ndarray, d: int) -> float:
     residual bounds the full one and is returned if it meets the tolerance,
     which spares the full solve on a grid-sized ensemble.
     """
+    from scipy.optimize import nnls
+
     projs = np.einsum("xi,xj->xij", states, states.conj()).reshape(len(states), -1)
     a = np.concatenate([projs.real, projs.imag], axis=1).T
     target = np.concatenate([(np.eye(d) / d).ravel(), np.zeros(d * d)])

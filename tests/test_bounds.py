@@ -20,10 +20,12 @@ from tdesigncap import (
     verify_below,
 )
 from tdesigncap.bounds import (
+    CROSS_CHECK_TOL,
     FormulaDomainError,
     GammaConsistencyError,
     IllConditionedError,
     PatternError,
+    _eta_derivative,
 )
 
 
@@ -46,6 +48,16 @@ def gammas_from_moments(base_mus, d, lam):
 SWEEP_TOKENS = ("qubit_sic", "qubit_mub", "icosahedron", "uniform:2", "anti_sic:2",
                 "qutrit_sic", "qutrit_mub", "uniform:3", "anti_sic:3",
                 "hoggar_sic", "uniform:8", "anti_sic:8")
+
+
+def sweep_gammas():
+    """(token, d, lambda, gamma_1..gamma_5) over the figure sweeps' 31-step lambda grid."""
+    for token in SWEEP_TOKENS:
+        name, _, dim = token.partition(":")
+        spec = DesignSpec(name, 1.0, 0.0, int(dim) if dim else None)
+        base = [1.0] * 5 if name == "uniform" else moments(build(spec), 5).values
+        for lam in np.linspace(0.0, 1.0, 31):
+            yield token, spec.dimension, lam, gammas_from_moments(base, spec.dimension, lam)
 
 
 # Closed forms of C_2..C_4 (the optimal-node formulas written out), kept as
@@ -105,6 +117,18 @@ class TestHermiteInterpolate:
         spec = InterpolationSpec(nodes=(0.0, 0.5), multiplicities=(2, 2))
         with pytest.raises((ValueError, PatternError)):
             hermite_interpolate(spec, check_pattern=False)
+
+
+class TestEtaDerivative:
+    def test_matches_mpmath_with_alternating_sign(self):
+        mpmath = pytest.importorskip("mpmath")
+        for k in range(2, 8):
+            for x in (0.05, 0.3, 0.5, 0.77, 1.0):
+                with mpmath.workdps(30):
+                    ref = float(mpmath.diff(lambda s: -s * mpmath.log(s), x, k))
+                got = _eta_derivative(x, k)
+                assert got == pytest.approx(ref, rel=1e-12), (k, x)
+                assert math.copysign(1.0, got) == (-1.0) ** (k - 1), (k, x)
 
 
 class TestPatternValidation:
@@ -208,18 +232,27 @@ class TestBoundCt:
 
     def test_matches_closed_forms_over_sweep(self):
         closed = {2: closed_c2, 3: closed_c3, 4: closed_c4}
-        for token in SWEEP_TOKENS:
-            name, _, dim = token.partition(":")
-            spec = DesignSpec(name, 1.0, 0.0, int(dim) if dim else None)
-            d = spec.dimension
-            base = [1.0] * 5 if name == "uniform" else moments(build(spec), 5).values
-            for lam in np.linspace(0.0, 1.0, 31):
-                g = gammas_from_moments(base, d, lam)
-                for t in range(2, min(design_strength(name), 4) + 1):
-                    if t == 4 and lam == 0.0:
-                        continue  # 0/0 in the closed form; see test_degenerate_one_point
-                    assert bound_Ct(d, g, t).value == pytest.approx(
-                        closed[t](d, g), abs=1e-10), (token, lam, t)
+        for token, d, lam, g in sweep_gammas():
+            for t in range(2, min(design_strength(token.partition(":")[0]), 4) + 1):
+                if t == 4 and lam == 0.0:
+                    continue  # 0/0 in the closed form; see test_degenerate_one_point
+                assert bound_Ct(d, g, t).value == pytest.approx(
+                    closed[t](d, g), abs=1e-10), (token, lam, t)
+
+    def test_sweep_interpolants_below_eta(self):
+        # bound_Ct proves r <= eta from the node pattern (the Hermite remainder);
+        # the numeric scan confirms it on every interpolant the figure sweeps build
+        cases = 0
+        for token, d, lam, g in sweep_gammas():
+            for t in range(2, min(design_strength(token.partition(":")[0]), 5) + 1):
+                rep = bound_Ct(d, g, t)
+                n = len(rep.nodes) - 1 - t % 2
+                mult = (1, *(2,) * n, *(1,) * (t % 2))
+                coeffs = hermite_interpolate(InterpolationSpec(rep.nodes, mult))
+                assert verify_below(coeffs), (token, lam, t, rep.nodes)
+                assert abs(rep.diagnostics["assembled"] - rep.value) <= CROSS_CHECK_TOL
+                cases += 1
+        assert cases == 775
 
     def test_closed_form_cross_validation_runs(self, icosahedron):
         # any closed-form/assembly disagreement beyond 1e-10 raises inside

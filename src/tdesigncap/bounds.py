@@ -48,9 +48,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import eta
+from .core import eta, eta_array
 from .verify import DesignCertificate, gamma_predicted, moments
 
+MAX_T = 5  # largest t at which bound_Ct computes C_t
 BELOW_TOL = 1e-10
 NODE_MIN_SEPARATION = 1e-9
 DEFINING_RESIDUAL_TOL = 1e-11
@@ -158,10 +159,6 @@ def hermite_interpolate(spec: InterpolationSpec, check_pattern: bool = True) -> 
     return coeffs
 
 
-def _poly_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.polynomial.polynomial.polyval(x, coeffs)
-
-
 def verify_below(coeffs: np.ndarray, interval: tuple[float, float] = (0.0, 1.0),
                  n_grid: int = 512) -> bool:
     """True iff eta - r >= -1e-10 on the interval.
@@ -173,10 +170,11 @@ def verify_below(coeffs: np.ndarray, interval: tuple[float, float] = (0.0, 1.0),
 
     a, b = interval
     xs = np.linspace(a, b, max(n_grid, 8))
-    gap = eta_vals(xs) - _poly_eval(np.asarray(coeffs, dtype=float), xs)
+    coeffs = np.asarray(coeffs, dtype=float)
+    gap = eta_array(xs) - np.polynomial.polynomial.polyval(xs, coeffs)
     worst = float(gap.min())
 
-    dcoeffs = np.polynomial.polynomial.polyder(np.asarray(coeffs, dtype=float))
+    dcoeffs = np.polynomial.polynomial.polyder(coeffs)
 
     def dgap(x):
         return -np.log(x) - 1.0 - np.polynomial.polynomial.polyval(x, dcoeffs)
@@ -187,16 +185,8 @@ def verify_below(coeffs: np.ndarray, interval: tuple[float, float] = (0.0, 1.0),
     sign_change = np.where(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     for i in sign_change:
         root = brentq(dgap, fine[i], fine[i + 1], xtol=1e-14)
-        worst = min(worst, float(eta(root) - _poly_eval(np.asarray(coeffs, float),
-                                                        np.array([root]))[0]))
+        worst = min(worst, eta(root) - float(np.polynomial.polynomial.polyval(root, coeffs)))
     return worst >= -BELOW_TOL
-
-
-def eta_vals(xs: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(xs)
-    m = xs > 0
-    out[m] = -xs[m] * np.log(xs[m])
-    return out
 
 
 @dataclass(frozen=True)
@@ -270,7 +260,7 @@ def _gauss_rule(m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bound_Ct(d: int, gammas, t: int) -> BoundReport:
-    """Capacity upper bound C_t from (gamma_1..gamma_t), for t in [1, 5].
+    """Capacity upper bound C_t from (gamma_1..gamma_t), for t in [1, MAX_T].
 
     C_t = ln d - d sum_j w_j eta(x_j) for the quadrature rule (x_j, w_j) of
     the overlap distribution nu with moments 1, gamma_1..gamma_t that fixes
@@ -290,8 +280,8 @@ def bound_Ct(d: int, gammas, t: int) -> BoundReport:
     inhomogeneous gamma_5 variant of Delta_4 is evaluated into diagnostics.
     """
     gam = np.asarray(gammas, dtype=float)
-    if t < 1 or t > 5:
-        raise ValueError("t must lie in [1, 5]")
+    if not 1 <= t <= MAX_T:
+        raise ValueError(f"C_t is computed for t in [1, {MAX_T}], got t = {t}")
     _check_gammas(d, gam, t)
     odd = t % 2
     q = np.array([0.0, 1.0, -1.0])[:2 + odd]  # x, or x (1 - x) = x - x^2
@@ -308,7 +298,7 @@ def bound_Ct(d: int, gammas, t: int) -> BoundReport:
     w = v / np.polynomial.polynomial.polyval(x, q)
     if any(wj <= 0.0 for wj in w):
         raise FormulaDomainError(f"quadrature weights {w} are not positive")
-    value = math.log(d) - d * float(w @ eta_vals(x))
+    value = math.log(d) - d * float(w @ eta_array(x))
 
     nodes = (0.0, *map(float, x), *(1.0,) * odd)
     assembled = _assemble(d, gam, nodes, (1, *(2,) * n, *(1,) * odd))

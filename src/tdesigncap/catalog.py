@@ -10,7 +10,7 @@ by closed-form code paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -30,7 +30,6 @@ _FAMILY_DIM = {"qubit_sic": 2, "qubit_mub": 2, "icosahedron": 2,
 _DESIGN_STRENGTH = {"qubit_sic": 2, "qubit_mub": 3, "icosahedron": 5,
                     "qutrit_sic": 2, "qutrit_mub": 2, "hoggar_sic": 2,
                     "anti_sic": 2}
-UNIFORM_STRENGTH_CAP = 5  # uniform is an infinity-design; bounds stop at t=5
 
 
 class UnsupportedFamilyError(ValueError):
@@ -71,8 +70,9 @@ class DesignSpec:
         if self.family in ("anti_sic", "uniform"):
             if self.dim is None:
                 raise UnsupportedFamilyError(f"{self.family} requires an explicit dim")
-            if self.family == "anti_sic" and self.dim not in (2, 3, 8):
-                raise UnsupportedFamilyError("anti_sic is cataloged for dim in {2, 3, 8}")
+            if self.family == "anti_sic" and self.dim not in SIC_STATES:
+                raise UnsupportedFamilyError(
+                    f"anti_sic is cataloged for dim in {sorted(SIC_STATES)}")
             if self.family == "uniform":
                 if self.dim < 2:
                     raise UnsupportedFamilyError("uniform requires dim >= 2")
@@ -102,10 +102,10 @@ class AdmissibleInterval:
         return self.lo - tol <= lam <= self.hi + tol
 
 
-def design_strength(family: str) -> int:
-    """Largest t (capped at 5 for uniform) at which the family is a t design."""
+def design_strength(family: str) -> int | float:
+    """Largest t at which the family is a t design; math.inf for uniform."""
     if family == "uniform":
-        return UNIFORM_STRENGTH_CAP
+        return math.inf
     return _DESIGN_STRENGTH[family]
 
 
@@ -208,27 +208,28 @@ def hoggar_dual_states() -> np.ndarray:
     return duals
 
 
+# The SIC states of each cataloged dimension, by fiducial phase (only the
+# qutrit SIC has a fiducial family); anti_sic is their anti-design.
+SIC_STATES = {2: lambda fiducial_phase: _bloch_amplitudes(_TETRAHEDRON),
+              3: qutrit_sic_states,
+              8: lambda fiducial_phase: hoggar_states()}
+
+_POVM_STATES = {"qubit_sic": SIC_STATES[2],
+                "qubit_mub": lambda fiducial_phase: _bloch_amplitudes(_OCTAHEDRON),
+                "icosahedron": lambda fiducial_phase: _bloch_amplitudes(_ICOSAHEDRON),
+                "qutrit_sic": SIC_STATES[3],
+                "qutrit_mub": lambda fiducial_phase: qutrit_mub_states(),
+                "hoggar_sic": SIC_STATES[8]}
+
+
 def _base_povm(family: str, dim: int | None, fiducial_phase: float) -> WeightedElementSet:
-    if family == "qubit_sic":
-        return pure_ensemble(2, _bloch_amplitudes(_TETRAHEDRON), role="povm", label=family)
-    if family == "qubit_mub":
-        return pure_ensemble(2, _bloch_amplitudes(_OCTAHEDRON), role="povm", label=family)
-    if family == "icosahedron":
-        return pure_ensemble(2, _bloch_amplitudes(_ICOSAHEDRON), role="povm", label=family)
-    if family == "qutrit_sic":
-        return pure_ensemble(3, qutrit_sic_states(fiducial_phase), role="povm", label=family)
-    if family == "qutrit_mub":
-        return pure_ensemble(3, qutrit_mub_states(), role="povm", label=family)
-    if family == "hoggar_sic":
-        return pure_ensemble(8, hoggar_states(), role="povm", label=family)
     if family == "anti_sic":
-        sic = {2: lambda: pure_ensemble(2, _bloch_amplitudes(_TETRAHEDRON), role="povm"),
-               3: lambda: pure_ensemble(3, qutrit_sic_states(fiducial_phase), role="povm"),
-               8: lambda: pure_ensemble(8, hoggar_states(), role="povm")}[dim]()
-        out = anti_design(sic)
-        return WeightedElementSet(out.dim, out.weights, out.ops, "povm", float(out.dim),
-                                  label=f"anti_sic_{dim}")
-    raise UnsupportedFamilyError(family)
+        sic = pure_ensemble(dim, SIC_STATES[dim](fiducial_phase), role="povm")
+        return replace(anti_design(sic), label=f"anti_sic_{dim}")
+    if family not in _POVM_STATES:
+        raise UnsupportedFamilyError(family)
+    states = _POVM_STATES[family](fiducial_phase)
+    return pure_ensemble(states.shape[1], states, role="povm", label=family)
 
 
 def _bloch_amplitudes(vectors: np.ndarray) -> np.ndarray:
@@ -269,7 +270,7 @@ def depolarize(eset: WeightedElementSet, lam: float) -> WeightedElementSet:
             f"lambda={lam} outside admissible interval [{interval.lo:.6g}, {interval.hi:.6g}]")
     d = eset.dim
     ops = lam * eset.ops + (1.0 - lam) * np.eye(d) / d
-    return WeightedElementSet(d, eset.weights, ops, eset.role, eset.nu, eset.label)
+    return WeightedElementSet(d, eset.weights, ops, eset.role, eset.label)
 
 
 def admissible_lambda(eset: WeightedElementSet) -> AdmissibleInterval:

@@ -214,7 +214,7 @@ def cmd_bound(args) -> int:
     seed = _seed(args)
     unit = LN2 if args.bits else 1.0
     t_max = catalog.design_strength(spec.family)
-    ts = [args.t] if args.t is not None else list(range(2, min(t_max, 5) + 1))
+    ts = [args.t] if args.t is not None else list(range(2, min(t_max, bounds.MAX_T) + 1))
     for t in ts:
         if t > t_max:
             raise ValueError(f"{spec.family} is only a {t_max}-design; C_{t} does not apply")
@@ -230,9 +230,9 @@ def cmd_bound(args) -> int:
 def _sweep_row(spec: DesignSpec, base: list[float], oracle_inputs, oracle_tol: float) -> dict:
     row = {"family": _family_token(spec), "lambda": spec.lam}
     row["closed_form"] = closedform.capacity_for(spec)
-    t_max = min(catalog.design_strength(spec.family), 5)
+    t_max = min(catalog.design_strength(spec.family), bounds.MAX_T)
     gammas = _analytic_gammas(base, spec.lam, spec.dimension)
-    for t in range(2, 6):
+    for t in range(2, 6):  # the CSV's C2..C5 columns
         if t <= t_max:
             row[f"C{t}"] = bounds.bound_Ct(spec.dimension, gammas, t).value
         else:

@@ -1,10 +1,12 @@
 """Closed-form depolarized capacities for the catalog families, in nats.
 
-Each expression is an explicit function of the depolarizing parameter
-lambda in [0, 1]; the uniform rank-one POVM needs the Gauss hypergeometric
-value 2F1(1, 1; d+2; z) at non-positive argument, evaluated here via the
-Pfaff transformation and a convergent series. Also provides the known
-capacity-achieving ensembles for every finite family.
+Every finite family is one formula in the depolarizing parameter lambda in
+[0, 1], read from the overlap spectrum of its capacity-achieving states
+(``overlap_spectrum``). The uniform rank-one POVM has a continuous overlap
+distribution and needs the Gauss hypergeometric value 2F1(1, 1; d+2; z) at
+non-positive argument, evaluated here via the Pfaff transformation and a
+convergent series. Also provides the known capacity-achieving ensembles for
+every finite family.
 """
 
 from __future__ import annotations
@@ -80,21 +82,6 @@ def _hyp_log_series(c: float, eps: float) -> float:
     return (c - 1.0) * total
 
 
-def hyp2f1_11_series(c: float, z: float, max_terms: int = 100000) -> float:
-    """Defining series of 2F1(1, 1; c; z); only convergent for |z| < 1.
-
-    Kept as an independent cross-check of the Pfaff route.
-    """
-    if abs(z) >= 1:
-        raise ValueError("defining series requires |z| < 1")
-    total, term, n = 0.0, 1.0, 0
-    while abs(term) > 1e-17 * max(abs(total), 1.0) and n < max_terms:
-        total += term
-        term *= z * (1.0 + n) / (c + n)
-        n += 1
-    return total
-
-
 def uniform_capacity(d: int, lam: float) -> float:
     """Capacity of the depolarized uniform rank-one POVM in dimension d.
 
@@ -118,58 +105,48 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"closed forms cover the depolarizing regime lambda in [0, 1], got {lam}")
 
 
-def _tetra(lam: float) -> float:
-    return math.log(2) - (eta((1 - lam) / 2) + 3 * eta((3 + lam) / 6)) / 2
+# Each finite family's closed form is the KL bound of its capacity-achieving
+# states phi: C(lambda) = ln d - sum_k c_k eta(lambda a_k + (1 - lambda)/d), where
+# a_k is an overlap <phi|chi_y|phi> with the undepolarized elements and c_k is d
+# times the total weight q_y of the elements at that overlap (Dall'Arno,
+# D'Ariano & Sacchi, PRA 83, 062304, 2011). Every row has sum c_k = d and
+# sum c_k a_k = 1. Values: (d, ((c_k, a_k), ...)).
+_OVERLAP_SPECTRA = {
+    "qubit_sic": (2, ((1 / 2, 0.0), (3 / 2, 2 / 3))),
+    "qubit_mub": (2, ((1 / 3, 0.0), (4 / 3, 1 / 2), (1 / 3, 1.0))),
+    "icosahedron": (2, ((1 / 6, 0.0), (5 / 6, (5 - _SQRT5) / 10),
+                        (5 / 6, (5 + _SQRT5) / 10), (1 / 6, 1.0))),
+    "qutrit_sic": (3, ((1.0, 0.0), (2.0, 1 / 2))),
+    "qutrit_mub": (3, ((1.0, 0.0), (2.0, 1 / 2))),
+    "hoggar_sic": (8, ((7 / 2, 0.0), (9 / 2, 2 / 9))),
+}
 
 
-def _octa(lam: float) -> float:
-    return math.log(2) - (eta((1 - lam) / 2) + 4 * eta(0.5) + eta((1 + lam) / 2)) / 3
+def overlap_spectrum(family: str, dim: int | None = None) -> tuple:
+    """(d, ((c_k, a_k), ...)) of a finite family; see ``_OVERLAP_SPECTRA``.
 
-
-def _icosa(lam: float) -> float:
-    return math.log(2) - (eta((1 - lam) / 2)
-                          + 5 * eta((5 - _SQRT5 * lam) / 10)
-                          + 5 * eta((5 + _SQRT5 * lam) / 10)
-                          + eta((1 + lam) / 2)) / 6
-
-
-def _qutrit_sic(lam: float) -> float:
-    # identical for the qutrit SIC family and the complete qutrit MUB
-    return math.log(3) - eta((1 - lam) / 3) - 2 * eta((2 + lam) / 6)
-
-
-def _hoggar(lam: float) -> float:
-    return math.log(8) - (7 * eta((1 - lam) / 8) + 9 * eta((9 + 7 * lam) / 72)) / 2
-
-
-def _anti_sic(d: int, lam: float) -> float:
-    n = d * d - 1
-    return (math.log(d) - eta((1 - lam) / d) / d
-            - n / d * eta((n + lam) / (d * n)))
+    The anti-SIC of any dimension d has the SIC states as optimal states:
+    one element at overlap 0 and d^2 - 1 at d/(d^2 - 1).
+    """
+    if family == "anti_sic":
+        if dim is None:
+            raise ValueError("anti_sic capacity needs the dimension")
+        n = dim * dim - 1
+        return dim, ((1 / dim, 0.0), (n / dim, dim / n))
+    if family not in _OVERLAP_SPECTRA:
+        raise catalog.UnsupportedFamilyError(family)
+    return _OVERLAP_SPECTRA[family]
 
 
 def capacity(family: str, lam: float, dim: int | None = None) -> float:
     """Closed-form capacity of the depolarized family, in nats."""
     _check_lambda(lam)
-    if family == "qubit_sic":
-        return _tetra(lam)
-    if family == "qubit_mub":
-        return _octa(lam)
-    if family == "icosahedron":
-        return _icosa(lam)
-    if family in ("qutrit_sic", "qutrit_mub"):
-        return _qutrit_sic(lam)
-    if family == "hoggar_sic":
-        return _hoggar(lam)
-    if family == "anti_sic":
-        if dim is None:
-            raise ValueError("anti_sic capacity needs the dimension")
-        return _anti_sic(dim, lam)
     if family == "uniform":
         if dim is None:
             raise ValueError("uniform capacity needs the dimension")
         return uniform_capacity(dim, lam)
-    raise catalog.UnsupportedFamilyError(family)
+    d, spectrum = overlap_spectrum(family, dim)
+    return math.log(d) - sum(c * eta(lam * a + (1.0 - lam) / d) for c, a in spectrum)
 
 
 def capacity_for(spec: DesignSpec) -> float:
@@ -179,41 +156,36 @@ def capacity_for(spec: DesignSpec) -> float:
 # ---------------------------------------------------------------------------
 # capacity-achieving ensembles
 
-def _orthogonality_candidates(states: np.ndarray, tol: float = 1e-8) -> list[np.ndarray]:
-    """Pure states orthogonal to some linearly dependent triple of the input."""
-    from itertools import combinations
-    n = states.shape[0]
-    found: list[np.ndarray] = []
-    for triple in combinations(range(n), 3):
-        a = states[list(triple)].conj()
-        u, s, vh = np.linalg.svd(a)
-        if s[-1] < tol * s[0]:
-            phi = vh[-1].conj()
-            if not any(abs(np.vdot(phi, f)) ** 2 > 1 - 1e-8 for f in found):
-                found.append(phi)
-    return found
-
-
 def _qutrit_sic_optimal(fiducial_phase: float) -> np.ndarray:
-    """States orthogonal to exactly 3 SIC elements each.
+    """The states orthogonal to 3 SIC elements: null vectors of dependent triples.
 
     The Hesse-equivalent fiducials admit 12 such states (the complete MUB);
-    a generic fiducial admits exactly one orthonormal basis of them.
+    any other fiducial admits one orthonormal basis of them.
     """
-    states = catalog.qutrit_sic_states(fiducial_phase)
-    cand = _orthogonality_candidates(states)
-    if len(cand) == 12:
-        return np.array(cand)
-    # generic case: pick a maximal mutually orthogonal subset
-    basis: list[np.ndarray] = []
-    for phi in cand:
-        if all(abs(np.vdot(phi, b)) ** 2 < 1e-8 for b in basis):
-            basis.append(phi)
-    if len(basis) != 3:
-        raise RuntimeError(
-            f"could not assemble the optimal basis: {len(cand)} candidates,"
-            f" {len(basis)} mutually orthogonal")
-    return np.array(basis)
+    from itertools import combinations
+    found: list[np.ndarray] = []
+    for triple in combinations(catalog.qutrit_sic_states(fiducial_phase).conj(), 3):
+        _, s, vh = np.linalg.svd(np.array(triple))
+        phi = vh[-1].conj()
+        if s[-1] < 1e-8 * s[0] and all(abs(np.vdot(phi, f)) ** 2 < 1 - 1e-8 for f in found):
+            found.append(phi)
+    if len(found) not in (3, 12):
+        raise RuntimeError(f"{len(found)} states are orthogonal to 3 SIC elements;"
+                           " expected 3 or 12")
+    return np.array(found)
+
+
+# Label and states (by fiducial phase) of each family's capacity-achieving ensemble.
+_OPTIMAL_STATES = {
+    "qubit_sic": ("dual_tetrahedron",
+                  lambda phase: catalog._bloch_amplitudes(-catalog._TETRAHEDRON)),
+    "qubit_mub": ("octahedron", lambda phase: catalog._bloch_amplitudes(catalog._OCTAHEDRON)),
+    "icosahedron": ("icosahedron",
+                    lambda phase: catalog._bloch_amplitudes(catalog._ICOSAHEDRON)),
+    "qutrit_sic": ("sic_orthogonal_basis", _qutrit_sic_optimal),
+    "qutrit_mub": ("hesse_sic", lambda phase: catalog.qutrit_sic_states(0.0)),
+    "hoggar_sic": ("dual_hoggar", lambda phase: catalog.hoggar_dual_states()),
+}
 
 
 def optimal_ensemble(family: str, dim: int | None = None,
@@ -221,34 +193,19 @@ def optimal_ensemble(family: str, dim: int | None = None,
     """The capacity-achieving pure ensemble of the (depolarized) family.
 
     Optimal ensembles do not depend on lambda, are uniformly weighted, and
-    average to the maximally mixed state. The uniform POVM has a continuous
-    optimizer set and is not supported here.
+    average to the maximally mixed state. The anti-SIC's are its SIC states.
+    The uniform POVM has a continuous optimizer set and is not supported here.
     """
-    if family == "qubit_sic":
-        return pure_ensemble(2, catalog._bloch_amplitudes(-catalog._TETRAHEDRON),
-                             label="dual_tetrahedron")
-    if family == "qubit_mub":
-        return pure_ensemble(2, catalog._bloch_amplitudes(catalog._OCTAHEDRON),
-                             label="octahedron")
-    if family == "icosahedron":
-        return pure_ensemble(2, catalog._bloch_amplitudes(catalog._ICOSAHEDRON),
-                             label="icosahedron")
-    if family == "qutrit_sic":
-        return pure_ensemble(3, _qutrit_sic_optimal(fiducial_phase), label="sic_orthogonal_basis")
-    if family == "qutrit_mub":
-        return pure_ensemble(3, catalog.qutrit_sic_states(0.0), label="hesse_sic")
-    if family == "hoggar_sic":
-        return pure_ensemble(8, catalog.hoggar_dual_states(), label="dual_hoggar")
-    if family == "anti_sic":
-        if dim == 2:
-            return pure_ensemble(2, catalog._bloch_amplitudes(catalog._TETRAHEDRON),
-                                 label="sic_states")
-        if dim == 3:
-            return pure_ensemble(3, catalog.qutrit_sic_states(fiducial_phase), label="sic_states")
-        if dim == 8:
-            return pure_ensemble(8, catalog.hoggar_states(), label="sic_states")
-        raise catalog.UnsupportedFamilyError(f"anti_sic dim {dim}")
     if family == "uniform":
         raise catalog.UnsupportedFamilyError(
             "the uniform POVM's optimizer set is continuous; no finite ensemble exists")
-    raise catalog.UnsupportedFamilyError(family)
+    if family == "anti_sic":
+        if dim not in catalog.SIC_STATES:
+            raise catalog.UnsupportedFamilyError(f"anti_sic dim {dim}")
+        label, states = "sic_states", catalog.SIC_STATES[dim]
+    elif family in _OPTIMAL_STATES:
+        label, states = _OPTIMAL_STATES[family]
+    else:
+        raise catalog.UnsupportedFamilyError(family)
+    amplitudes = states(fiducial_phase)
+    return pure_ensemble(amplitudes.shape[1], amplitudes, label=label)

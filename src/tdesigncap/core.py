@@ -27,21 +27,6 @@ class SupportViolationError(ValueError):
     """p puts mass where q vanishes, so D(p||q) is infinite."""
 
 
-def check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    dev = np.abs(m - m.conj().T).max()
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e} > {tol:.1e}")
-
-
-def check_positive(m: np.ndarray, tol: float = POSITIVITY_TOL) -> None:
-    """Require min eigenvalue >= -tol (Hermitian input assumed)."""
-    lo = float(np.linalg.eigvalsh(m)[0])
-    if lo < -tol:
-        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lo:.3e}")
-
-
 def check_probability_vector(p: np.ndarray, tol: float = WEIGHT_TOL) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.min() < -tol:
@@ -145,14 +130,13 @@ class WeightedElementSet:
     ``ops[x]`` is the unit-trace operator chi_x and ``weights[x]`` the
     probability p_x; a POVM-role set additionally satisfies
     d * sum_x p_x chi_x = identity, i.e. the effects are d * p_x * chi_x.
-    ``nu`` is the overall normalization carried alongside (d for POVMs).
+    Validation is batched over the elements and names the first offender.
     """
 
     dim: int
     weights: np.ndarray
     ops: np.ndarray
     role: Role = "design"
-    nu: float = 1.0
     label: str = field(default="", compare=False)
 
     def __post_init__(self):
@@ -164,12 +148,19 @@ class WeightedElementSet:
             raise ValueError("weights and ops length mismatch")
         if self.role not in ("ensemble", "povm", "design"):
             raise ValueError(f"unknown role {self.role!r}")
-        for x, op in enumerate(ops):
-            check_hermitian(op)
-            tr = complex(np.trace(op))
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise ValueError(f"element {x} has trace {tr!r}, expected 1")
-            check_positive(op)
+        herm = np.abs(ops - ops.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        if herm.max() > HERMITICITY_TOL:
+            x = int(np.argmax(herm > HERMITICITY_TOL))
+            raise ValueError(f"element {x} is not Hermitian: max |M - M^dag| = {herm[x]:.3e}")
+        tr = np.einsum("xii->x", ops)
+        if np.abs(tr - 1.0).max() > TRACE_TOL:
+            x = int(np.argmax(np.abs(tr - 1.0) > TRACE_TOL))
+            raise ValueError(f"element {x} has trace {complex(tr[x])!r}, expected 1")
+        lo = np.linalg.eigvalsh(ops)[:, 0]
+        if lo.min() < -POSITIVITY_TOL:
+            x = int(np.argmax(lo < -POSITIVITY_TOL))
+            raise ValueError(f"element {x} is not positive semidefinite:"
+                             f" min eigenvalue {lo[x]:.3e}")
         if self.role == "povm":
             avg = np.einsum("x,xij->ij", weights, ops)
             dev = np.abs(self.dim * avg - np.eye(self.dim)).max()
@@ -193,7 +184,7 @@ class WeightedElementSet:
 
     def transposed(self) -> "WeightedElementSet":
         return WeightedElementSet(self.dim, self.weights, np.transpose(self.ops, (0, 2, 1)),
-                                  self.role, self.nu, self.label)
+                                  self.role, self.label)
 
 
 def pure_ensemble(dim: int, amplitudes: np.ndarray, weights: np.ndarray | None = None,
@@ -207,8 +198,7 @@ def pure_ensemble(dim: int, amplitudes: np.ndarray, weights: np.ndarray | None =
     ops = np.einsum("xi,xj->xij", amplitudes, amplitudes.conj())
     if weights is None:
         weights = np.full(n, 1.0 / n)
-    nu = float(dim) if role == "povm" else 1.0
-    return WeightedElementSet(dim, weights, ops, role, nu, label)
+    return WeightedElementSet(dim, weights, ops, role, label)
 
 
 def pair_probability(ensemble: WeightedElementSet, povm: WeightedElementSet) -> np.ndarray:

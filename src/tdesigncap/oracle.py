@@ -451,5 +451,5 @@ def discretized_uniform_povm(dim: int, n_effects: int | None = None,
     weights = norms2 / m
     states = tightened / np.sqrt(norms2)[:, None]
     ops = np.einsum("xi,xj->xij", states, states.conj())
-    return WeightedElementSet(dim, weights, ops, role="povm", nu=float(dim),
+    return WeightedElementSet(dim, weights, ops, role="povm",
                               label=f"uniform_d{dim}_M{m}")

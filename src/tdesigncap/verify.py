@@ -27,7 +27,7 @@ from functools import cache
 
 import numpy as np
 
-from .core import WeightedElementSet, haar_random_state, overlaps
+from .core import WeightedElementSet, haar_random_states, overlaps
 
 SPAN_RESIDUAL_TOL = 1e-8
 TRACE_MISMATCH_TOL = 1e-8
@@ -247,6 +247,7 @@ class DesignCertificate:
     span_residual: float
     trace_mismatches: dict[tuple[int, ...], float]
     verdict: str  # "pass" | "fail"
+    # (probe, k, abs_error); probe i is row i of haar_random_states(d, n, seed)
     gamma_spotchecks: list[tuple[int, int, float]] = field(default_factory=list)
     moments: MomentVector | None = None
     mu_spread: float = 0.0
@@ -268,8 +269,8 @@ class DesignCertificate:
             "mu_spread": self.mu_spread,
             "mu_consistent": self.mu_consistent,
             "moments": None if self.moments is None else list(self.moments.values),
-            "gamma_spotchecks": [{"seed": s, "k": k, "abs_error": e}
-                                 for s, k, e in self.gamma_spotchecks],
+            "gamma_spotchecks": [{"probe": i, "k": k, "abs_error": e}
+                                 for i, k, e in self.gamma_spotchecks],
             "seed": self.seed,
             "notes": self.notes,
         }
@@ -333,9 +334,7 @@ def certify(eset: WeightedElementSet, t: int, n_spotchecks: int = 25,
 
     spotchecks: list[tuple[int, int, float]] = []
     if n_spotchecks > 0 and mv is not None:
-        rng = np.random.default_rng(seed)
-        probe_seeds = [int(s) for s in rng.integers(0, 2 ** 63 - 1, size=n_spotchecks)]
-        phis = np.array([haar_random_state(d, s) for s in probe_seeds])
+        phis = haar_random_states(d, n_spotchecks, seed)
         ov = overlaps(phis, eset.ops)  # (probe, element)
         ks = range(1, min(t, 5) + 1)
         predicted = np.array([gamma_predicted(mv, d, k) for k in ks])
@@ -343,8 +342,8 @@ def certify(eset: WeightedElementSet, t: int, n_spotchecks: int = 25,
         for _ in ks[1:]:
             ov_powers.append(ov_powers[-1] * ov)
         errors = np.abs(np.array(ov_powers) @ eset.weights - predicted[:, None])  # (k, probe)
-        spotchecks = [(s, k, float(errors[k - 1, i]))
-                      for i, s in enumerate(probe_seeds) for k in ks]
+        spotchecks = [(i, k, float(errors[k - 1, i]))
+                      for i in range(n_spotchecks) for k in ks]
 
     return DesignCertificate(strength_tested=t, span_residual=span_residual,
                              trace_mismatches=mismatches, verdict=verdict,

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -251,4 +252,4 @@ class TestSpecJson:
         assert design_strength("qubit_sic") == 2
         assert design_strength("qubit_mub") == 3
         assert design_strength("icosahedron") == 5
-        assert design_strength("uniform") == 5
+        assert design_strength("uniform") == math.inf

@@ -145,6 +145,14 @@ class TestBoundCommand:
         assert code == 1
         assert "2-design" in err
 
+    def test_uniform_refusal_names_the_ct_limit(self, capsys):
+        # uniform is a design for every t: only C_t's own range refuses t = 6
+        code, out, err = run(capsys, "bound", "--family", "uniform", "--dim", "2", "--t", "6")
+        assert code == 1
+        assert out == ""
+        assert "C_t is computed for t in [1, 5]" in err
+        assert "5-design" not in err
+
 
 class TestSpecFileAndPrecedence:
     def test_spec_file_with_flag_override(self, capsys, tmp_path):

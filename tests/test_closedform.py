@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reference_closedform import capacity_reference, hyp2f1_11_series
 from tdesigncap import (
     DesignSpec,
     build,
@@ -16,7 +17,8 @@ from tdesigncap import (
     uniform_capacity,
 )
 from tdesigncap.catalog import UnsupportedFamilyError
-from tdesigncap.closedform import hyp2f1_11_series
+from tdesigncap.closedform import overlap_spectrum
+from tdesigncap.core import overlaps
 
 ALL_FAMILIES = [
     ("qubit_sic", None), ("qubit_mub", None), ("icosahedron", None),
@@ -64,6 +66,47 @@ class TestCapacityEndpoints:
         for fam, dim in ALL_FAMILIES:
             vals = [capacity(fam, float(l), dim=dim) for l in grid]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+FINITE_FAMILIES = [(f, d) for f, d in ALL_FAMILIES if f != "uniform"]
+
+
+class TestOverlapSpectra:
+    @pytest.mark.parametrize("fam,dim,phase", [(f, d, 0.0) for f, d in FINITE_FAMILIES]
+                             + [("qutrit_sic", None, 0.9)])
+    def test_optimal_states_reproduce_spectrum(self, fam, dim, phase):
+        # every optimal state sees the elements at the table's overlaps a_k,
+        # with d times their total weight equal to c_k
+        d, spectrum = overlap_spectrum(fam, dim)
+        povm = build(DesignSpec(fam, 1.0, fiducial_phase=phase, dim=dim))
+        ens = optimal_ensemble(fam, dim=dim, fiducial_phase=phase)
+        states = np.array([np.linalg.eigh(op)[1][:, -1] for op in ens.ops])
+        table = sorted(spectrum, key=lambda ca: ca[1])
+        for row in overlaps(states, povm.ops):
+            levels = [a for _, a in table]
+            nearest = np.abs(row[:, None] - np.array(levels)[None, :]).argmin(axis=1)
+            assert np.abs(row - np.array(levels)[nearest]).max() < 1e-12
+            c = [d * povm.weights[nearest == k].sum() for k in range(len(table))]
+            assert c == pytest.approx([ck for ck, _ in table], abs=1e-12)
+
+    @pytest.mark.parametrize("fam,dim", FINITE_FAMILIES + [("anti_sic", 5)])
+    def test_weights_sum_to_d_and_mean_overlap_one(self, fam, dim):
+        d, spectrum = overlap_spectrum(fam, dim)
+        assert sum(c for c, _ in spectrum) == pytest.approx(d, abs=1e-14)
+        assert sum(c * a for c, a in spectrum) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("fam,dim", FINITE_FAMILIES)
+    def test_matches_printed_expressions(self, fam, dim):
+        for lam in np.linspace(0.0, 1.0, 1001):
+            lam = float(lam)
+            assert abs(capacity(fam, lam, dim=dim)
+                       - capacity_reference(fam, lam, dim)) <= 2e-15
+
+    def test_unknown_family(self):
+        with pytest.raises(UnsupportedFamilyError):
+            capacity("pentagon", 0.5)
+        with pytest.raises(ValueError, match="dimension"):
+            capacity("anti_sic", 0.5)
 
 
 class TestHyp2f1:

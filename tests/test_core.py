@@ -189,6 +189,18 @@ class TestWeightedElementSet:
         with pytest.raises(ValueError):
             WeightedElementSet(2, np.array([1.0]), bad[None])
 
+    def test_validation_names_first_offending_element(self):
+        ok = np.eye(2, dtype=complex) / 2
+        weights = np.full(4, 0.25)
+        nonherm = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="element 1 is not Hermitian"):
+            WeightedElementSet(2, weights, np.array([ok, nonherm, ok, nonherm]))
+        with pytest.raises(ValueError, match="element 2 has trace"):
+            WeightedElementSet(2, weights, np.array([ok, ok, 2 * ok, 2 * ok]))
+        indefinite = np.diag([1.5, -0.5]).astype(complex)
+        with pytest.raises(ValueError, match="element 3 is not positive semidefinite"):
+            WeightedElementSet(2, weights, np.array([ok, ok, ok, indefinite]))
+
     def test_povm_completeness_validation(self):
         # two copies of the same projector do not resolve the identity
         proj = np.array([[1, 0], [0, 0]], dtype=complex)

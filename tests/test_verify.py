@@ -259,6 +259,18 @@ class TestCertify:
         assert len(cert.gamma_spotchecks) == 7 * 2
         assert max(err for _, _, err in cert.gamma_spotchecks) < 1e-9
 
+    def test_spotcheck_recomputed_from_probe_row(self, qubit_sic):
+        # probe i is row i of one seeded stream of Haar states; qubit_sic is
+        # no 3-design, so the k = 3 error depends on the probe
+        cert = certify(qubit_sic, 3, n_spotchecks=25, seed=11)
+        i, k, err = cert.gamma_spotchecks[3 * 7 + 2]
+        assert (i, k) == (7, 3) and err > 1e-3
+        phi = haar_random_states(2, 25, seed=11)[i]
+        again = abs(gamma_empirical(qubit_sic, phi, k) - gamma_predicted(cert.moments, 2, k))
+        assert again == pytest.approx(err, rel=1e-12)
+        assert cert.to_json_dict()["gamma_spotchecks"][3 * 7 + 2] == {
+            "probe": 7, "k": 3, "abs_error": err}
+
     def test_deterministic_given_seed(self, qubit_sic):
         a = certify(qubit_sic, 2, n_spotchecks=5, seed=42)
         b = certify(qubit_sic, 2, n_spotchecks=5, seed=42)

@@ -4,7 +4,7 @@ Construction of the catalog families (qubit/qutrit SIC and complete MUB,
 icosahedron, Hoggar SIC, anti-SICs, depolarized versions), exact design
 certification through the permutation-operator commutant, capacity upper
 bounds from Hermite interpolation, closed-form capacities, and an
-independent Blahut-Arimoto oracle.
+independent column-generation oracle.
 """
 
 from .core import (
@@ -48,7 +48,6 @@ from .closedform import capacity, hyp2f1_11, optimal_ensemble, uniform_capacity
 from .oracle import (
     OracleResult,
     StateGrid,
-    blahut_arimoto,
     default_grid,
     discretized_uniform_povm,
     informational_power,
@@ -62,7 +61,7 @@ __all__ = [
     "AdmissibleInterval", "BoundReport", "DesignCertificate", "DesignSpec",
     "FAMILIES", "InterpolationSpec", "MomentVector", "OracleResult", "StateGrid",
     "WeightedElementSet", "admissible_lambda", "anti_design", "bell_polynomial",
-    "blahut_arimoto", "bound_Ct", "bound_from_set", "build", "capacity", "certify",
+    "bound_Ct", "bound_from_set", "build", "capacity", "certify",
     "default_grid", "depolarize", "design_strength", "discretized_uniform_povm",
     "eta", "gamma_empirical", "gamma_predicted", "haar_random_state",
     "hermite_interpolate", "hyp2f1_11", "informational_power", "kl_maximize",

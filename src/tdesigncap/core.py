@@ -54,10 +54,9 @@ def eta(x: float) -> float:
 def eta_array(x: np.ndarray) -> np.ndarray:
     """Vectorized eta with the 0 ln 0 := 0 convention (no domain check)."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    mask = x > 0.0
-    out[mask] = -x[mask] * np.log(x[mask])
-    return out
+    out = np.log(x, out=np.zeros_like(x), where=x > 0.0)
+    out *= x
+    return np.negative(out, out=out)
 
 
 def relative_entropy(p: np.ndarray, q: np.ndarray) -> float:

@@ -1,7 +1,8 @@
 """Brute-force capacity route: column generation over pure-state ensembles,
-priced on a state grid and refined off it by L-BFGS ascents with analytic
+priced on a state grid and refined off it by an L-BFGS ascent with analytic
 gradients, plus the KL upper-bound objective (maximized by the same ascent) and
-its tightness certificate. Blahut-Arimoto stays as the reference channel solver.
+its tightness certificate. Each pricing round and each KL search climbs all of
+its starts in one stacked L-BFGS solve.
 
 The oracle lower-bounds capacity by construction (it exhibits an achievable
 ensemble); the KL route upper-bounds it. Together they bracket the closed
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closedform import ConvergenceError
 from .core import WeightedElementSet, eta_array, haar_random_states, overlaps
 
 DEFAULT_GRID_SIZES = {2: 4096, 3: 20000, 8: 60000}
@@ -98,74 +98,6 @@ class BAResult:
     bracket_width: float
 
 
-def blahut_arimoto(channel: np.ndarray, tol: float = 1e-6, max_iter: int = 200_000,
-                   strict: bool = True) -> BAResult:
-    """Classical channel capacity by alternating maximization, in nats.
-
-    Iterates until the (monotone, best-so-far) Arimoto bracket between the
-    achievable rate sum_x r_x D(p(.|x)||out) and the bound max_x D(p(.|x)||out)
-    is narrower than ``tol``. Inputs whose prior collapses are pruned from the
-    iteration for speed; both bracket sides stay valid for the full channel.
-    Raises ConvergenceError if the bracket does not close (unless strict=False,
-    in which case the last iterate is returned).
-    """
-    P = np.asarray(channel, dtype=float)
-    if P.ndim != 2 or P.shape[0] < 1:
-        raise ValueError("channel must be a 2-d array of conditionals")
-    if P.min() < -1e-12:
-        raise ValueError(f"negative conditional probability {P.min():.3e}")
-    row_sums = P.sum(axis=1)
-    if np.abs(row_sums - 1.0).max() > 1e-9:
-        raise ValueError("channel rows must be probability vectors")
-    P = np.clip(P, 0.0, None)
-
-    m = P.shape[0]
-    full_P = P
-    # D_x = sum_y P log P - P . log out: the row term once, one matvec per iteration
-    full_H = np.einsum("xy,xy->x", P, _masked_log(P))
-    active = np.arange(m)
-    r = np.full(m, 1.0 / m)
-    H = full_H
-    best_lower = 0.0
-    best_upper = math.inf
-    check_every = 25
-    it = 0
-    while it < max_iter:
-        out = r @ P
-        lnout = _masked_log(out[None, :])[0]
-        D = H - np.einsum("xy,y->x", P, lnout)
-        best_lower = max(best_lower, float(r @ D))
-        if it % check_every == 0:
-            if len(active) < m:
-                D_full = full_H - np.einsum("xy,y->x", full_P, lnout)
-                best_upper = min(best_upper, float(D_full.max()))
-            else:
-                best_upper = min(best_upper, float(D.max()))
-            if best_upper - best_lower < tol:
-                break
-            if len(active) > 2:
-                keep = r > 1e-14 * r.max()
-                if keep.sum() < len(r):
-                    active = active[keep]
-                    r = r[keep]
-                    r /= r.sum()
-                    P = full_P[active]
-                    H = full_H[active]
-                    continue
-        r = r * np.exp(D - D.max())
-        r /= r.sum()
-        it += 1
-    width = best_upper - best_lower
-    if width >= tol and strict:
-        raise ConvergenceError(
-            f"Blahut-Arimoto bracket {width:.3e} did not reach tol={tol:g}"
-            f" within {max_iter} iterations")
-    prior = np.zeros(m)
-    prior[active] = r
-    return BAResult(capacity=best_lower, prior=prior, iterations=it,
-                    bracket_width=float(width))
-
-
 def _refine_solve(channel: np.ndarray, tol: float, prior: np.ndarray | None = None) -> BAResult:
     """Capacity of a channel with few rows by a direct convex solve.
 
@@ -234,10 +166,7 @@ def _refine_solve(channel: np.ndarray, tol: float, prior: np.ndarray | None = No
 
 
 def _masked_log(a: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(a)
-    mask = a > 0
-    out[mask] = np.log(a[mask])
-    return out
+    return np.log(a, out=np.zeros_like(a), where=a > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -250,32 +179,47 @@ def kl_objective(eset: WeightedElementSet, phi: np.ndarray) -> float:
     return math.log(eset.dim) - eset.dim * float(eset.weights @ eta_array(ov))
 
 
-def _ascent_objective(v: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """-F and its gradient at the interleaved (re, im) view v of phi; see :func:`_ascend`."""
-    z = v.view(complex)
-    w = ops @ z  # chi_y phi, (m, d)
-    norm2 = float(v @ v)
-    x = np.maximum((w @ z.conj()).real / norm2, np.finfo(float).tiny)
+def _ascent_terms(z: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """F at each row of the (K, d) stack z and its gradient there; see :func:`_ascend`."""
+    k, d = z.shape
+    norm2 = np.einsum("ki,ki->k", z, z.conj()).real
+    x = np.maximum(overlaps(z, ops) / norm2[:, None], np.finfo(float).tiny)  # (K, m)
     lnx = np.log(x)
     g = a * (lnx + 1.0) + b
-    grad = (2.0 / norm2) * (g @ w - (g @ x) * z)
-    return -float(a @ (x * lnx) + b @ x), -grad.view(float)
+    # B_k = sum_y g_ky chi_y from the (re, im) view of the operators, as in core.overlaps
+    bk = (g @ np.ascontiguousarray(ops).reshape(len(a), -1).view(float)).view(complex)
+    bz = np.einsum("kij,kj->ki", bk.reshape(k, d, d), z)
+    grad = (2.0 / norm2)[:, None] * (bz - np.einsum("ky,ky->k", g, x)[:, None] * z)
+    return (x * lnx) @ a + x @ b, grad
 
 
-def _ascend(ops: np.ndarray, a: np.ndarray, b: np.ndarray, phi: np.ndarray):
-    """Maximize F(phi) = sum_y a_y x_y ln x_y + b_y x_y, x_y = <phi|chi_y|phi> / <phi|phi>.
+def _ascent_objective(v: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """-sum_k F(phi_k) and its gradient at the interleaved (re, im) view v of a (K, d) stack."""
+    vals, grad = _ascent_terms(v.view(complex).reshape(-1, ops.shape[-1]), ops, a, b)
+    return -float(vals.sum()), -grad.view(float).ravel()
 
-    L-BFGS on (Re phi, Im phi) with the analytic gradient 2 / |phi|^2 (B phi - (g . x) phi),
-    g = a (ln x + 1) + b and B = sum_y g_y chi_y, from one ``ops @ phi``. x is clamped at
-    the smallest normal float before the log, since an optimal state may have zero overlaps.
-    Returns the normalized maximizer, F there and whether it stopped at ``ASCENT_MAX_ITER``.
+
+def _ascend(ops: np.ndarray, a: np.ndarray, b: np.ndarray, phis: np.ndarray):
+    """Maximize F(phi) = sum_y a_y x_y ln x_y + b_y x_y, x_y = <phi|chi_y|phi> / <phi|phi>,
+    from every row of the (K, d) stack ``phis`` at once.
+
+    One L-BFGS on the separable sum sum_k F(phi_k) over (Re phi_k, Im phi_k) climbs all K
+    starts, with the analytic gradient 2 / |phi|^2 (B phi - (g . x) phi), g = a (ln x + 1) + b
+    and B = sum_y g_y chi_y. Every x and every B of the stack come from one real matmul each
+    over the flattened operators. x is clamped at the smallest normal float before the log,
+    since an optimal state may have zero overlaps. The stopping rules are global: ftol
+    applies relative to |sum_k F|, and a failed line search ends every start. Returns the
+    (K, d) normalized maximizers, F at each and whether the stack stopped at
+    ``ASCENT_MAX_ITER``.
     """
     from scipy.optimize import minimize
 
-    v0 = np.ascontiguousarray(phi, dtype=complex).view(float)
+    v0 = np.ascontiguousarray(phis, dtype=complex).view(float).ravel()
     res = minimize(_ascent_objective, v0, args=(ops, a, b), jac=True, method="L-BFGS-B",
                    options={"maxiter": ASCENT_MAX_ITER, "gtol": 1e-12, "ftol": 1e-15})
-    return res.x.view(complex) / np.linalg.norm(res.x), -float(res.fun), res.status == 1
+    z = res.x.view(complex).reshape(len(phis), -1)
+    return (z / np.linalg.norm(z, axis=1, keepdims=True), _ascent_terms(z, ops, a, b)[0],
+            res.status == 1)
 
 
 def kl_maximize(eset: WeightedElementSet, grid: StateGrid) -> tuple[float, np.ndarray]:
@@ -283,10 +227,11 @@ def kl_maximize(eset: WeightedElementSet, grid: StateGrid) -> tuple[float, np.nd
     kl_objective.
 
     Each grid value within ``KL_CANDIDATE_WINDOW`` of the best (at most 64)
-    starts an L-BFGS ascent with the analytic gradient, scored by
-    :func:`kl_objective`. Returns the refined maximum and every refined
-    candidate within 1e-8 of it (deduplicated by projector overlap); those
-    states feed the convex tightness check of the oracle.
+    starts an ascent; one stacked L-BFGS solve (:func:`_ascend`, b = 0) climbs
+    them all, and each is scored ln d + F from its value there. Returns the
+    refined maximum and every refined candidate within 1e-8 of it
+    (deduplicated by projector overlap); those states feed the convex
+    tightness check of the oracle.
     """
     if eset.dim != grid.dim:
         raise ValueError("grid and element set dimensions differ")
@@ -298,11 +243,10 @@ def kl_maximize(eset: WeightedElementSet, grid: StateGrid) -> tuple[float, np.nd
     cand_idx = [i for i in order[:n_cand] if vals[i] >= cutoff] or [order[0]]
 
     a = eset.dim * eset.weights
-    refined = [_ascend(eset.ops, a, np.zeros_like(a), grid.states[i])[0] for i in cand_idx]
-    scores = [kl_objective(eset, phi) for phi in refined]
-    best_val = max(scores)
-    near = [phi for val, phi in zip(scores, refined) if val >= best_val - 1e-8]
-    return float(best_val), _dedupe_states(near, 1e-6)
+    refined, climbed, _ = _ascend(eset.ops, a, np.zeros_like(a), grid.states[cand_idx])
+    scores = math.log(eset.dim) + climbed
+    best_val = float(scores.max())
+    return best_val, _dedupe_states(refined[scores >= best_val - 1e-8], 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -329,22 +273,24 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
     one matvec prices every grid state against an output q, and the largest
     price bounds the grid's capacity. The value starts as the flat grid prior's
     rate, and the first q is the maximally mixed input's output. Each round
-    climbs from the top max(32, d^2) grid states by an L-BFGS ascent of
-    D(p(.|phi) || q); climbs that end above value + tol join the support, whose
-    capacity a small convex solve, warm-started from the last prior, gives as
-    the new value, its output as the next q; states of zero weight leave. No
-    round runs if no grid state beats the flat rate by more than ``tol``; then
-    the loop stops when no climb ends above value + tol, or after
-    ``PRICING_MAX_ROUNDS`` rounds. The solve's bracket is certified: I(r) of a
-    valid prior r below, max_x D(p(.|x) || rP) above. The estimate is the rate of
-    the returned ensemble (the flat grid if no round ran), a lower bound.
+    climbs from the top max(32, d^2) grid states by one stacked L-BFGS ascent
+    of D(p(.|phi) || q) (:func:`_ascend`); climbs that end above value + tol
+    join the support, whose capacity a small convex solve, warm-started from
+    the last prior, gives as the new value, its output as the next q; states
+    of zero weight leave. No round runs if no grid state beats the flat rate
+    by more than ``tol``; then the loop stops when no climb ends above
+    value + tol, or after ``PRICING_MAX_ROUNDS`` rounds. The solve's bracket
+    is certified: I(r) of a valid prior r below, max_x D(p(.|x) || rP) above.
+    The estimate is the rate of the returned ensemble (the flat grid if no
+    round ran), a lower bound.
 
     ``diagnostics["grid_gap"]`` is the last largest price minus the value
     (negative when the support beats every grid state); ``"pricing_capped"``
     says the round cap stopped the loop; ``"bracket_met"`` says the reported
     bracket is within ``tol``; ``"refine_capped"`` counts the solves that ended
     at their step cap without closing their bracket to min(tol, ``REFINE_TOL``),
-    and ``"ascent_capped"`` the ascents that stopped at ``ASCENT_MAX_ITER``.
+    and ``"ascent_capped"`` the ascents that stopped at ``ASCENT_MAX_ITER``:
+    every start of a round whose stacked solve hit the cap.
     """
     if eset.role != "povm":
         raise ValueError("informational_power expects a POVM-role set")
@@ -366,14 +312,13 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
     while rounds < PRICING_MAX_ROUNDS and (rounds or priced.max() > value + tol):
         top = np.argsort(priced)[::-1][:max(32, d * d)]
         b = a * (_masked_log(a) - lnout)
-        ascents = [_ascend(eset.ops, a, b, phi) for phi in grid.states[top]]
-        ascent_capped += sum(capped for *_, capped in ascents)
+        climbed, prices, capped = _ascend(eset.ops, a, b, grid.states[top])
+        ascent_capped += len(top) if capped else 0
         # the climbs start at the best grid prices: none above value + tol, no grid state either
-        if max(price for _, price, _ in ascents) <= value + tol:
+        if prices.max() <= value + tol:
             break
         kept = len(states) if rounds else 0  # before round 1, states is the flat grid
-        states = _dedupe_states([*states[:kept],
-                                 *(phi for phi, price, _ in ascents if price > value + tol)])
+        states = _dedupe_states([*states[:kept], *climbed[prices > value + tol]])
         sub = povm_channel(eset, states)
         res = _refine_solve(sub, refine_tol, np.append(prior, np.zeros(len(states) - kept))
                             if kept else None)

@@ -1,15 +1,17 @@
-"""Reference local search for the KL maximizer: step-halving coordinate ascent.
+"""Reference local searches for the oracle's ascents.
 
-`tdesigncap.oracle` refines its grid candidates with an L-BFGS ascent and an
-analytic gradient. The tests keep the coordinate ascent it replaced, which
-uses objective values only, so that the two searches can be compared on the
-same grid and candidates.
+`tdesigncap.oracle` refines its grid candidates with one L-BFGS ascent over
+the whole stack of starts, with an analytic gradient. The tests keep the two
+searches it replaced, so that each can be compared with it on the same grid
+and starts: the step-halving coordinate ascent, which uses objective values
+only, and one L-BFGS ascent per start.
 """
 
 import math
 
 import numpy as np
 
+from tdesigncap import oracle
 from tdesigncap.core import eta_array, overlaps
 from tdesigncap.oracle import KL_CANDIDATE_WINDOW, _dedupe_states, kl_objective
 
@@ -65,3 +67,23 @@ def kl_maximize_reference(eset, grid) -> tuple[float, np.ndarray]:
     best_val = max(v for v, _ in refined)
     near = [phi for val, phi in refined if val >= best_val - 1e-8]
     return float(best_val), _dedupe_states(near, 1e-6)
+
+
+def ascend_per_start(ops, a, b, phis):
+    """`oracle._ascend` with one L-BFGS solve per start, each with its own stopping rules.
+
+    Returns the (K, d) normalized maximizers, F at each and whether each start
+    stopped at ``oracle.ASCENT_MAX_ITER``.
+    """
+    from scipy.optimize import minimize
+
+    states, values, capped = [], [], []
+    for phi in phis:
+        v0 = np.ascontiguousarray(phi, dtype=complex).view(float)
+        res = minimize(oracle._ascent_objective, v0, args=(ops, a, b), jac=True,
+                       method="L-BFGS-B", options={"maxiter": oracle.ASCENT_MAX_ITER,
+                                                   "gtol": 1e-12, "ftol": 1e-15})
+        states.append(res.x.view(complex) / np.linalg.norm(res.x))
+        values.append(-float(res.fun))
+        capped.append(res.status == 1)
+    return np.array(states), np.array(values), np.array(capped)

@@ -6,7 +6,6 @@ import pytest
 
 from tdesigncap import (
     DesignSpec,
-    blahut_arimoto,
     build,
     capacity,
     depolarize,
@@ -23,7 +22,8 @@ from tdesigncap.closedform import ConvergenceError, optimal_ensemble
 from tdesigncap.core import haar_random_states
 from tdesigncap.oracle import StateGrid, fibonacci_bloch_states
 
-from reference_ascent import kl_maximize_reference
+from reference_ascent import ascend_per_start, kl_maximize_reference
+from reference_blahut_arimoto import blahut_arimoto
 
 
 def _seeded_d8_grid(family):
@@ -191,6 +191,70 @@ class TestAscent:
                     assert -val == pytest.approx(kl_objective(eset, unit) - math.log(d),
                                                  abs=1e-14)
 
+    @pytest.mark.parametrize("family,dim", [("qubit_sic", None), ("icosahedron", None),
+                                            ("anti_sic", 3), ("qutrit_sic", None),
+                                            ("hoggar_sic", None)])
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_stacked_ascent_matches_per_start(self, family, dim, lam):
+        # one L-BFGS solve over the stack stops by global rules; no start may end short
+        eset = depolarize(build(DesignSpec(family, 1.0, 0.0, dim)), lam)
+        d = eset.dim
+        grid = (_seeded_d8_grid(family) if d == 8
+                else default_grid(d, seed=2016, resolution=256))
+        a = d * eset.weights
+        out = np.full(4, 0.25) @ oracle.povm_channel(eset, haar_random_states(d, 4, seed=23))
+        kl_form = np.zeros_like(a)
+        for b in (kl_form, a * (np.log(a) - np.log(out))):  # KL and pricing forms
+            on_grid, _ = oracle._ascent_terms(grid.states, eset.ops, a, b)
+            starts = grid.states[np.argsort(on_grid)[::-1][:max(32, d * d)]]
+            states, vals, capped = oracle._ascend(eset.ops, a, b, starts)
+            _, ref_vals, ref_capped = ascend_per_start(eset.ops, a, b, starts)
+            assert states.shape == starts.shape
+            assert np.allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-14)
+            assert not capped and not ref_capped.any()
+            assert vals.max() >= ref_vals.max() - 1e-12
+            # every start ends at its local maximum: a short step up its own gradient gains
+            # at most 1e-12 (a stack stopped at ftol = 1e-7 gains 2e-10 to 7e-7 here)
+            _, grad = oracle._ascent_terms(states, eset.ops, a, b)
+            up = grad / np.maximum(np.linalg.norm(grad, axis=1, keepdims=True), 1e-300)
+            for t in np.logspace(-9, -3, 13):
+                assert np.all(oracle._ascent_terms(states + t * up, eset.ops, a, b)[0]
+                              <= vals + 1e-12)
+            if b is kl_form:
+                assert np.all(vals >= ref_vals - 1e-12)
+            # the pricing form has unequal local maxima, and a start of the stack may climb
+            # a different one than its own solve does, in either direction: no per-start bound
+
+
+class TestOneSolvePerStack:
+    @pytest.fixture
+    def lbfgs_calls(self, monkeypatch):
+        import scipy.optimize
+
+        calls = []
+        real = scipy.optimize.minimize
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("method"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counted)
+        return lambda: calls.count("L-BFGS-B")
+
+    def test_kl_maximize(self, icosahedron, qutrit_sic, qubit_grid, qutrit_grid, lbfgs_calls):
+        for eset, grid in [(icosahedron, qubit_grid), (depolarize(qutrit_sic, 0.5), qutrit_grid)]:
+            before = lbfgs_calls()
+            kl_maximize(eset, grid)
+            assert lbfgs_calls() - before == 1
+
+    def test_informational_power(self, qubit_sic, lbfgs_calls):
+        grid = default_grid(2, seed=2016, resolution=200)
+        for povm in (depolarize(qubit_sic, 0.5),
+                     depolarize(discretized_uniform_povm(2, n_effects=5), 0.3)):
+            before = lbfgs_calls()
+            res = informational_power(povm, grid, tol=1e-6)
+            assert 1 <= lbfgs_calls() - before <= res.refinement_rounds + 1
+
 
 class TestInformationalPower:
     def test_basis_measurement(self, qubit_grid):
@@ -277,9 +341,11 @@ class TestInformationalPower:
         assert res.diagnostics["pricing_capped"] is True
         assert res.diagnostics["grid_gap"] > 1e-6
 
+        # one round (the cap above), so one stack: every one of its starts counts
         monkeypatch.setattr(oracle, "ASCENT_MAX_ITER", 1)
         res = informational_power(depolarize(qubit_sic, 0.5), grid, tol=1e-6)
         assert res.diagnostics["ascent_capped"] >= 1
+        assert res.diagnostics["ascent_capped"] == max(32, grid.dim ** 2)
 
     def test_icosahedron_half_bracket_met(self, icosahedron, qubit_grid):
         res = informational_power(depolarize(icosahedron, 0.5), qubit_grid, tol=1e-5)

@@ -2,7 +2,7 @@
 
 Construction of the catalog families (qubit/qutrit SIC and complete MUB,
 icosahedron, Hoggar SIC, anti-SICs, depolarized versions), exact design
-certification through the permutation-operator commutant, capacity upper
+certification from the characters of the symmetric group S_t, capacity upper
 bounds from Hermite interpolation, closed-form capacities, and an
 independent column-generation oracle.
 """

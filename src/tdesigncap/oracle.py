@@ -4,6 +4,11 @@ gradients, plus the KL upper-bound objective (maximized by the same ascent) and
 its tightness certificate. Each pricing round and each KL search climbs all of
 its starts in one stacked L-BFGS solve.
 
+The grid is priced without forming its (n, m) channel: each linear term is one
+d x d operator applied to the grid's projectors, and the one nonlinear term,
+sum_y p ln p per grid state, is one pass in cache-sized row blocks, shared by
+every pricing round. The KL search starts from the same prices.
+
 The oracle lower-bounds capacity by construction (it exhibits an achievable
 ensemble); the KL route upper-bounds it. Together they bracket the closed
 forms they are meant to check.
@@ -29,6 +34,7 @@ REFINE_NEWTON_STEPS = 8  # KKT Newton step cap of each refinement solve after SL
 KL_CANDIDATE_WINDOW = 1e-3  # grid values this far below the best are refined in kl_maximize
 PRICING_MAX_ROUNDS = 32  # column-generation round cap of informational_power
 ASCENT_MAX_ITER = 500  # L-BFGS iteration cap of each local ascent over pure states
+GRID_BLOCK = 1 << 16  # channel entries per row block of the grid's entropy pass (cache-sized)
 
 
 @dataclass(frozen=True)
@@ -84,10 +90,57 @@ def default_grid(dim: int, seed: int, extra_states: np.ndarray | None = None,
 def povm_channel(eset: WeightedElementSet, states: np.ndarray) -> np.ndarray:
     """Conditional distribution p(y|x) = d q_y <phi_x|chi_y|phi_x>; rows sum to 1.
 
-    The overlaps come from one :func:`core.overlaps` matmul.
+    The overlaps come from one :func:`core.overlaps` matmul. The oracle forms this
+    dense (n, m) array only for its small support; the grid is priced by
+    :class:`_GridPricing`, which never forms it.
     """
     ov = overlaps(states, eset.ops)
     return np.clip(eset.dim * eset.weights[None, :] * ov, 0.0, None)
+
+
+class _GridPricing:
+    """The grid channel P_xy = max(d q_y <phi_x|chi_y|phi_x>, 0) of a POVM, never formed.
+
+    Every linear term of P is one d x d operator: P v = <phi_x|B_v|phi_x> with
+    B_v = sum_y d q_y v_y chi_y (the clip only removes rounding below 0), so it costs one
+    (n, 2d^2) matvec over the interleaved (re, im) view of the grid's projectors, built once
+    as in :func:`core.overlaps`. The one nonlinear term, the row terms H_x = sum_y P ln P,
+    is computed once, in row blocks of about ``GRID_BLOCK`` entries that stay in cache;
+    P is floored at the smallest normal float there, which adds at most m * 1.6e-305.
+    """
+
+    def __init__(self, eset: WeightedElementSet, states: np.ndarray):
+        n, d = states.shape
+        m = len(eset.weights)
+        self.a = d * eset.weights
+        self.ops = np.ascontiguousarray(eset.ops).reshape(m, d * d)
+        self.proj = np.ascontiguousarray(
+            (states[:, :, None] * states.conj()[:, None, :]).reshape(n, d * d)).view(float)
+        ops_t = self.ops.view(float).T
+        rows = min(n, max(1, GRID_BLOCK // m))
+        p_buf, lnp_buf = np.empty((rows, m)), np.empty((rows, m))
+        self.row_terms = np.empty(n)
+        for lo in range(0, n, rows):
+            block = self.proj[lo:lo + rows]
+            p = np.matmul(block, ops_t, out=p_buf[:len(block)])
+            p *= self.a
+            np.maximum(p, np.finfo(float).tiny, out=p)
+            lnp = np.log(p, out=lnp_buf[:len(block)])
+            self.row_terms[lo:lo + len(block)] = np.einsum("xy,xy->x", p, lnp)
+
+    def flat_rate(self) -> float:
+        """I(r) of the flat prior r over the grid: mean_x H_x - out . ln out, where
+        out = r P = d q_y <chi_y, mean_x |phi_x><phi_x|> is linear too."""
+        out = np.maximum(self.a * (self.ops.view(float) @ self.proj.mean(axis=0)), 0.0)
+        return float(self.row_terms.mean() - out @ _masked_log(out))
+
+    def prices(self, lnout: np.ndarray) -> np.ndarray:
+        """D(p(.|phi_x) || out) = H_x - P_x . ln out at every grid state.
+
+        Against ln q, the maximally mixed input's output, this is the KL objective
+        ln d - d sum_y q_y eta(<phi_x|chi_y|phi_x>), because sum_y d q_y chi_y = 1.
+        """
+        return self.row_terms - self.proj @ ((self.a * lnout) @ self.ops).view(float)
 
 
 @dataclass(frozen=True)
@@ -183,14 +236,19 @@ def _ascent_terms(z: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):
     """F at each row of the (K, d) stack z and its gradient there; see :func:`_ascend`."""
     k, d = z.shape
     norm2 = np.einsum("ki,ki->k", z, z.conj()).real
-    x = np.maximum(overlaps(z, ops) / norm2[:, None], np.finfo(float).tiny)  # (K, m)
-    lnx = np.log(x)
-    g = a * (lnx + 1.0) + b
+    x = overlaps(z, ops)  # (K, m)
+    x /= norm2[:, None]
+    np.maximum(x, np.finfo(float).tiny, out=x)
+    g = np.log(x)
+    g *= a
+    g += b
+    vals = np.einsum("ky,ky->k", x, g)  # F = sum_y x_y (a_y ln x_y + b_y)
+    g += a  # g = a (ln x + 1) + b
     # B_k = sum_y g_ky chi_y from the (re, im) view of the operators, as in core.overlaps
     bk = (g @ np.ascontiguousarray(ops).reshape(len(a), -1).view(float)).view(complex)
     bz = np.einsum("kij,kj->ki", bk.reshape(k, d, d), z)
     grad = (2.0 / norm2)[:, None] * (bz - np.einsum("ky,ky->k", g, x)[:, None] * z)
-    return (x * lnx) @ a + x @ b, grad
+    return vals, grad
 
 
 def _ascent_objective(v: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -223,20 +281,22 @@ def _ascend(ops: np.ndarray, a: np.ndarray, b: np.ndarray, phis: np.ndarray):
 
 
 def kl_maximize(eset: WeightedElementSet, grid: StateGrid) -> tuple[float, np.ndarray]:
-    """Grid search (one :func:`core.overlaps` matmul) plus local refinement of
-    kl_objective.
+    """Grid search plus local refinement of kl_objective.
 
-    Each grid value within ``KL_CANDIDATE_WINDOW`` of the best (at most 64)
+    The grid values are D(p(.|phi) || q), the prices :func:`informational_power`
+    starts from, computed by the same :class:`_GridPricing` without forming the
+    grid channel. Each grid value within ``KL_CANDIDATE_WINDOW`` of the best (at most 64)
     starts an ascent; one stacked L-BFGS solve (:func:`_ascend`, b = 0) climbs
     them all, and each is scored ln d + F from its value there. Returns the
     refined maximum and every refined candidate within 1e-8 of it
     (deduplicated by projector overlap); those states feed the convex
     tightness check of the oracle.
     """
+    if eset.role != "povm":
+        raise ValueError("kl_maximize expects a POVM-role set")
     if eset.dim != grid.dim:
         raise ValueError("grid and element set dimensions differ")
-    ov = overlaps(grid.states, eset.ops)
-    vals = math.log(eset.dim) - eset.dim * (eta_array(ov) @ eset.weights)
+    vals = _GridPricing(eset, grid.states).prices(_masked_log(eset.weights))
     order = np.argsort(vals)[::-1]
     n_cand = min(64, len(order))
     cutoff = vals[order[0]] - KL_CANDIDATE_WINDOW
@@ -270,9 +330,11 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
     """Maximize mutual information by column generation, with the grid as the pricing set.
 
     Capacity is max_r I(r) = min_q max_phi D(p(.|phi) || q) (Csiszar-Korner), so
-    one matvec prices every grid state against an output q, and the largest
-    price bounds the grid's capacity. The value starts as the flat grid prior's
-    rate, and the first q is the maximally mixed input's output. Each round
+    the largest price of a grid state against an output q bounds the grid's
+    capacity. :class:`_GridPricing` prices every grid state with one d x d
+    operator per q, after one blocked pass for the row terms sum_y p ln p; the
+    (n, m) grid channel is never formed. The value starts as the flat grid
+    prior's rate, and the first q is the maximally mixed input's output. Each round
     climbs from the top max(32, d^2) grid states by one stacked L-BFGS ascent
     of D(p(.|phi) || q) (:func:`_ascend`); climbs that end above value + tol
     join the support, whose capacity a small convex solve, warm-started from
@@ -297,12 +359,11 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
     if eset.dim != grid.dim:
         raise ValueError("grid and element set dimensions differ")
     d = eset.dim
-    channel = povm_channel(eset, grid.states)
-    row_terms = np.einsum("xy,xy->x", channel, _masked_log(channel))
-    states, prior = grid.states, np.full(len(channel), 1.0 / len(channel))
-    value = float(prior @ (row_terms - channel @ _masked_log(prior @ channel)))
+    pricing = _GridPricing(eset, grid.states)
+    states, prior = grid.states, np.full(len(grid.states), 1.0 / len(grid.states))
+    value = pricing.flat_rate()
     lnout = _masked_log(eset.weights)  # the maximally mixed input's output (unit-trace ops)
-    priced = row_terms - channel @ lnout
+    priced = pricing.prices(lnout)
     bracket = max(float(priced.max()) - value, 0.0)
 
     refine_tol = min(tol, REFINE_TOL)
@@ -329,7 +390,7 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
         value, bracket = res.capacity, res.bracket_width
         # floored: an outcome the support never reaches prices the states reaching it high
         lnout = np.log(np.maximum(prior @ sub[keep], np.finfo(float).tiny))
-        priced = row_terms - channel @ lnout
+        priced = pricing.prices(lnout)
 
     sigma = np.einsum("x,xi,xj->ij", prior, states, states.conj())
     tight_res = _identity_hull_residual(states, d)

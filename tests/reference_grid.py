@@ -1,0 +1,41 @@
+"""Dense reference for the oracle's grid phase: the whole (n, m) grid channel.
+
+`tdesigncap.oracle` never forms the channel P_xy = max(d q_y <phi_x|chi_y|phi_x>, 0)
+of its state grid: it prices the grid with one d x d operator per output and one
+blocked pass for the row terms. The tests keep the dense construction that the
+oracle used before, so that the two can be compared: `povm_channel` over the
+whole grid, its row terms sum_y P ln P, the flat grid prior's rate, the first
+prices against the maximally mixed input's output q, and the KL objective's grid
+values ln d - d sum_y q_y eta(<phi_x|chi_y|phi_x>).
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from tdesigncap.core import eta_array, overlaps
+from tdesigncap.oracle import _masked_log, povm_channel
+
+
+@dataclass(frozen=True)
+class DenseGridPhase:
+    channel: np.ndarray  # (n, m) P_xy
+    row_terms: np.ndarray  # sum_y P ln P per grid state
+    flat_rate: float  # I(r) of the flat prior over the grid
+    first_prices: np.ndarray  # D(p(.|phi_x) || q) against the maximally mixed input's output
+    kl_values: np.ndarray  # kl_objective at every grid state
+
+    def prices(self, lnout: np.ndarray) -> np.ndarray:
+        return self.row_terms - self.channel @ lnout
+
+
+def dense_grid_phase(eset, states: np.ndarray) -> DenseGridPhase:
+    channel = povm_channel(eset, states)
+    row_terms = np.einsum("xy,xy->x", channel, _masked_log(channel))
+    prior = np.full(len(channel), 1.0 / len(channel))
+    flat_rate = float(prior @ (row_terms - channel @ _masked_log(prior @ channel)))
+    first_prices = row_terms - channel @ _masked_log(eset.weights)
+    ov = overlaps(states, eset.ops)
+    kl_values = math.log(eset.dim) - eset.dim * (eta_array(ov) @ eset.weights)
+    return DenseGridPhase(channel, row_terms, flat_rate, first_prices, kl_values)

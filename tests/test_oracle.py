@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from tdesigncap.oracle import StateGrid, fibonacci_bloch_states
 
 from reference_ascent import ascend_per_start, kl_maximize_reference
 from reference_blahut_arimoto import blahut_arimoto
+from reference_grid import dense_grid_phase
 
 
 def _seeded_d8_grid(family):
@@ -135,6 +137,12 @@ class TestKlMaximize:
         # the argmax states are the antipodes of the SIC states
         overlaps = np.einsum("ai,xij,aj->ax", argmax.conj(), qubit_sic.ops, argmax).real
         assert np.allclose(np.sort(overlaps, axis=1)[:, 0], 0.0, atol=1e-6)
+
+    def test_requires_povm_role(self, qubit_grid):
+        # the grid values are D(p(.|phi) || q) only when sum_y d q_y chi_y = 1
+        ens = pure_ensemble(2, np.eye(2, dtype=complex), role="ensemble")
+        with pytest.raises(ValueError, match="POVM-role"):
+            kl_maximize(ens, qubit_grid)
 
     def test_flat_povm(self, qubit_sic, qubit_grid):
         val, argmax = kl_maximize(depolarize(qubit_sic, 0.0), qubit_grid)
@@ -254,6 +262,77 @@ class TestOneSolvePerStack:
             before = lbfgs_calls()
             res = informational_power(povm, grid, tol=1e-6)
             assert 1 <= lbfgs_calls() - before <= res.refinement_rounds + 1
+
+
+CATALOG_FAMILIES = [("qubit_sic", None), ("qubit_mub", None), ("icosahedron", None),
+                    ("qutrit_sic", None), ("qutrit_mub", None), ("hoggar_sic", None),
+                    ("anti_sic", 2), ("anti_sic", 3), ("anti_sic", 8)]
+
+
+class TestGridPricing:
+    """The blocked, channel-free grid phase against the dense one of tests/reference_grid.py."""
+
+    @staticmethod
+    def _check_against_dense(eset, states):
+        ref = dense_grid_phase(eset, states)
+        pricing = oracle._GridPricing(eset, states)
+        assert np.abs(pricing.row_terms - ref.row_terms).max() <= 1e-12
+        assert pricing.flat_rate() == pytest.approx(ref.flat_rate, abs=1e-12)
+        first = pricing.prices(oracle._masked_log(eset.weights))
+        assert np.abs(first - ref.first_prices).max() <= 1e-12
+        assert np.abs(first - ref.kl_values).max() <= 1e-12
+        # repricing against a support's output, floored where the support reaches no outcome
+        for support in (states[:1], states[:3]):
+            out = np.full(len(support), 1 / len(support)) @ oracle.povm_channel(eset, support)
+            lnout = np.log(np.maximum(out, np.finfo(float).tiny))
+            assert np.abs(pricing.prices(lnout) - ref.prices(lnout)).max() <= 1e-12
+
+    @pytest.mark.parametrize("block", [oracle.GRID_BLOCK, 1000])
+    @pytest.mark.parametrize("family,dim", CATALOG_FAMILIES)
+    def test_catalog_matches_dense(self, family, dim, block, qubit_grid, monkeypatch):
+        # rank-one elements at lambda = 1 give overlaps of exactly 0 or slightly below: the clip
+        monkeypatch.setattr(oracle, "GRID_BLOCK", block)
+        base = build(DesignSpec(family, 1.0, 0.0, dim))
+        grid = {2: qubit_grid, 3: default_grid(3, seed=2016, resolution=2000),
+                8: _seeded_d8_grid("hoggar_sic")}[base.dim]
+        for lam in (0.5, 1.0):
+            self._check_against_dense(depolarize(base, lam), grid.states)
+
+    @pytest.mark.parametrize("lam", [0.4, 1.0])
+    def test_uniform_matches_dense(self, lam):
+        # 1000 rows of 2048 outcomes: 31 full row blocks and a partial one
+        povm = depolarize(discretized_uniform_povm(2, seed=2016), lam)
+        self._check_against_dense(povm, default_grid(2, seed=2016, resolution=1000).states)
+
+    def test_kl_values_are_first_prices(self, qubit_sic, qubit_grid, monkeypatch):
+        priced = []
+        real = oracle._GridPricing.prices
+
+        def recorded(self, lnout):
+            priced.append(real(self, lnout))
+            return priced[-1]
+
+        monkeypatch.setattr(oracle._GridPricing, "prices", recorded)
+        povm = depolarize(qubit_sic, 0.5)
+        kl_maximize(povm, qubit_grid)
+        informational_power(povm, qubit_grid, tol=1e-6)
+        assert len(priced) >= 2
+        assert np.array_equal(priced[0], priced[1])
+        ref = dense_grid_phase(povm, qubit_grid.states)
+        assert np.abs(priced[0] - ref.kl_values).max() <= 1e-12
+
+    def test_peak_memory_below_one_grid_channel(self):
+        # one (4096, 2048) float array is 64 MB; the dense grid phase peaked at 136-192 MB
+        povm = depolarize(discretized_uniform_povm(2, seed=2016), 0.4)
+        grid = default_grid(2, 2016)
+        for solve in (informational_power, kl_maximize):
+            tracemalloc.start()
+            try:
+                solve(povm, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2 ** 20, solve.__name__
 
 
 class TestInformationalPower:

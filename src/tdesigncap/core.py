@@ -109,17 +109,23 @@ def haar_random_states(dim: int, count: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
+def projector_view(states: np.ndarray) -> np.ndarray:
+    """The interleaved (re, im) view of A_ij = phi_i conj(phi_j) per state row, (n, 2 d^2)."""
+    states = np.asarray(states, dtype=complex)
+    n, d = states.shape
+    a = (states[:, :, None] * states.conj()[:, None, :]).reshape(n, d * d)
+    return np.ascontiguousarray(a).view(float)
+
+
 def overlaps(states: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """<phi_x|chi_y|phi_x> for every state row and operator, (n, m) real.
 
     With A_ij = phi_i conj(phi_j) this is Re sum_ij conj(A_ij) chi_ij, one real
     matmul of the interleaved (re, im) views: no complex (n, m) temporary.
     """
-    states = np.asarray(states, dtype=complex)
-    n, d = states.shape
-    a = np.ascontiguousarray((states[:, :, None] * states.conj()[:, None, :]).reshape(n, d * d))
+    d = np.shape(states)[1]
     b = np.ascontiguousarray(np.reshape(ops, (-1, d * d)), dtype=complex)
-    return a.view(float) @ b.view(float).T
+    return projector_view(states) @ b.view(float).T
 
 
 @dataclass(frozen=True)

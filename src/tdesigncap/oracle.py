@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import WeightedElementSet, eta_array, haar_random_states, overlaps
+from .core import WeightedElementSet, eta_array, haar_random_states, overlaps, projector_view
 
 DEFAULT_GRID_SIZES = {2: 4096, 3: 20000, 8: 60000}
 TIGHTNESS_RESIDUAL_TOL = 1e-6
@@ -103,10 +103,10 @@ class _GridPricing:
 
     Every linear term of P is one d x d operator: P v = <phi_x|B_v|phi_x> with
     B_v = sum_y d q_y v_y chi_y (the clip only removes rounding below 0), so it costs one
-    (n, 2d^2) matvec over the interleaved (re, im) view of the grid's projectors, built once
-    as in :func:`core.overlaps`. The one nonlinear term, the row terms H_x = sum_y P ln P,
-    is computed once, in row blocks of about ``GRID_BLOCK`` entries that stay in cache;
-    P is floored at the smallest normal float there, which adds at most m * 1.6e-305.
+    (n, 2d^2) matvec over the grid's :func:`core.projector_view`, built once. The one
+    nonlinear term, the row terms H_x = sum_y P ln P, is computed once, in row blocks of
+    about ``GRID_BLOCK`` entries that stay in cache; P is floored at the smallest normal
+    float there, which adds at most m * 1.6e-305.
     """
 
     def __init__(self, eset: WeightedElementSet, states: np.ndarray):
@@ -114,8 +114,7 @@ class _GridPricing:
         m = len(eset.weights)
         self.a = d * eset.weights
         self.ops = np.ascontiguousarray(eset.ops).reshape(m, d * d)
-        self.proj = np.ascontiguousarray(
-            (states[:, :, None] * states.conj()[:, None, :]).reshape(n, d * d)).view(float)
+        self.proj = projector_view(states)
         ops_t = self.ops.view(float).T
         rows = min(n, max(1, GRID_BLOCK // m))
         p_buf, lnp_buf = np.empty((rows, m)), np.empty((rows, m))

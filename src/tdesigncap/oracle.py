@@ -239,10 +239,10 @@ def _ascent_terms(z: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):
     x /= norm2[:, None]
     np.maximum(x, np.finfo(float).tiny, out=x)
     g = np.log(x)
+    vals = (x * g) @ a + x @ b
+    g += 1.0
     g *= a
-    g += b
-    vals = np.einsum("ky,ky->k", x, g)  # F = sum_y x_y (a_y ln x_y + b_y)
-    g += a  # g = a (ln x + 1) + b
+    g += b  # g = a (ln x + 1) + b
     # B_k = sum_y g_ky chi_y from the (re, im) view of the operators, as in core.overlaps
     bk = (g @ np.ascontiguousarray(ops).reshape(len(a), -1).view(float)).view(complex)
     bz = np.einsum("kij,kj->ki", bk.reshape(k, d, d), z)

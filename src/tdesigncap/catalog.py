@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import product
 
 import numpy as np
 
@@ -175,19 +174,19 @@ def qutrit_mub_states() -> np.ndarray:
 HOGGAR_FIDUCIAL = np.array([-1 + 2j, 1, 1, 1, 1, 1, 1, 1], dtype=complex) / math.sqrt(12)
 
 
-def _three_qubit_displacements() -> list[np.ndarray]:
+def _three_qubit_displacements() -> np.ndarray:
+    """The 64 Kronecker products of three single-qubit X^a Z^b, (64, 8, 8).
+
+    The first qubit's (a, b) varies slowest; every entry is 0 or +-1.
+    """
     X = np.array([[0, 1], [1, 0]], dtype=complex)
     Z = np.array([[1, 0], [0, -1]], dtype=complex)
-    singles = {(a, b): np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, b)
-               for a in (0, 1) for b in (0, 1)}
-    ops = []
-    for key in product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=3):
-        ops.append(np.kron(np.kron(singles[key[0]], singles[key[1]]), singles[key[2]]))
-    return ops
+    singles = np.array([np.eye(2), Z, X, X @ Z], dtype=complex)
+    return np.einsum("aij,bkl,cmn->abcikmjln", singles, singles, singles).reshape(64, 8, 8)
 
 
 def hoggar_states(fiducial: np.ndarray = HOGGAR_FIDUCIAL) -> np.ndarray:
-    states = np.array([D @ fiducial for D in _three_qubit_displacements()])
+    states = _three_qubit_displacements() @ fiducial
     _check_sic_orbit(states, "Hoggar SIC")
     return states
 
@@ -198,7 +197,7 @@ def hoggar_dual_states() -> np.ndarray:
     Each twin state is orthogonal to 28 Hoggar lines and has squared overlap
     2/9 with the remaining 36; this is verified on construction.
     """
-    duals = np.array([D @ HOGGAR_FIDUCIAL.conj() for D in _three_qubit_displacements()])
+    duals = _three_qubit_displacements() @ HOGGAR_FIDUCIAL.conj()
     ov = np.abs(duals[0] @ hoggar_states().conj().T) ** 2
     n0 = int(np.sum(ov < 1e-10))
     n1 = int(np.sum(np.abs(ov - 2 / 9) < 1e-10))
@@ -262,7 +261,9 @@ def depolarize(eset: WeightedElementSet, lam: float) -> WeightedElementSet:
     """Apply chi -> lam chi + (1 - lam) 1/d to every unit-trace element.
 
     Weights (and POVM completeness) are unchanged; lam must lie in the
-    admissible interval of the set or positivity fails.
+    admissible interval of the set or positivity fails. The interval comes
+    from the input's stored spectrum, so the one diagonalisation is the
+    output's own validation: its spectrum is measured, not derived.
     """
     interval = admissible_lambda(eset)
     if not interval.contains(lam):
@@ -276,14 +277,14 @@ def depolarize(eset: WeightedElementSet, lam: float) -> WeightedElementSet:
 def admissible_lambda(eset: WeightedElementSet) -> AdmissibleInterval:
     """[1/(1 - d a_max), 1/(1 - d a_min)] from the extreme element eigenvalues.
 
-    a_min below 1e-12 is treated as an exact 0, making the upper endpoint 1.
-    If every element is already 1/d both denominators vanish; the interval is
+    a_min and a_max are read from the set's stored spectrum. a_min below
+    1e-12 is treated as an exact 0, making the upper endpoint 1. If every
+    element is already 1/d both denominators vanish; the interval is
     clamped to +-1e12 and flagged.
     """
     d = eset.dim
-    eigs = np.linalg.eigvalsh(eset.ops)
-    a_max = float(eigs.max())
-    a_min = float(eigs.min())
+    a_max = float(eset.spectrum[:, -1].max())
+    a_min = float(eset.spectrum[:, 0].min())
     if a_min < 1e-12:
         a_min = 0.0
     big = 1e12
@@ -300,10 +301,11 @@ def admissible_lambda(eset: WeightedElementSet) -> AdmissibleInterval:
 def anti_design(eset: WeightedElementSet) -> WeightedElementSet:
     """Depolarize at the extreme negative endpoint 1/(1 - d a_max).
 
-    For rank-one input every output element is (1 - chi)/(d - 1).
+    a_max is read from the set's stored spectrum. For rank-one input every
+    output element is (1 - chi)/(d - 1).
     """
     d = eset.dim
-    a_max = float(np.linalg.eigvalsh(eset.ops).max())
+    a_max = float(eset.spectrum[:, -1].max())
     if 1.0 - d * a_max > -1e-12:
         raise LambdaRangeError(
             f"anti-design undefined: max element eigenvalue {a_max:.6g} <= 1/d")

@@ -136,6 +136,12 @@ class WeightedElementSet:
     probability p_x; a POVM-role set additionally satisfies
     d * sum_x p_x chi_x = identity, i.e. the effects are d * p_x * chi_x.
     Validation is batched over the elements and names the first offender.
+
+    ``spectrum`` is the read-only (n, d) array of each element's eigenvalues
+    in ascending order, the batched ``eigvalsh`` that the positivity check
+    computes. It is derived, never passed: every construction, including
+    :meth:`transposed` and ``dataclasses.replace``, diagonalises its own ops
+    once, and the moments and admissible interval read it from here.
     """
 
     dim: int
@@ -143,6 +149,7 @@ class WeightedElementSet:
     ops: np.ndarray
     role: Role = "design"
     label: str = field(default="", compare=False)
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = check_probability_vector(np.asarray(self.weights, dtype=float))
@@ -161,7 +168,8 @@ class WeightedElementSet:
         if np.abs(tr - 1.0).max() > TRACE_TOL:
             x = int(np.argmax(np.abs(tr - 1.0) > TRACE_TOL))
             raise ValueError(f"element {x} has trace {complex(tr[x])!r}, expected 1")
-        lo = np.linalg.eigvalsh(ops)[:, 0]
+        spectrum = np.linalg.eigvalsh(ops)
+        lo = spectrum[:, 0]
         if lo.min() < -POSITIVITY_TOL:
             x = int(np.argmax(lo < -POSITIVITY_TOL))
             raise ValueError(f"element {x} is not positive semidefinite:"
@@ -173,8 +181,10 @@ class WeightedElementSet:
                 raise ValueError(f"POVM completeness violated: |d avg - 1| = {dev:.3e}")
         weights.setflags(write=False)
         ops.setflags(write=False)
+        spectrum.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "spectrum", spectrum)
 
     def __len__(self) -> int:
         return self.ops.shape[0]

@@ -408,11 +408,22 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
 
 
 def _dedupe_states(states, tol: float = 1e-8) -> np.ndarray:
-    kept: list[np.ndarray] = []
-    for phi in states:
-        if not any(abs(np.vdot(phi, other)) ** 2 > 1 - tol for other in kept):
-            kept.append(phi)
-    return np.array(kept)
+    """The states in order, each dropped if |<kept|phi>|^2 > 1 - tol for an earlier kept one.
+
+    One Gram matrix of the (a few hundred) inputs decides every pair; the walk
+    keeps the first of each cluster and retires the rest of its row.
+    """
+    states = np.asarray(states)
+    if len(states) == 0:
+        return np.array([])
+    close = np.abs(states @ states.conj().T) ** 2 > 1 - tol
+    alive = np.ones(len(states), dtype=bool)
+    keep = np.zeros(len(states), dtype=bool)
+    for i in range(len(states)):
+        if alive[i]:
+            keep[i] = True
+            alive &= ~close[i]
+    return states[keep]
 
 
 def _identity_hull_residual(states: np.ndarray, d: int) -> float:

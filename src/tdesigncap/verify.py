@@ -67,13 +67,16 @@ class MomentVector:
 
 
 def moments(eset: WeightedElementSet, k_max: int) -> MomentVector:
-    """mu_k = sum_x p_x Tr[chi_x^k] for k = 1..k_max, via element eigenvalues."""
+    """mu_k = sum_x p_x Tr[chi_x^k] for k = 1..k_max, from the set's stored spectrum.
+
+    The eigenvalues are those the set's validation computed, so no element is
+    diagonalised again here.
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    eigs = np.linalg.eigvalsh(eset.ops)  # (n, d), ascending, real
     vals = []
     for k in range(1, k_max + 1):
-        vals.append(float(eset.weights @ (eigs ** k).sum(axis=1)))
+        vals.append(float(eset.weights @ (eset.spectrum ** k).sum(axis=1)))
     return MomentVector(values=tuple(vals), mu0=eset.dim)
 
 

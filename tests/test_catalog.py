@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from tdesigncap.catalog import (
     HOGGAR_FIDUCIAL,
     LambdaRangeError,
     UnsupportedFamilyError,
+    _three_qubit_displacements,
     design_strength,
+    hoggar_dual_states,
     hoggar_states,
     qutrit_sic_states,
     spec_from_json_dict,
@@ -125,6 +128,27 @@ class TestBuild:
         for eset in (qutrit_sic, hoggar):
             eigs = np.linalg.eigvalsh(eset.ops)
             assert np.abs(eigs - eigs[0]).max() < 1e-10
+
+
+def kron_displacements() -> list[np.ndarray]:
+    """The three-qubit displacements by np.kron, one qubit at a time (the reference)."""
+    X = np.array([[0, 1], [1, 0]], dtype=complex)
+    Z = np.array([[1, 0], [0, -1]], dtype=complex)
+    singles = {(a, b): np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, b)
+               for a in (0, 1) for b in (0, 1)}
+    return [np.kron(np.kron(singles[k[0]], singles[k[1]]), singles[k[2]])
+            for k in product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=3)]
+
+
+class TestHoggarOrbit:
+    def test_displacements_equal_kron_reference(self):
+        assert np.array_equal(_three_qubit_displacements(), np.array(kron_displacements()))
+
+    def test_orbits_equal_kron_reference(self):
+        ref = kron_displacements()
+        assert np.array_equal(hoggar_states(), np.array([D @ HOGGAR_FIDUCIAL for D in ref]))
+        assert np.array_equal(hoggar_dual_states(),
+                              np.array([D @ HOGGAR_FIDUCIAL.conj() for D in ref]))
 
 
 class TestDepolarize:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,10 @@ import pytest
 from tdesigncap import (
     DesignSpec,
     WeightedElementSet,
+    admissible_lambda,
+    anti_design,
     build,
+    certify,
     depolarize,
     eta,
     haar_random_state,
@@ -15,7 +19,9 @@ from tdesigncap import (
     pure_ensemble,
     relative_entropy,
 )
+from tdesigncap.catalog import qutrit_sic_states
 from tdesigncap.core import SupportViolationError, haar_random_states, overlaps
+from tdesigncap.verify import moments
 
 
 class TestEta:
@@ -221,6 +227,67 @@ class TestWeightedElementSet:
         povm = build(spec)
         ens = pure_ensemble(3, haar_random_states(3, 4, seed=3), weights=np.full(4, 0.25))
         assert pair_probability(ens, povm).sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """The argument shape of each np.linalg.eigvalsh call since the fixture was set up."""
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+class TestSpectrum:
+    """Each element set is diagonalised once, by its own validation."""
+
+    def test_construction_diagonalises_once(self, eigvalsh_calls):
+        eset = pure_ensemble(3, qutrit_sic_states(), role="povm")
+        assert len(eigvalsh_calls) == 1
+        WeightedElementSet(3, eset.weights, eset.ops, "povm")
+        assert len(eigvalsh_calls) == 2
+
+    def test_spectrum_is_validations_eigvalsh(self, hoggar):
+        eset = depolarize(hoggar, 0.5)
+        for s in (hoggar, eset, eset.transposed()):
+            assert s.spectrum.shape == (len(s), s.dim)
+            assert np.array_equal(s.spectrum, np.linalg.eigvalsh(s.ops))
+            with pytest.raises(ValueError):
+                s.spectrum[0, 0] = 0.0
+
+    def test_spectrum_is_not_an_argument(self, qubit_sic):
+        with pytest.raises(TypeError):
+            WeightedElementSet(2, qubit_sic.weights, qubit_sic.ops, "povm",
+                               spectrum=qubit_sic.spectrum)
+
+    @pytest.mark.parametrize("family,dim", [("qubit_sic", None), ("qutrit_sic", None),
+                                            ("anti_sic", 3), ("hoggar_sic", None)])
+    def test_consumers_read_the_stored_spectrum(self, family, dim, eigvalsh_calls):
+        eset = build(DesignSpec(family, 0.5, dim=dim))
+        eigvalsh_calls.clear()
+        admissible_lambda(eset)
+        moments(eset, 5)
+        certify(eset, 2)
+        assert eigvalsh_calls == []
+        for derive in (lambda s: depolarize(s, 0.5), anti_design):
+            eigvalsh_calls.clear()
+            derive(eset)  # its output's own validation
+            assert len(eigvalsh_calls) == 1
+
+    def test_derived_sets_diagonalise_their_own_ops(self, qutrit_sic, eigvalsh_calls):
+        eset = depolarize(qutrit_sic, 0.5)
+        for derive in (WeightedElementSet.transposed,
+                       lambda s: dataclasses.replace(s, label="relabelled")):
+            eigvalsh_calls.clear()
+            derived = derive(eset)
+            assert len(eigvalsh_calls) == 1
+            assert derived.spectrum is not eset.spectrum
+            assert np.array_equal(derived.spectrum, np.linalg.eigvalsh(derived.ops))
 
 
 class TestOverlaps:

@@ -335,6 +335,42 @@ class TestGridPricing:
             assert peak < 16 * 2 ** 20, solve.__name__
 
 
+def dedupe_states_pairwise(states, tol: float = 1e-8) -> np.ndarray:
+    """The pairwise loop: keep each state unless an earlier kept one is within tol (reference)."""
+    kept: list[np.ndarray] = []
+    for phi in states:
+        if not any(abs(np.vdot(phi, other)) ** 2 > 1 - tol for other in kept):
+            kept.append(phi)
+    return np.array(kept)
+
+
+class TestDedupeStates:
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-6])
+    def test_matches_pairwise_reference(self, dim, tol):
+        """Random states, each followed by near-duplicates of infidelity 1e-9 and 1e-7."""
+        rng = np.random.default_rng(dim)
+        base = haar_random_states(dim, 40, seed=dim)
+        states = []
+        for phi in base:
+            states.append(phi)
+            for infidelity in (1e-9, 1e-7):
+                v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                v -= np.vdot(phi, v) * phi
+                near = phi + math.sqrt(infidelity) * v / np.linalg.norm(v)
+                states.append(np.exp(2j * math.pi * rng.random()) * near / np.linalg.norm(near))
+        states = np.array(states)[rng.permutation(len(states))]
+        got = oracle._dedupe_states(states, tol)
+        assert np.array_equal(got, dedupe_states_pairwise(states, tol))
+        # the 1e-7 copies survive tol = 1e-8 and fall to tol = 1e-6
+        assert len(got) == (80 if tol == 1e-8 else 40)
+        assert np.array_equal(oracle._dedupe_states(list(states), tol), got)
+
+    def test_empty(self):
+        got, ref = oracle._dedupe_states([]), dedupe_states_pairwise([])
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+
+
 class TestInformationalPower:
     def test_basis_measurement(self, qubit_grid):
         basis = pure_ensemble(2, np.eye(2, dtype=complex), role="povm")

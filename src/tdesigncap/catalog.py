@@ -10,7 +10,7 @@ by closed-form code paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,7 +224,7 @@ _POVM_STATES = {"qubit_sic": SIC_STATES[2],
 def _base_povm(family: str, dim: int | None, fiducial_phase: float) -> WeightedElementSet:
     if family == "anti_sic":
         sic = pure_ensemble(dim, SIC_STATES[dim](fiducial_phase), role="povm")
-        return replace(anti_design(sic), label=f"anti_sic_{dim}")
+        return anti_design(sic, label=f"anti_sic_{dim}")
     if family not in _POVM_STATES:
         raise UnsupportedFamilyError(family)
     states = _POVM_STATES[family](fiducial_phase)
@@ -257,11 +257,13 @@ def build(spec: DesignSpec) -> WeightedElementSet:
     return depolarize(base, spec.lam)
 
 
-def depolarize(eset: WeightedElementSet, lam: float) -> WeightedElementSet:
+def depolarize(eset: WeightedElementSet, lam: float,
+               label: str | None = None) -> WeightedElementSet:
     """Apply chi -> lam chi + (1 - lam) 1/d to every unit-trace element.
 
     Weights (and POVM completeness) are unchanged; lam must lie in the
-    admissible interval of the set or positivity fails. The interval comes
+    admissible interval of the set or positivity fails. The output keeps the
+    input's label unless ``label`` is given. The interval comes
     from the input's stored spectrum, so the one diagonalisation is the
     output's own validation: its spectrum is measured, not derived.
     """
@@ -271,7 +273,8 @@ def depolarize(eset: WeightedElementSet, lam: float) -> WeightedElementSet:
             f"lambda={lam} outside admissible interval [{interval.lo:.6g}, {interval.hi:.6g}]")
     d = eset.dim
     ops = lam * eset.ops + (1.0 - lam) * np.eye(d) / d
-    return WeightedElementSet(d, eset.weights, ops, eset.role, eset.label)
+    return WeightedElementSet(d, eset.weights, ops, eset.role,
+                              eset.label if label is None else label)
 
 
 def admissible_lambda(eset: WeightedElementSet) -> AdmissibleInterval:
@@ -298,18 +301,19 @@ def admissible_lambda(eset: WeightedElementSet) -> AdmissibleInterval:
     return AdmissibleInterval(lo=lo, hi=hi, clamped=clamped)
 
 
-def anti_design(eset: WeightedElementSet) -> WeightedElementSet:
+def anti_design(eset: WeightedElementSet, label: str | None = None) -> WeightedElementSet:
     """Depolarize at the extreme negative endpoint 1/(1 - d a_max).
 
     a_max is read from the set's stored spectrum. For rank-one input every
-    output element is (1 - chi)/(d - 1).
+    output element is (1 - chi)/(d - 1). ``label`` names the output (default:
+    the input's), so relabelling needs no second validation.
     """
     d = eset.dim
     a_max = float(eset.spectrum[:, -1].max())
     if 1.0 - d * a_max > -1e-12:
         raise LambdaRangeError(
             f"anti-design undefined: max element eigenvalue {a_max:.6g} <= 1/d")
-    return depolarize(eset, 1.0 / (1.0 - d * a_max))
+    return depolarize(eset, 1.0 / (1.0 - d * a_max), label)
 
 
 def moments_of_depolarized(moments: list[float], lam: float, d: int) -> list[float]:

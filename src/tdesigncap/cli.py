@@ -10,6 +10,7 @@ tolerances relevant to the command. Sweeps emit CSV with the fixed header
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -310,7 +311,10 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write JSON/CSV to this file instead of stdout")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` leaves it unchanged, and
+    building it costs more than parsing (each ``add_argument`` makes a help formatter)."""
     parser = _Parser(prog="tdesigncap",
                      description="mixed t-design measurements and their capacity")
     parser.add_argument("--version", action="version", version=__version__)

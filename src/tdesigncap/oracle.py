@@ -6,8 +6,10 @@ its starts in one stacked L-BFGS solve.
 
 The grid is priced without forming its (n, m) channel: each linear term is one
 d x d operator applied to the grid's projectors, and the one nonlinear term,
-sum_y p ln p per grid state, is one pass in cache-sized row blocks, shared by
-every pricing round. The KL search starts from the same prices.
+sum_y p ln p per grid state, is one pass in cache-sized row blocks. That pass
+serves both searches of a (POVM, grid) pair: every pricing round of
+:func:`informational_power` and the KL search's starting prices. The stacked
+ascent evaluates its (K, m) overlaps in cache-sized row blocks too.
 
 The oracle lower-bounds capacity by construction (it exhibits an achievable
 ensemble); the KL route upper-bounds it. Together they bracket the closed
@@ -20,6 +22,7 @@ the package (and every analytic CLI path) does not pay for loading it.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +46,9 @@ class StateGrid:
 
     ``seeded`` counts candidate-optimizer states prepended to the sampled
     grid (used in d = 8, where blind sampling is too coarse to find the
-    optimizers on its own).
+    optimizers on its own). ``states`` is read-only, as an element set's arrays
+    are, so a grid keeps its content: the grid pricing's row terms are reused
+    for the same (element set, grid) pair on that promise.
     """
 
     dim: int
@@ -55,8 +60,11 @@ class StateGrid:
     def __post_init__(self):
         if self.resolution < 100:
             raise ValueError("state grids need at least 100 points")
-        if self.states.shape != (self.resolution + self.seeded, self.dim):
+        states = np.asarray(self.states, dtype=complex)
+        if states.shape != (self.resolution + self.seeded, self.dim):
             raise ValueError("states array shape mismatch")
+        states.setflags(write=False)
+        object.__setattr__(self, "states", states)
 
 
 def fibonacci_bloch_states(count: int) -> np.ndarray:
@@ -103,29 +111,44 @@ class _GridPricing:
 
     Every linear term of P is one d x d operator: P v = <phi_x|B_v|phi_x> with
     B_v = sum_y d q_y v_y chi_y (the clip only removes rounding below 0), so it costs one
-    (n, 2d^2) matvec over the grid's :func:`core.projector_view`, built once. The one
-    nonlinear term, the row terms H_x = sum_y P ln P, is computed once, in row blocks of
+    (n, 2d^2) matvec over the grid's :func:`core.projector_view`, built per pricing. The one
+    nonlinear term, the row terms H_x = sum_y P ln P, is one pass in row blocks of
     about ``GRID_BLOCK`` entries that stay in cache; P is floored at the smallest normal
-    float there, which adds at most m * 1.6e-305.
+    float there, which adds at most m * 1.6e-305. The pass runs once per (POVM, grid)
+    pair: the n-vector H of the last pair priced is kept, under weak references to the
+    pair, so the KL search after :func:`informational_power` (or the other way round)
+    reuses it, and neither the pair nor its projector view outlives its callers.
     """
 
-    def __init__(self, eset: WeightedElementSet, states: np.ndarray):
-        n, d = states.shape
+    _last: tuple = (None, None, None)  # (weakref to eset, weakref to grid, read-only H)
+
+    def __init__(self, eset: WeightedElementSet, grid: StateGrid):
         m = len(eset.weights)
-        self.a = d * eset.weights
-        self.ops = np.ascontiguousarray(eset.ops).reshape(m, d * d)
-        self.proj = projector_view(states)
+        self.a = grid.dim * eset.weights
+        self.ops = np.ascontiguousarray(eset.ops).reshape(m, grid.dim ** 2)
+        self.proj = projector_view(grid.states)
+        eset_ref, grid_ref, row_terms = _GridPricing._last
+        if eset_ref is None or eset_ref() is not eset or grid_ref() is not grid:
+            row_terms = self._row_term_pass()
+            row_terms.setflags(write=False)
+            _GridPricing._last = (weakref.ref(eset), weakref.ref(grid), row_terms)
+        self.row_terms = row_terms
+
+    def _row_term_pass(self) -> np.ndarray:
+        """H_x = sum_y P_xy ln P_xy for every grid row, in cache-sized row blocks."""
+        n, m = len(self.proj), len(self.a)
         ops_t = self.ops.view(float).T
         rows = min(n, max(1, GRID_BLOCK // m))
         p_buf, lnp_buf = np.empty((rows, m)), np.empty((rows, m))
-        self.row_terms = np.empty(n)
+        row_terms = np.empty(n)
         for lo in range(0, n, rows):
             block = self.proj[lo:lo + rows]
             p = np.matmul(block, ops_t, out=p_buf[:len(block)])
             p *= self.a
             np.maximum(p, np.finfo(float).tiny, out=p)
             lnp = np.log(p, out=lnp_buf[:len(block)])
-            self.row_terms[lo:lo + len(block)] = np.einsum("xy,xy->x", p, lnp)
+            row_terms[lo:lo + len(block)] = np.einsum("xy,xy->x", p, lnp)
+        return row_terms
 
     def flat_rate(self) -> float:
         """I(r) of the flat prior r over the grid: mean_x H_x - out . ln out, where
@@ -232,27 +255,50 @@ def kl_objective(eset: WeightedElementSet, phi: np.ndarray) -> float:
 
 
 def _ascent_terms(z: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """F at each row of the (K, d) stack z and its gradient there; see :func:`_ascend`."""
+    """F at each row of the (K, d) stack z and its gradient there; see :func:`_ascend`.
+
+    x, ln x, F and g . x are formed in row blocks of about ``GRID_BLOCK / 2`` entries,
+    so their few temporaries stay in cache for any K; g fills one (K, m) array, and B
+    comes from one matmul over the whole stack. A block is a multiple of 4 rows (2 when
+    m > GRID_BLOCK / 8): OpenBLAS then splits each block as it splits the whole stack,
+    and only a remainder block of 1 row rounds differently, by a few ulps.
+    """
     k, d = z.shape
+    m = len(a)
+    ops = np.ascontiguousarray(ops, dtype=complex).reshape(m, d * d).view(float)
+    proj = projector_view(z)  # x = proj @ ops^T, as in core.overlaps
     norm2 = np.einsum("ki,ki->k", z, z.conj()).real
-    x = overlaps(z, ops)  # (K, m)
-    x /= norm2[:, None]
-    np.maximum(x, np.finfo(float).tiny, out=x)
-    g = np.log(x)
-    vals = (x * g) @ a + x @ b
-    g += 1.0
-    g *= a
-    g += b  # g = a (ln x + 1) + b
-    # B_k = sum_y g_ky chi_y from the (re, im) view of the operators, as in core.overlaps
-    bk = (g @ np.ascontiguousarray(ops).reshape(len(a), -1).view(float)).view(complex)
+    rows = min(k, max(2, GRID_BLOCK // (2 * m) // 4 * 4))
+    x_buf, xg_buf = np.empty((rows, m)), np.empty((rows, m))
+    g = np.empty((k, m))
+    vals, gx = np.empty(k), np.empty(k)
+    for lo in range(0, k, rows):
+        hi = min(lo + rows, k)
+        x = np.matmul(proj[lo:hi], ops.T, out=x_buf[:hi - lo])
+        x /= norm2[lo:hi, None]
+        np.maximum(x, np.finfo(float).tiny, out=x)
+        gb = np.log(x, out=g[lo:hi])
+        vals[lo:hi] = np.multiply(x, gb, out=xg_buf[:hi - lo]) @ a + x @ b
+        gb += 1.0
+        gb *= a
+        gb += b  # g = a (ln x + 1) + b
+        gx[lo:hi] = np.einsum("ky,ky->k", gb, x)
+    # B_k = sum_y g_ky chi_y from the (re, im) view of the operators
+    bk = (g @ ops).view(complex)
     bz = np.einsum("kij,kj->ki", bk.reshape(k, d, d), z)
-    grad = (2.0 / norm2)[:, None] * (bz - np.einsum("ky,ky->k", g, x)[:, None] * z)
+    grad = (2.0 / norm2)[:, None] * (bz - gx[:, None] * z)
     return vals, grad
 
 
-def _ascent_objective(v: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """-sum_k F(phi_k) and its gradient at the interleaved (re, im) view v of a (K, d) stack."""
+def _ascent_objective(v: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray,
+                      last: list | None = None):
+    """-sum_k F(phi_k) and its gradient at the interleaved (re, im) view v of a (K, d) stack.
+
+    If ``last`` is given, it is set to [v, F at each row] of this evaluation.
+    """
     vals, grad = _ascent_terms(v.view(complex).reshape(-1, ops.shape[-1]), ops, a, b)
+    if last is not None:
+        last[:] = [v.copy(), vals]
     return -float(vals.sum()), -grad.view(float).ravel()
 
 
@@ -262,21 +308,24 @@ def _ascend(ops: np.ndarray, a: np.ndarray, b: np.ndarray, phis: np.ndarray):
 
     One L-BFGS on the separable sum sum_k F(phi_k) over (Re phi_k, Im phi_k) climbs all K
     starts, with the analytic gradient 2 / |phi|^2 (B phi - (g . x) phi), g = a (ln x + 1) + b
-    and B = sum_y g_y chi_y. Every x and every B of the stack come from one real matmul each
-    over the flattened operators. x is clamped at the smallest normal float before the log,
-    since an optimal state may have zero overlaps. The stopping rules are global: ftol
-    applies relative to |sum_k F|, and a failed line search ends every start. Returns the
-    (K, d) normalized maximizers, F at each and whether the stack stopped at
-    ``ASCENT_MAX_ITER``.
+    and B = sum_y g_y chi_y. The stack's x, ln x and g come in cache-sized row blocks, and
+    every B from one real matmul over the flattened operators (:func:`_ascent_terms`). x is
+    clamped at the smallest normal float before the log, since an optimal state may have
+    zero overlaps. The stopping rules are global: ftol applies relative to |sum_k F|, and
+    a failed line search ends every start. Returns the (K, d) normalized maximizers, F at
+    each and whether the stack stopped at ``ASCENT_MAX_ITER``. F is the solver's last
+    evaluation when that was at the returned point, so the stack is evaluated ``nfev``
+    times; after a failed line search, which returns an earlier iterate, once more.
     """
     from scipy.optimize import minimize
 
     v0 = np.ascontiguousarray(phis, dtype=complex).view(float).ravel()
-    res = minimize(_ascent_objective, v0, args=(ops, a, b), jac=True, method="L-BFGS-B",
+    last: list = []
+    res = minimize(_ascent_objective, v0, args=(ops, a, b, last), jac=True, method="L-BFGS-B",
                    options={"maxiter": ASCENT_MAX_ITER, "gtol": 1e-12, "ftol": 1e-15})
     z = res.x.view(complex).reshape(len(phis), -1)
-    return (z / np.linalg.norm(z, axis=1, keepdims=True), _ascent_terms(z, ops, a, b)[0],
-            res.status == 1)
+    vals = last[1] if np.array_equal(last[0], res.x) else _ascent_terms(z, ops, a, b)[0]
+    return z / np.linalg.norm(z, axis=1, keepdims=True), vals, res.status == 1
 
 
 def kl_maximize(eset: WeightedElementSet, grid: StateGrid) -> tuple[float, np.ndarray]:
@@ -284,7 +333,8 @@ def kl_maximize(eset: WeightedElementSet, grid: StateGrid) -> tuple[float, np.nd
 
     The grid values are D(p(.|phi) || q), the prices :func:`informational_power`
     starts from, computed by the same :class:`_GridPricing` without forming the
-    grid channel. Each grid value within ``KL_CANDIDATE_WINDOW`` of the best (at most 64)
+    grid channel; its row terms are reused when the same pair was just priced.
+    Each grid value within ``KL_CANDIDATE_WINDOW`` of the best (at most 64)
     starts an ascent; one stacked L-BFGS solve (:func:`_ascend`, b = 0) climbs
     them all, and each is scored ln d + F from its value there. Returns the
     refined maximum and every refined candidate within 1e-8 of it
@@ -295,7 +345,7 @@ def kl_maximize(eset: WeightedElementSet, grid: StateGrid) -> tuple[float, np.nd
         raise ValueError("kl_maximize expects a POVM-role set")
     if eset.dim != grid.dim:
         raise ValueError("grid and element set dimensions differ")
-    vals = _GridPricing(eset, grid.states).prices(_masked_log(eset.weights))
+    vals = _GridPricing(eset, grid).prices(_masked_log(eset.weights))
     order = np.argsort(vals)[::-1]
     n_cand = min(64, len(order))
     cutoff = vals[order[0]] - KL_CANDIDATE_WINDOW
@@ -331,9 +381,10 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
     Capacity is max_r I(r) = min_q max_phi D(p(.|phi) || q) (Csiszar-Korner), so
     the largest price of a grid state against an output q bounds the grid's
     capacity. :class:`_GridPricing` prices every grid state with one d x d
-    operator per q, after one blocked pass for the row terms sum_y p ln p; the
-    (n, m) grid channel is never formed. The value starts as the flat grid
-    prior's rate, and the first q is the maximally mixed input's output. Each round
+    operator per q, after one blocked pass for the row terms sum_y p ln p (shared
+    with :func:`kl_maximize` on the same pair); the (n, m) grid channel is never
+    formed. The value starts as the flat grid prior's rate, and the first q is
+    the maximally mixed input's output. Each round
     climbs from the top max(32, d^2) grid states by one stacked L-BFGS ascent
     of D(p(.|phi) || q) (:func:`_ascend`); climbs that end above value + tol
     join the support, whose capacity a small convex solve, warm-started from
@@ -358,7 +409,7 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
     if eset.dim != grid.dim:
         raise ValueError("grid and element set dimensions differ")
     d = eset.dim
-    pricing = _GridPricing(eset, grid.states)
+    pricing = _GridPricing(eset, grid)
     states, prior = grid.states, np.full(len(grid.states), 1.0 / len(grid.states))
     value = pricing.flat_rate()
     lnout = _masked_log(eset.weights)  # the maximally mixed input's output (unit-trace ops)

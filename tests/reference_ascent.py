@@ -4,7 +4,8 @@
 the whole stack of starts, with an analytic gradient. The tests keep the two
 searches it replaced, so that each can be compared with it on the same grid
 and starts: the step-halving coordinate ascent, which uses objective values
-only, and one L-BFGS ascent per start.
+only, and one L-BFGS ascent per start. They also keep the one-pass form of
+the ascent's objective, which the oracle now evaluates in row blocks.
 """
 
 import math
@@ -87,3 +88,21 @@ def ascend_per_start(ops, a, b, phis):
         values.append(-float(res.fun))
         capped.append(res.status == 1)
     return np.array(states), np.array(values), np.array(capped)
+
+
+def ascent_terms_one_pass(z: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """`oracle._ascent_terms` with every (K, m) temporary of the stack formed whole."""
+    k, d = z.shape
+    norm2 = np.einsum("ki,ki->k", z, z.conj()).real
+    x = overlaps(z, ops)  # (K, m)
+    x /= norm2[:, None]
+    np.maximum(x, np.finfo(float).tiny, out=x)
+    g = np.log(x)
+    vals = (x * g) @ a + x @ b
+    g += 1.0
+    g *= a
+    g += b  # g = a (ln x + 1) + b
+    bk = (g @ np.ascontiguousarray(ops).reshape(len(a), -1).view(float)).view(complex)
+    bz = np.einsum("kij,kj->ki", bk.reshape(k, d, d), z)
+    grad = (2.0 / norm2)[:, None] * (bz - np.einsum("ky,ky->k", g, x)[:, None] * z)
+    return vals, grad

@@ -1,10 +1,13 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from tdesigncap.cli import main
+from tdesigncap.cli import main, make_parser
 
 
 def run(capsys, *argv):
@@ -230,3 +233,32 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as exc:
             main(["sweep"])  # missing --families
         assert exc.value.code == 1
+
+
+class TestParserReuse:
+    """The parser is built once per process; each call still parses only its own argv."""
+
+    CALLS = [["bound", "--family", "icosahedron", "--lambda", "0.5", "--bits"],
+             ["capacity", "--family", "qubit_sic", "--lambda", "0.3"],
+             ["bound", "--family", "qubit_mub", "--t", "2"]]
+
+    @staticmethod
+    def _fresh_process(argv):
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("TDESIGN_SEED", None)
+        done = subprocess.run([sys.executable, "-m", "tdesigncap.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        return done.returncode, done.stdout
+
+    def test_built_once(self):
+        assert make_parser() is make_parser()
+
+    def test_calls_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.delenv("TDESIGN_SEED", raising=False)
+        in_process = [run(capsys, *argv)[:2] for argv in self.CALLS]
+        assert in_process == [self._fresh_process(argv) for argv in self.CALLS]
+        # flags of an earlier call do not leak into a later one
+        results = [json.loads(out)["result"] for _, out in in_process]
+        assert [r["units"] for r in results] == ["bits", "nats", "nats"]
+        assert [r["spec"]["lambda"] for r in results] == [0.5, 0.3, 1.0]

@@ -251,6 +251,10 @@ class TestSpectrum:
         assert len(eigvalsh_calls) == 1
         WeightedElementSet(3, eset.weights, eset.ops, "povm")
         assert len(eigvalsh_calls) == 2
+        for dim in (2, 3, 8):  # the SIC's validation and the anti-design's, labelled as made
+            eigvalsh_calls.clear()
+            assert build(DesignSpec("anti_sic", dim=dim)).label == f"anti_sic_{dim}"
+            assert len(eigvalsh_calls) == 2
 
     def test_spectrum_is_validations_eigvalsh(self, hoggar):
         eset = depolarize(hoggar, 0.5)

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from tdesigncap.closedform import ConvergenceError, optimal_ensemble
 from tdesigncap.core import haar_random_states
 from tdesigncap.oracle import StateGrid, fibonacci_bloch_states
 
-from reference_ascent import ascend_per_start, kl_maximize_reference
+from reference_ascent import ascend_per_start, ascent_terms_one_pass, kl_maximize_reference
 from reference_blahut_arimoto import blahut_arimoto
 from reference_grid import dense_grid_phase
 
@@ -106,6 +108,11 @@ class TestStateGrid:
         g = default_grid(2, seed=1, extra_states=extra, resolution=256)
         assert g.seeded == 2
         assert np.array_equal(g.states[:2], extra)
+
+    def test_states_are_read_only(self):
+        g = default_grid(3, seed=1, resolution=100)
+        with pytest.raises(ValueError):
+            g.states[0, 0] = 1.0
 
 
 class TestKlObjective:
@@ -234,6 +241,111 @@ class TestAscent:
             # a different one than its own solve does, in either direction: no per-start bound
 
 
+def _generic_ascent_operators(d: int, m: int):
+    """m depolarized rank-one operators and weights a with no symmetry: gradients of order 1."""
+    states = haar_random_states(d, m, seed=m + d)
+    ops = 0.6 * np.einsum("yi,yj->yij", states, states.conj()) + 0.4 * np.eye(d) / d
+    return ops, np.random.default_rng(m + d).uniform(0.5, 1.5, m) * d / m
+
+
+class TestBlockedAscentTerms:
+    """The row-blocked stack evaluation against the one-pass form of tests/reference_ascent.py."""
+
+    @pytest.mark.parametrize("block", [None, 512])  # the default, and 1-row remainders
+    @pytest.mark.parametrize("m", [4, 64, 2048, 3000])
+    @pytest.mark.parametrize("k", [1, 29, 33, 64])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_one_pass(self, d, k, m, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(oracle, "GRID_BLOCK", block)
+        ops, a = _generic_ascent_operators(d, m)
+        z = 1.7 * haar_random_states(d, k, seed=k + m)  # off the unit sphere
+        for b in (np.zeros_like(a), a * np.linspace(-1.0, 2.0, m)):  # KL and pricing forms
+            ref_vals, ref_grad = ascent_terms_one_pass(z, ops, a, b)
+            vals, grad = oracle._ascent_terms(z, ops, a, b)
+            assert np.abs(vals - ref_vals).max() <= 1e-13 * np.abs(ref_vals).max()
+            assert np.abs(grad - ref_grad).max() <= 1e-13 * np.abs(ref_grad).max()
+            if block is None and not (k == 33 and m >= 2048):
+                # one block, or blocks of a multiple of 4 rows: OpenBLAS rounds as for the
+                # whole stack; only a 1-row remainder (33 = 2 x 16 + 1 rows) rounds apart
+                assert np.array_equal(vals, ref_vals) and np.array_equal(grad, ref_grad)
+
+    def test_remainder_block_occurs(self, monkeypatch):
+        # the block sizes the parametrized test relies on
+        monkeypatch.setattr(oracle, "GRID_BLOCK", 512)
+        rows = []
+        real = np.matmul
+
+        def recorded(x, y, *args, **kwargs):
+            rows.append(np.shape(x)[0])
+            return real(x, y, *args, **kwargs)
+
+        ops, a = _generic_ascent_operators(2, 64)
+        monkeypatch.setattr(np, "matmul", recorded)
+        oracle._ascent_terms(haar_random_states(2, 33, seed=1), ops, a, np.zeros_like(a))
+        assert rows == [4] * 8 + [1]
+
+
+class TestAscendEvaluations:
+    """_ascend evaluates the stack once per solver evaluation, not once more at the end."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        import scipy.optimize
+
+        real_terms, real_minimize = oracle._ascent_terms, scipy.optimize.minimize
+        seen = {"terms": 0, "results": [], "real_terms": real_terms}
+
+        def terms(*args):
+            seen["terms"] += 1
+            return real_terms(*args)
+
+        def minimize(*args, **kwargs):
+            seen["results"].append(real_minimize(*args, **kwargs))
+            return seen["results"][-1]
+
+        monkeypatch.setattr(oracle, "_ascent_terms", terms)
+        monkeypatch.setattr(scipy.optimize, "minimize", minimize)
+        return seen
+
+    @pytest.mark.parametrize("family,dim,lam", [("qubit_sic", None, 0.5),
+                                                ("anti_sic", 3, 1.0), ("uniform", 2, 0.4)])
+    def test_calls_equal_nfev(self, family, dim, lam, counted):
+        base = (discretized_uniform_povm(2, seed=2016) if family == "uniform"
+                else build(DesignSpec(family, 1.0, 0.0, dim)))
+        eset = depolarize(base, lam)
+        a = eset.dim * eset.weights
+        starts = haar_random_states(eset.dim, 33, seed=5)
+        for b in (np.zeros_like(a), a * np.linspace(-0.5, 0.5, len(a))):
+            counted["terms"] = 0
+            states, vals, _ = oracle._ascend(eset.ops, a, b, starts)
+            res = counted["results"][-1]
+            assert counted["terms"] == res.nfev
+            z = res.x.view(complex).reshape(len(starts), -1)
+            assert np.array_equal(vals, counted["real_terms"](z, eset.ops, a, b)[0])
+            assert np.array_equal(states, z / np.linalg.norm(z, axis=1, keepdims=True))
+
+    def test_recomputes_at_an_earlier_iterate(self, counted, monkeypatch):
+        # a failed line search returns an iterate before the last evaluation
+        import scipy.optimize
+
+        real = scipy.optimize.minimize
+
+        def back_to_start(fun, x0, **kwargs):
+            res = real(fun, x0, **kwargs)
+            res.x = np.array(x0)
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "minimize", back_to_start)
+        eset = depolarize(build(DesignSpec("qutrit_sic", 1.0)), 0.5)
+        a, b = 3 * eset.weights, np.zeros(len(eset))
+        starts = haar_random_states(3, 8, seed=7)
+        counted["terms"] = 0
+        _, vals, _ = oracle._ascend(eset.ops, a, b, starts)
+        assert counted["terms"] == counted["results"][-1].nfev + 1
+        assert np.array_equal(vals, counted["real_terms"](starts, eset.ops, a, b)[0])
+
+
 class TestOneSolvePerStack:
     @pytest.fixture
     def lbfgs_calls(self, monkeypatch):
@@ -273,9 +385,10 @@ class TestGridPricing:
     """The blocked, channel-free grid phase against the dense one of tests/reference_grid.py."""
 
     @staticmethod
-    def _check_against_dense(eset, states):
+    def _check_against_dense(eset, grid):
+        states = grid.states
         ref = dense_grid_phase(eset, states)
-        pricing = oracle._GridPricing(eset, states)
+        pricing = oracle._GridPricing(eset, grid)
         assert np.abs(pricing.row_terms - ref.row_terms).max() <= 1e-12
         assert pricing.flat_rate() == pytest.approx(ref.flat_rate, abs=1e-12)
         first = pricing.prices(oracle._masked_log(eset.weights))
@@ -296,13 +409,13 @@ class TestGridPricing:
         grid = {2: qubit_grid, 3: default_grid(3, seed=2016, resolution=2000),
                 8: _seeded_d8_grid("hoggar_sic")}[base.dim]
         for lam in (0.5, 1.0):
-            self._check_against_dense(depolarize(base, lam), grid.states)
+            self._check_against_dense(depolarize(base, lam), grid)
 
     @pytest.mark.parametrize("lam", [0.4, 1.0])
     def test_uniform_matches_dense(self, lam):
         # 1000 rows of 2048 outcomes: 31 full row blocks and a partial one
         povm = depolarize(discretized_uniform_povm(2, seed=2016), lam)
-        self._check_against_dense(povm, default_grid(2, seed=2016, resolution=1000).states)
+        self._check_against_dense(povm, default_grid(2, seed=2016, resolution=1000))
 
     def test_kl_values_are_first_prices(self, qubit_sic, qubit_grid, monkeypatch):
         priced = []
@@ -333,6 +446,74 @@ class TestGridPricing:
             finally:
                 tracemalloc.stop()
             assert peak < 16 * 2 ** 20, solve.__name__
+
+
+class TestRowTermsMemo:
+    """One row-term pass per (POVM, grid) pair, held only under weak references."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        real = oracle._GridPricing._row_term_pass
+
+        def counted(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(oracle._GridPricing, "_row_term_pass", counted)
+        return calls
+
+    def test_kl_search_reuses_the_pricing_pass(self, passes):
+        povm = depolarize(discretized_uniform_povm(2, seed=2016), 0.4)
+        grid = default_grid(2, seed=2016, resolution=512)
+        res = informational_power(povm, grid, tol=1e-5)
+        kl, _ = kl_maximize(povm, grid)
+        assert len(passes) == 1
+        assert res.capacity_estimate <= kl + 1e-6
+        kl_maximize(povm, grid)
+        informational_power(povm, grid, tol=1e-5)
+        assert len(passes) == 1
+
+    def test_shared_terms_equal_a_fresh_pass(self, qubit_sic):
+        povm = depolarize(qubit_sic, 0.5)
+        grid = default_grid(2, seed=2016, resolution=300)
+        first = oracle._GridPricing(povm, grid)
+        again = oracle._GridPricing(povm, grid)
+        assert again.row_terms is first.row_terms
+        assert np.array_equal(first.row_terms, first._row_term_pass())
+        with pytest.raises(ValueError):
+            first.row_terms[0] = 0.0
+
+    def test_another_pair_recomputes(self, qubit_sic, passes):
+        povm = depolarize(qubit_sic, 0.5)
+        grid = default_grid(2, seed=2016, resolution=300)
+        oracle._GridPricing(povm, grid)
+        same_ops = depolarize(qubit_sic, 0.5)  # equal content, another object
+        oracle._GridPricing(same_ops, grid)
+        assert len(passes) == 2
+        oracle._GridPricing(same_ops, default_grid(2, seed=2016, resolution=300))
+        assert len(passes) == 3
+
+    def test_collected_set_recomputes(self, qubit_sic, passes):
+        grid = default_grid(2, seed=2016, resolution=300)
+        povm = depolarize(qubit_sic, 0.5)
+        kl_maximize(povm, grid)
+        ref = weakref.ref(povm)
+        del povm
+        gc.collect()
+        assert ref() is None  # the memo holds no strong reference
+        kl_maximize(depolarize(qubit_sic, 0.5), grid)
+        assert len(passes) == 2
+
+    def test_holds_neither_set_nor_grid(self, qubit_sic):
+        povm = depolarize(qubit_sic, 0.5)
+        grid = default_grid(2, seed=2016, resolution=300)
+        informational_power(povm, grid, tol=1e-5)
+        kl_maximize(povm, grid)
+        refs = [weakref.ref(povm), weakref.ref(grid)]
+        del povm, grid
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
 
 
 def dedupe_states_pairwise(states, tol: float = 1e-8) -> np.ndarray:

@@ -4,14 +4,15 @@
         [--workloads W1,W2] [--pairs 10] [--claim WORKLOAD:METRIC] [--note TEXT]
 
 Run it from the root of a git checkout. Each commit is exported with
-``git archive`` into DIR/parent and DIR/change, so the runs see exactly the
+``git archive`` into DIR/<commit hash>, so the runs see exactly the
 committed files. For each workload, pair i runs the benchmark command of
 BENCHMARK.json (``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0``, T its ``run_seconds``) in both copies, one after the other: the
 parent first in pairs 1, 3, ..., the change first in pairs 2, 4, .... Seeds
 are BASE_SEED[W] + 1 ... + pairs; one ``--trace 1`` pair follows at the next
-seed. Every run's last output line is appended to DIR/runs.jsonl, and a run
-found there is not repeated, so an interrupted session resumes.
+seed. Every run's last output line is appended to DIR/runs.jsonl, keyed by
+workload, seed, trace flag and commit, and a run found there is not
+repeated, so an interrupted session resumes.
 
 The summary holds, per workload and end-to-end metric, each side's median,
 inclusive quartiles and runs, the relative change of the medians and the
@@ -52,10 +53,11 @@ def rev(commit: str) -> str:
 
 
 class Runs:
-    """Benchmark runs by (workload, seed, trace, side), kept in a JSON-lines file."""
+    """Benchmark runs by (workload, seed, trace, commit), kept in a JSON-lines file."""
 
-    def __init__(self, path: str, roots: dict[str, str], bench: dict):
-        self.path, self.roots, self.bench = path, roots, bench
+    def __init__(self, path: str, commits: dict[str, str], workdir: str, bench: dict):
+        self.path, self.commits, self.bench = path, commits, bench
+        self.roots = {side: export(c, os.path.join(workdir, c)) for side, c in commits.items()}
         self.done = {}
         if os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
@@ -69,7 +71,7 @@ class Runs:
                 "--seconds", str(self.bench["run_seconds"]), "--trace", str(trace)]
 
     def get(self, workload: str, seed: int, trace: int, side: str) -> dict:
-        key = (workload, seed, trace, side)
+        key = (workload, seed, trace, self.commits[side])
         if key not in self.done:
             cmd = self.command(workload, seed, trace)
             print(f"{side}: {' '.join(cmd)}", file=sys.stderr, flush=True)
@@ -161,10 +163,10 @@ def main(argv=None) -> int:
 
     commits = {"parent": rev(args.parent), "change": rev(args.change)}
     os.makedirs(args.workdir, exist_ok=True)
-    roots = {side: export(commits[side], os.path.join(args.workdir, side)) for side in SIDES}
-    with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
+    change_root = export(commits["change"], os.path.join(args.workdir, commits["change"]))
+    with open(os.path.join(change_root, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    runs = Runs(os.path.join(args.workdir, "runs.jsonl"), roots, bench)
+    runs = Runs(os.path.join(args.workdir, "runs.jsonl"), commits, args.workdir, bench)
     workloads = args.workloads.split(",")
     e2e = {w: end_to_end(runs, w, args.pairs) for w in workloads}
     traced = {w: traced_pair(runs, w, args.pairs) for w in workloads}

@@ -48,7 +48,10 @@ class StateGrid:
     grid (used in d = 8, where blind sampling is too coarse to find the
     optimizers on its own). ``states`` is read-only, as an element set's arrays
     are, so a grid keeps its content: the grid pricing's row terms are reused
-    for the same (element set, grid) pair on that promise.
+    for the same (element set, grid) pair on that promise. A view is copied, so
+    no write through its base reaches the grid; an array that owns its data is
+    taken over as is (made read-only in place) and must not be changed, or made
+    writable again, through any other reference.
     """
 
     dim: int
@@ -61,6 +64,8 @@ class StateGrid:
         if self.resolution < 100:
             raise ValueError("state grids need at least 100 points")
         states = np.asarray(self.states, dtype=complex)
+        if states.base is not None:
+            states = states.copy()
         if states.shape != (self.resolution + self.seeded, self.dim):
             raise ValueError("states array shape mismatch")
         states.setflags(write=False)
@@ -290,15 +295,9 @@ def _ascent_terms(z: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):
     return vals, grad
 
 
-def _ascent_objective(v: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray,
-                      last: list | None = None):
-    """-sum_k F(phi_k) and its gradient at the interleaved (re, im) view v of a (K, d) stack.
-
-    If ``last`` is given, it is set to [v, F at each row] of this evaluation.
-    """
+def _ascent_objective(v: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """-sum_k F(phi_k) and its gradient at the interleaved (re, im) view v of a (K, d) stack."""
     vals, grad = _ascent_terms(v.view(complex).reshape(-1, ops.shape[-1]), ops, a, b)
-    if last is not None:
-        last[:] = [v.copy(), vals]
     return -float(vals.sum()), -grad.view(float).ravel()
 
 
@@ -320,8 +319,15 @@ def _ascend(ops: np.ndarray, a: np.ndarray, b: np.ndarray, phis: np.ndarray):
     from scipy.optimize import minimize
 
     v0 = np.ascontiguousarray(phis, dtype=complex).view(float).ravel()
-    last: list = []
-    res = minimize(_ascent_objective, v0, args=(ops, a, b, last), jac=True, method="L-BFGS-B",
+    last = None  # (v, F at each row) of the solver's last evaluation
+
+    def objective(v):
+        nonlocal last
+        vals, grad = _ascent_terms(v.view(complex).reshape(len(phis), -1), ops, a, b)
+        last = (v.copy(), vals)
+        return -float(vals.sum()), -grad.view(float).ravel()
+
+    res = minimize(objective, v0, jac=True, method="L-BFGS-B",
                    options={"maxiter": ASCENT_MAX_ITER, "gtol": 1e-12, "ftol": 1e-15})
     z = res.x.view(complex).reshape(len(phis), -1)
     vals = last[1] if np.array_equal(last[0], res.x) else _ascent_terms(z, ops, a, b)[0]

@@ -114,6 +114,15 @@ class TestStateGrid:
         with pytest.raises(ValueError):
             g.states[0, 0] = 1.0
 
+    def test_view_is_copied(self):
+        # a write through the base of a view must not change the grid
+        big = haar_random_states(3, 300, seed=5)
+        g = StateGrid(3, big[:200], "haar-sample", 200)
+        before = g.states.copy()
+        big[:] = 0.0
+        assert np.array_equal(g.states, before)
+        assert not g.states.flags.writeable
+
 
 class TestKlObjective:
     def test_flat_povm_is_zero(self, qubit_sic):

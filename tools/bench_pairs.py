@@ -1,16 +1,16 @@
 """Benchmark two commits in alternating pairs and write a BENCH_*.json summary.
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_prN.json --workdir DIR \
-        [--workloads W1,W2] [--pairs 10] [--claim WORKLOAD:METRIC] [--note TEXT]
+        [--claim WORKLOAD:METRIC] [--note TEXT]
 
 Run it from the root of a git checkout. Each commit is exported with
 ``git archive`` into DIR/<commit hash>, so the runs see exactly the
 committed files. For each workload, pair i runs the benchmark command of
 BENCHMARK.json (``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0``, T its ``run_seconds``) in both copies, one after the other: the
-parent first in pairs 1, 3, ..., the change first in pairs 2, 4, .... Seeds
-are BASE_SEED[W] + 1 ... + pairs; one ``--trace 1`` pair follows at the next
-seed. Every run's last output line is appended to DIR/runs.jsonl, keyed by
+parent first in pairs 1, 3, ..., the change first in pairs 2, 4, .... Every
+workload of BASE_SEED runs PAIRS pairs, at seeds BASE_SEED[W] + 1 ... + PAIRS;
+one ``--trace 1`` pair follows at the next seed. Every run's last output line is appended to DIR/runs.jsonl, keyed by
 workload, seed, trace flag and commit, and a run found there is not
 repeated, so an interrupted session resumes.
 
@@ -33,6 +33,7 @@ import tempfile
 
 BASE_SEED = {"oracle_sweep": 9300, "oracle_points": 9200, "analytic_sweep": 9000,
              "certify_matrix": 9100}
+PAIRS = 10
 SIDES = ("parent", "change")
 
 
@@ -94,8 +95,8 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def end_to_end(runs: Runs, workload: str, pairs: int) -> dict:
-    seeds = [BASE_SEED[workload] + i for i in range(1, pairs + 1)]
+def end_to_end(runs: Runs, workload: str) -> dict:
+    seeds = [BASE_SEED[workload] + i for i in range(1, PAIRS + 1)]
     order = {seed: SIDES if i % 2 == 0 else SIDES[::-1] for i, seed in enumerate(seeds)}
     results = {side: [] for side in SIDES}
     for seed in seeds:
@@ -111,7 +112,7 @@ def end_to_end(runs: Runs, workload: str, pairs: int) -> dict:
             "change_lower_in_pairs": sum(c < p for p, c in zip(vals["parent"], vals["change"])),
         }
     return {
-        "seeds": seeds, "pairs": pairs,
+        "seeds": seeds, "pairs": PAIRS,
         "commands": [" ".join(runs.command(workload, seed, 0)) for seed in seeds],
         "order": {str(seed): list(sides) for seed, sides in order.items()},
         "failed": {side: sum(r["failed"] for r in results[side]) for side in SIDES},
@@ -121,8 +122,8 @@ def end_to_end(runs: Runs, workload: str, pairs: int) -> dict:
     }
 
 
-def traced_pair(runs: Runs, workload: str, pairs: int) -> dict:
-    seed = BASE_SEED[workload] + pairs + 1
+def traced_pair(runs: Runs, workload: str) -> dict:
+    seed = BASE_SEED[workload] + PAIRS + 1
     res = {side: runs.get(workload, seed, 1, side)["metrics"] for side in SIDES}
     return {
         "seed": seed, "command": " ".join(runs.command(workload, seed, 1)),
@@ -154,9 +155,6 @@ def main(argv=None) -> int:
     p.add_argument("change")
     p.add_argument("--out", required=True, help="summary JSON to write")
     p.add_argument("--workdir", required=True, help="directory for the copies and runs.jsonl")
-    p.add_argument("--workloads", default=",".join(BASE_SEED),
-                   help="comma-separated workloads (default: all four)")
-    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims to improve")
     p.add_argument("--note", default="", help="what the change does, for the summary")
     args = p.parse_args(argv)
@@ -167,9 +165,8 @@ def main(argv=None) -> int:
     with open(os.path.join(change_root, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     runs = Runs(os.path.join(args.workdir, "runs.jsonl"), commits, args.workdir, bench)
-    workloads = args.workloads.split(",")
-    e2e = {w: end_to_end(runs, w, args.pairs) for w in workloads}
-    traced = {w: traced_pair(runs, w, args.pairs) for w in workloads}
+    e2e = {w: end_to_end(runs, w) for w in BASE_SEED}
+    traced = {w: traced_pair(runs, w) for w in BASE_SEED}
     claim = None
     if args.claim:
         workload, metric = args.claim.split(":")

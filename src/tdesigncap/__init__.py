@@ -52,7 +52,6 @@ from .oracle import (
     discretized_uniform_povm,
     informational_power,
     kl_maximize,
-    kl_objective,
 )
 
 __version__ = "0.1.0"
@@ -65,7 +64,7 @@ __all__ = [
     "default_grid", "depolarize", "design_strength", "discretized_uniform_povm",
     "eta", "gamma_empirical", "gamma_predicted", "haar_random_state",
     "hermite_interpolate", "hyp2f1_11", "informational_power", "kl_maximize",
-    "kl_objective", "moments", "moments_of_depolarized", "mutual_information",
-    "optimal_ensemble", "pair_probability", "pure_ensemble", "relative_entropy",
-    "uniform_capacity", "verify_below",
+    "moments", "moments_of_depolarized", "mutual_information", "optimal_ensemble",
+    "pair_probability", "pure_ensemble", "relative_entropy", "uniform_capacity",
+    "verify_below",
 ]

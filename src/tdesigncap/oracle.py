@@ -1,14 +1,14 @@
 """Brute-force capacity route: column generation over pure-state ensembles,
 priced on a state grid and refined off it by an L-BFGS ascent with analytic
 gradients, plus the KL upper-bound objective (maximized by the same ascent) and
-its tightness certificate. Each pricing round and each KL search climbs all of
-its starts in one stacked L-BFGS solve.
+its tightness certificate. Each pricing round climbs all of its starts in one
+stacked L-BFGS solve, in the KL form; the first round's climb is the KL search's.
 
 The grid is priced without forming its (n, m) channel: each linear term is one
 d x d operator applied to the grid's projectors, and the one nonlinear term,
-sum_y p ln p per grid state, is one pass in cache-sized row blocks. That pass
-serves both searches of a (POVM, grid) pair: every pricing round of
-:func:`informational_power` and the KL search's starting prices. The stacked
+sum_y p ln p per grid state, is one pass in cache-sized row blocks. That pass and
+the first climb run once per (POVM, grid) pair for both searches: every pricing
+round of :func:`informational_power`, and :func:`kl_maximize`. The stacked
 ascent evaluates its (K, m) overlaps in cache-sized row blocks too.
 
 The oracle lower-bounds capacity by construction (it exhibits an achievable
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import WeightedElementSet, eta_array, haar_random_states, overlaps, projector_view
+from .core import WeightedElementSet, haar_random_states, overlaps, projector_view
 
 DEFAULT_GRID_SIZES = {2: 4096, 3: 20000, 8: 60000}
 TIGHTNESS_RESIDUAL_TOL = 1e-6
@@ -120,24 +120,28 @@ class _GridPricing:
     nonlinear term, the row terms H_x = sum_y P ln P, is one pass in row blocks of
     about ``GRID_BLOCK`` entries that stay in cache; P is floored at the smallest normal
     float there, which adds at most m * 1.6e-305. The pass runs once per (POVM, grid)
-    pair: the n-vector H of the last pair priced is kept, under weak references to the
-    pair, so the KL search after :func:`informational_power` (or the other way round)
-    reuses it, and neither the pair nor its projector view outlives its callers.
+    pair, and so does the first pricing round's climb (:meth:`first_climb`): H and that
+    climb of the last pair are kept, under weak references to the pair, so the KL search
+    after :func:`informational_power` (or the other way round) reuses both, and neither
+    the pair nor its projector view outlives its callers.
     """
 
-    _last: tuple = (None, None, None)  # (weakref to eset, weakref to grid, read-only H)
+    _last: tuple = (None, None, None)  # (weakref to eset, weakref to grid, [H, first climb])
 
     def __init__(self, eset: WeightedElementSet, grid: StateGrid):
         m = len(eset.weights)
         self.a = grid.dim * eset.weights
+        self.lnq = _masked_log(eset.weights)  # the maximally mixed input's output (unit trace)
         self.ops = np.ascontiguousarray(eset.ops).reshape(m, grid.dim ** 2)
+        self.states = grid.states
         self.proj = projector_view(grid.states)
-        eset_ref, grid_ref, row_terms = _GridPricing._last
+        eset_ref, grid_ref, self._shared = _GridPricing._last
         if eset_ref is None or eset_ref() is not eset or grid_ref() is not grid:
             row_terms = self._row_term_pass()
             row_terms.setflags(write=False)
-            _GridPricing._last = (weakref.ref(eset), weakref.ref(grid), row_terms)
-        self.row_terms = row_terms
+            self._shared = [row_terms, None]
+            _GridPricing._last = (weakref.ref(eset), weakref.ref(grid), self._shared)
+        self.row_terms = self._shared[0]
 
     def _row_term_pass(self) -> np.ndarray:
         """H_x = sum_y P_xy ln P_xy for every grid row, in cache-sized row blocks."""
@@ -168,6 +172,22 @@ class _GridPricing:
         ln d - d sum_y q_y eta(<phi_x|chi_y|phi_x>), because sum_y d q_y chi_y = 1.
         """
         return self.row_terms - self.proj @ ((self.a * lnout) @ self.ops).view(float)
+
+    def first_climb(self):
+        """The first pricing round's climb, against q (b = 0), which is the KL search's, from
+        the longer of two prefixes of the descending first prices: the top max(32, d^2), and
+        the (at most 64) within ``KL_CANDIDATE_WINDOW`` of the best. Returns :func:`_ascend`'s
+        result, read-only, and the window prefix's length."""
+        if self._shared[1] is None:
+            first = self.prices(self.lnq)
+            order = np.argsort(first)[::-1]
+            window = int((first[order[:64]] >= first[order[0]] - KL_CANDIDATE_WINDOW).sum())
+            starts = self.states[order[:max(32, self.states.shape[1] ** 2, window)]]
+            climbed, vals, capped = _ascend(self.ops, self.a, np.zeros_like(self.a), starts)
+            for arr in (climbed, vals):
+                arr.setflags(write=False)
+            self._shared[1] = (climbed, vals, capped, window)
+        return self._shared[1]
 
 
 @dataclass(frozen=True)
@@ -252,13 +272,6 @@ def _masked_log(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # KL upper-bound objective and its maximizer search
 
-def kl_objective(eset: WeightedElementSet, phi: np.ndarray) -> float:
-    """ln d - d sum_y q_y eta(<phi|chi_y|phi>), the KL form of the capacity bound."""
-    phi = np.asarray(phi, dtype=complex).ravel()
-    ov = np.einsum("i,yij,j->y", phi.conj(), eset.ops, phi).real
-    return math.log(eset.dim) - eset.dim * float(eset.weights @ eta_array(ov))
-
-
 def _ascent_terms(z: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):
     """F at each row of the (K, d) stack z and its gradient there; see :func:`_ascend`.
 
@@ -311,10 +324,12 @@ def _ascend(ops: np.ndarray, a: np.ndarray, b: np.ndarray, phis: np.ndarray):
     every B from one real matmul over the flattened operators (:func:`_ascent_terms`). x is
     clamped at the smallest normal float before the log, since an optimal state may have
     zero overlaps. The stopping rules are global: ftol applies relative to |sum_k F|, and
-    a failed line search ends every start. Returns the (K, d) normalized maximizers, F at
-    each and whether the stack stopped at ``ASCENT_MAX_ITER``. F is the solver's last
-    evaluation when that was at the returned point, so the stack is evaluated ``nfev``
-    times; after a failed line search, which returns an earlier iterate, once more.
+    a failed line search ends every start. So the oracle climbs D(p(.|phi) || out) - ln d,
+    b = a (ln q - ln out), as sum_y a_y x_y = 1: D itself, b = a (ln a - ln out), is two
+    nearly cancelling O(1) sums whose rounding the relative ftol test would chase. Returns
+    the (K, d) normalized maximizers, F at each and whether the stack stopped at
+    ``ASCENT_MAX_ITER``. F is the solver's last evaluation when that was at the returned
+    point, so the stack is evaluated ``nfev`` times; once more after a failed line search.
     """
     from scipy.optimize import minimize
 
@@ -335,33 +350,25 @@ def _ascend(ops: np.ndarray, a: np.ndarray, b: np.ndarray, phis: np.ndarray):
 
 
 def kl_maximize(eset: WeightedElementSet, grid: StateGrid) -> tuple[float, np.ndarray]:
-    """Grid search plus local refinement of kl_objective.
+    """Grid search plus local refinement of ln d - d sum_y q_y eta(<phi|chi_y|phi>).
 
-    The grid values are D(p(.|phi) || q), the prices :func:`informational_power`
-    starts from, computed by the same :class:`_GridPricing` without forming the
-    grid channel; its row terms are reused when the same pair was just priced.
-    Each grid value within ``KL_CANDIDATE_WINDOW`` of the best (at most 64)
-    starts an ascent; one stacked L-BFGS solve (:func:`_ascend`, b = 0) climbs
-    them all, and each is scored ln d + F from its value there. Returns the
-    refined maximum and every refined candidate within 1e-8 of it
-    (deduplicated by projector overlap); those states feed the convex
+    That KL objective is D(p(.|phi) || q) = ln d + F (b = 0 in :func:`_ascend`), so it is
+    the first pricing round of :func:`informational_power`: the grid values are that
+    round's prices, and the refinement is its climb (:meth:`_GridPricing.first_climb`),
+    run once per (POVM, grid) pair by whichever search comes first. Only the climbs from
+    grid values within ``KL_CANDIDATE_WINDOW`` of the best (at most 64) are scored, ln d
+    + F from their values there. Returns the refined maximum and every refined candidate
+    within 1e-8 of it (deduplicated by projector overlap); those states feed the convex
     tightness check of the oracle.
     """
     if eset.role != "povm":
         raise ValueError("kl_maximize expects a POVM-role set")
     if eset.dim != grid.dim:
         raise ValueError("grid and element set dimensions differ")
-    vals = _GridPricing(eset, grid).prices(_masked_log(eset.weights))
-    order = np.argsort(vals)[::-1]
-    n_cand = min(64, len(order))
-    cutoff = vals[order[0]] - KL_CANDIDATE_WINDOW
-    cand_idx = [i for i in order[:n_cand] if vals[i] >= cutoff] or [order[0]]
-
-    a = eset.dim * eset.weights
-    refined, climbed, _ = _ascend(eset.ops, a, np.zeros_like(a), grid.states[cand_idx])
-    scores = math.log(eset.dim) + climbed
+    climbed, vals, _, window = _GridPricing(eset, grid).first_climb()
+    scores = math.log(eset.dim) + vals[:window]
     best_val = float(scores.max())
-    return best_val, _dedupe_states(refined[scores >= best_val - 1e-8], 1e-6)
+    return best_val, _dedupe_states(climbed[:window][scores >= best_val - 1e-8], 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +397,17 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
     operator per q, after one blocked pass for the row terms sum_y p ln p (shared
     with :func:`kl_maximize` on the same pair); the (n, m) grid channel is never
     formed. The value starts as the flat grid prior's rate, and the first q is
-    the maximally mixed input's output. Each round
-    climbs from the top max(32, d^2) grid states by one stacked L-BFGS ascent
-    of D(p(.|phi) || q) (:func:`_ascend`); climbs that end above value + tol
-    join the support, whose capacity a small convex solve, warm-started from
-    the last prior, gives as the new value, its output as the next q; states
-    of zero weight leave. No round runs if no grid state beats the flat rate
-    by more than ``tol``; then the loop stops when no climb ends above
-    value + tol, or after ``PRICING_MAX_ROUNDS`` rounds. The solve's bracket
-    is certified: I(r) of a valid prior r below, max_x D(p(.|x) || rP) above.
-    The estimate is the rate of the returned ensemble (the flat grid if no
-    round ran), a lower bound.
+    the maximally mixed input's output. Each round climbs from the top max(32, d^2)
+    grid states by one stacked L-BFGS ascent of D(p(.|phi) || q) in the KL form
+    ln d + F (:func:`_ascend`); the first round's is the KL search's climb, shared
+    with :func:`kl_maximize` on the same pair. Climbs that end above value + tol
+    join the support, whose capacity a small convex solve, warm-started from the
+    last prior, gives as the new value, its output as the next q; states of zero
+    weight leave. No round runs if no grid state beats the flat rate by more than
+    ``tol`` (finite and > 0); then the loop stops when no climb ends above value +
+    tol, or after ``PRICING_MAX_ROUNDS`` rounds. The solve's bracket is certified:
+    I(r) of a valid prior r below, max_x D(p(.|x) || rP) above. The estimate is
+    the rate of the returned ensemble (the flat grid if no round ran), a lower bound.
 
     ``diagnostics["grid_gap"]`` is the last largest price minus the value
     (negative when the support beats every grid state); ``"pricing_capped"``
@@ -414,23 +421,26 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
         raise ValueError("informational_power expects a POVM-role set")
     if eset.dim != grid.dim:
         raise ValueError("grid and element set dimensions differ")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"oracle tolerance must be finite and positive, got {tol!r}")
     d = eset.dim
     pricing = _GridPricing(eset, grid)
     states, prior = grid.states, np.full(len(grid.states), 1.0 / len(grid.states))
     value = pricing.flat_rate()
-    lnout = _masked_log(eset.weights)  # the maximally mixed input's output (unit-trace ops)
+    lnout = pricing.lnq
     priced = pricing.prices(lnout)
     bracket = max(float(priced.max()) - value, 0.0)
 
     refine_tol = min(tol, REFINE_TOL)
-    # D(p(.|phi) || out) = sum_y a_y x_y ln x_y + a_y (ln a_y - ln out_y) x_y, p_y = a_y x_y
-    a = d * eset.weights
     rounds = refine_capped = ascent_capped = 0
     while rounds < PRICING_MAX_ROUNDS and (rounds or priced.max() > value + tol):
-        top = np.argsort(priced)[::-1][:max(32, d * d)]
-        b = a * (_masked_log(a) - lnout)
-        climbed, prices, capped = _ascend(eset.ops, a, b, grid.states[top])
-        ascent_capped += len(top) if capped else 0
+        if rounds:  # D(p(.|phi) || out) = ln d + F with b = a (ln q - ln out), p_y = a_y x_y
+            top = grid.states[np.argsort(priced)[::-1][:max(32, d * d)]]
+            climb = _ascend(pricing.ops, pricing.a, pricing.a * (pricing.lnq - lnout), top)
+        else:  # out = q, so b = 0: the KL search's climb
+            climb = pricing.first_climb()
+        climbed, prices, capped = climb[0], math.log(d) + climb[1], climb[2]
+        ascent_capped += len(climbed) if capped else 0
         # the climbs start at the best grid prices: none above value + tol, no grid state either
         if prices.max() <= value + tol:
             break

@@ -5,7 +5,9 @@ the whole stack of starts, with an analytic gradient. The tests keep the two
 searches it replaced, so that each can be compared with it on the same grid
 and starts: the step-halving coordinate ascent, which uses objective values
 only, and one L-BFGS ascent per start. They also keep the one-pass form of
-the ascent's objective, which the oracle now evaluates in row blocks.
+the ascent's objective, which the oracle now evaluates in row blocks, and the
+KL objective of one state, which the oracle now reads off the first pricing
+round's climb.
 """
 
 import math
@@ -14,7 +16,14 @@ import numpy as np
 
 from tdesigncap import oracle
 from tdesigncap.core import eta_array, overlaps
-from tdesigncap.oracle import KL_CANDIDATE_WINDOW, _dedupe_states, kl_objective
+from tdesigncap.oracle import KL_CANDIDATE_WINDOW, _dedupe_states
+
+
+def kl_objective(eset, phi: np.ndarray) -> float:
+    """ln d - d sum_y q_y eta(<phi|chi_y|phi>), the KL form of the capacity bound."""
+    phi = np.asarray(phi, dtype=complex).ravel()
+    ov = np.einsum("i,yij,j->y", phi.conj(), eset.ops, phi).real
+    return math.log(eset.dim) - eset.dim * float(eset.weights @ eta_array(ov))
 
 
 def _coordinate_ascent(objective, phi: np.ndarray, max_iter: int = 200,

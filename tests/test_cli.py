@@ -126,6 +126,15 @@ class TestCapacityCommand:
         assert code == 1
         assert "d <= 8" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_bad_oracle_tolerance_exits_one(self, capsys, tol):
+        # tol = nan once printed the flat grid's rate, 5.4e-3 below the closed form, with exit 0
+        code, out, err = run(capsys, "capacity", "--family", "qubit_sic", "--lambda", "0.5",
+                             "--method", "oracle", "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert "tolerance must be finite and positive" in err
+
 
 class TestBoundCommand:
     def test_icosahedron_all_t(self, capsys):

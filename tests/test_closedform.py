@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reference_ascent import kl_objective
 from reference_closedform import capacity_reference, hyp2f1_11_series
 from tdesigncap import (
     DesignSpec,
@@ -10,7 +11,6 @@ from tdesigncap import (
     capacity,
     depolarize,
     hyp2f1_11,
-    kl_objective,
     mutual_information,
     optimal_ensemble,
     pair_probability,

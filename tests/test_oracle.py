@@ -16,7 +16,6 @@ from tdesigncap import (
     discretized_uniform_povm,
     informational_power,
     kl_maximize,
-    kl_objective,
     pure_ensemble,
     uniform_capacity,
 )
@@ -25,7 +24,8 @@ from tdesigncap.closedform import ConvergenceError, optimal_ensemble
 from tdesigncap.core import haar_random_states
 from tdesigncap.oracle import StateGrid, fibonacci_bloch_states
 
-from reference_ascent import ascend_per_start, ascent_terms_one_pass, kl_maximize_reference
+from reference_ascent import (ascend_per_start, ascent_terms_one_pass, kl_maximize_reference,
+                              kl_objective)
 from reference_blahut_arimoto import blahut_arimoto
 from reference_grid import dense_grid_phase
 
@@ -200,9 +200,10 @@ class TestAscent:
         a = d * eset.weights
         probes = haar_random_states(d, 4, seed=23)
         out = np.full(4, 0.25) @ oracle.povm_channel(eset, probes)
-        kl_form = np.zeros_like(a)
+        kl_form, shifted = np.zeros_like(a), a * (np.log(eset.weights) - np.log(out))
         step = 1e-6
-        for b in (kl_form, a * (np.log(a) - np.log(out))):  # KL and D(p(.|phi) || out)
+        # KL, D(p(.|phi) || out), and D(p(.|phi) || out) - ln d: the form the oracle climbs
+        for b in (kl_form, a * (np.log(a) - np.log(out)), shifted):
             for phi in 1.3 * haar_random_states(d, 3, seed=29):  # off the unit sphere
                 v = phi.view(float)
                 val, grad = oracle._ascent_objective(v, eset.ops, a, b)
@@ -214,6 +215,11 @@ class TestAscent:
                     unit = phi / np.linalg.norm(phi)
                     assert -val == pytest.approx(kl_objective(eset, unit) - math.log(d),
                                                  abs=1e-14)
+                if b is shifted:  # sum_y a_y x_y = 1, so a shift of b by a ln d adds ln d to F
+                    unshifted, unshifted_grad = oracle._ascent_objective(
+                        v, eset.ops, a, b + a * math.log(d))
+                    assert unshifted == pytest.approx(val - math.log(d), abs=1e-14)
+                    assert np.abs(unshifted_grad - grad).max() <= 1e-13
 
     @pytest.mark.parametrize("family,dim", [("qubit_sic", None), ("icosahedron", None),
                                             ("anti_sic", 3), ("qutrit_sic", None),
@@ -228,7 +234,9 @@ class TestAscent:
         a = d * eset.weights
         out = np.full(4, 0.25) @ oracle.povm_channel(eset, haar_random_states(d, 4, seed=23))
         kl_form = np.zeros_like(a)
-        for b in (kl_form, a * (np.log(a) - np.log(out))):  # KL and pricing forms
+        # KL, the pricing form, and the pricing form less ln d, which the oracle climbs
+        shifted = a * (np.log(eset.weights) - np.log(out))
+        for b in (kl_form, a * (np.log(a) - np.log(out)), shifted):
             on_grid, _ = oracle._ascent_terms(grid.states, eset.ops, a, b)
             starts = grid.states[np.argsort(on_grid)[::-1][:max(32, d * d)]]
             states, vals, capped = oracle._ascend(eset.ops, a, b, starts)
@@ -355,6 +363,15 @@ class TestAscendEvaluations:
         assert np.array_equal(vals, counted["real_terms"](starts, eset.ops, a, b)[0])
 
 
+def _fresh_pair(kind: str):
+    """A new (POVM, grid) pair of the same content on every call."""
+    if kind == "qubit_sic":
+        povm = depolarize(build(DesignSpec("qubit_sic", 1.0)), 0.5)
+    else:  # five effects that form no design: several pricing rounds
+        povm = depolarize(discretized_uniform_povm(2, n_effects=5), 0.3)
+    return povm, default_grid(2, seed=2016, resolution=200)
+
+
 class TestOneSolvePerStack:
     @pytest.fixture
     def lbfgs_calls(self, monkeypatch):
@@ -383,6 +400,59 @@ class TestOneSolvePerStack:
             before = lbfgs_calls()
             res = informational_power(povm, grid, tol=1e-6)
             assert 1 <= lbfgs_calls() - before <= res.refinement_rounds + 1
+
+    @pytest.mark.parametrize("kind", ["qubit_sic", "non_design"])
+    def test_one_climb_serves_both_searches(self, kind, lbfgs_calls):
+        # the pricing first: one climb per round, and one more that finds no state above the
+        # value; the KL search after it adds none
+        povm, grid = _fresh_pair(kind)
+        res = informational_power(povm, grid, tol=1e-6)
+        assert res.refinement_rounds >= 1 and not res.diagnostics["pricing_capped"]
+        assert lbfgs_calls() == res.refinement_rounds + 1
+        kl_maximize(povm, grid)
+        assert lbfgs_calls() == res.refinement_rounds + 1
+        # the KL search first: its one climb is the pricing's round 1, which adds none
+        povm, grid = _fresh_pair(kind)
+        kl_maximize(povm, grid)
+        assert lbfgs_calls() == res.refinement_rounds + 2
+        informational_power(povm, grid, tol=1e-6)
+        assert lbfgs_calls() == 2 * res.refinement_rounds + 2
+
+
+class TestSharedFirstClimb:
+    """The KL search and the first pricing round are one climb per (POVM, grid) pair."""
+
+    @pytest.mark.parametrize("kind,window", [("qubit_sic", 13), ("uniform", 64)])
+    def test_starts_are_the_longer_prefix(self, kind, window):
+        # the top max(32, d^2) first prices, or the <= 64 within KL_CANDIDATE_WINDOW of the
+        # best, whichever is longer: a nearly flat objective makes the window the longer one
+        if kind == "uniform":
+            povm = depolarize(discretized_uniform_povm(2, seed=2016), 0.4)
+            grid = default_grid(2, seed=2016, resolution=512)
+        else:
+            povm, grid = _fresh_pair(kind)
+        pricing = oracle._GridPricing(povm, grid)
+        first = np.sort(pricing.prices(pricing.lnq))[::-1]
+        assert np.count_nonzero(first[:64] >= first[0] - oracle.KL_CANDIDATE_WINDOW) == window
+        climbed, vals, _, got_window = pricing.first_climb()
+        assert got_window == window
+        assert len(climbed) == max(32, window)
+        # the KL search scores the window prefix only
+        assert kl_maximize(povm, grid)[0] == math.log(2) + vals[:window].max()
+
+    @pytest.mark.parametrize("kind", ["qubit_sic", "non_design"])
+    def test_either_order_matches_fresh_pairs(self, kind):
+        fresh_res = informational_power(*_fresh_pair(kind), tol=1e-6)
+        fresh_kl = kl_maximize(*_fresh_pair(kind))
+        for kl_first in (False, True):
+            povm, grid = _fresh_pair(kind)
+            kl = kl_maximize(povm, grid) if kl_first else None
+            res = informational_power(povm, grid, tol=1e-6)
+            kl = kl if kl_first else kl_maximize(povm, grid)
+            assert kl[0] == fresh_kl[0] and np.array_equal(kl[1], fresh_kl[1])
+            for f in dataclasses.fields(res):
+                got, want = getattr(res, f.name), getattr(fresh_res, f.name)
+                assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
 
 
 CATALOG_FAMILIES = [("qubit_sic", None), ("qubit_mub", None), ("icosahedron", None),
@@ -472,6 +542,18 @@ class TestRowTermsMemo:
         monkeypatch.setattr(oracle._GridPricing, "_row_term_pass", counted)
         return calls
 
+    @pytest.fixture
+    def climbs(self, monkeypatch):
+        calls = []
+        real = oracle._ascend
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_ascend", counted)
+        return calls
+
     def test_kl_search_reuses_the_pricing_pass(self, passes):
         povm = depolarize(discretized_uniform_povm(2, seed=2016), 0.4)
         grid = default_grid(2, seed=2016, resolution=512)
@@ -492,18 +574,26 @@ class TestRowTermsMemo:
         assert np.array_equal(first.row_terms, first._row_term_pass())
         with pytest.raises(ValueError):
             first.row_terms[0] = 0.0
+        climbed, vals, _, _ = again.first_climb()
+        assert first.first_climb()[0] is climbed
+        for shared in (climbed, vals):
+            with pytest.raises(ValueError):
+                shared[0] = 0.0
 
-    def test_another_pair_recomputes(self, qubit_sic, passes):
+    def test_another_pair_recomputes(self, qubit_sic, passes, climbs):
         povm = depolarize(qubit_sic, 0.5)
         grid = default_grid(2, seed=2016, resolution=300)
-        oracle._GridPricing(povm, grid)
+        first = oracle._GridPricing(povm, grid).first_climb()
         same_ops = depolarize(qubit_sic, 0.5)  # equal content, another object
-        oracle._GridPricing(same_ops, grid)
+        again = oracle._GridPricing(same_ops, grid).first_climb()
         assert len(passes) == 2
-        oracle._GridPricing(same_ops, default_grid(2, seed=2016, resolution=300))
+        assert len(climbs) == 2
+        assert all(np.array_equal(x, y) for x, y in zip(first, again))
+        oracle._GridPricing(same_ops, default_grid(2, seed=2016, resolution=300)).first_climb()
         assert len(passes) == 3
+        assert len(climbs) == 3
 
-    def test_collected_set_recomputes(self, qubit_sic, passes):
+    def test_collected_set_recomputes(self, qubit_sic, passes, climbs):
         grid = default_grid(2, seed=2016, resolution=300)
         povm = depolarize(qubit_sic, 0.5)
         kl_maximize(povm, grid)
@@ -513,12 +603,14 @@ class TestRowTermsMemo:
         assert ref() is None  # the memo holds no strong reference
         kl_maximize(depolarize(qubit_sic, 0.5), grid)
         assert len(passes) == 2
+        assert len(climbs) == 2
 
     def test_holds_neither_set_nor_grid(self, qubit_sic):
         povm = depolarize(qubit_sic, 0.5)
         grid = default_grid(2, seed=2016, resolution=300)
         informational_power(povm, grid, tol=1e-5)
         kl_maximize(povm, grid)
+        assert oracle._GridPricing._last[2][1] is not None  # the memo holds the first climb
         refs = [weakref.ref(povm), weakref.ref(grid)]
         del povm, grid
         gc.collect()
@@ -600,6 +692,13 @@ class TestInformationalPower:
         ens = pure_ensemble(2, np.eye(2, dtype=complex), role="ensemble")
         with pytest.raises(ValueError):
             informational_power(ens, qubit_grid)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_bad_tolerance_refused(self, qubit_sic, tol):
+        # nan once returned the flat grid's rate and -1 ran all PRICING_MAX_ROUNDS rounds
+        grid = default_grid(2, seed=2016, resolution=200)
+        with pytest.raises(ValueError, match="finite and positive"):
+            informational_power(depolarize(qubit_sic, 0.5), grid, tol=tol)
 
     def test_capacity_above_ln_d_raises(self, qubit_sic, monkeypatch):
         real = oracle._refine_solve
@@ -694,6 +793,32 @@ class TestInformationalPower:
         assert res.capacity_estimate >= grid_rate - 1e-6
         kl_val, _ = kl_maximize(povm, qubit_grid)
         assert res.capacity_estimate <= kl_val + 1e-6
+
+    def test_later_rounds_climb_the_kl_form(self, qubit_grid, monkeypatch):
+        # round >= 2 climbs D(p(.|phi) || out) - ln d against the last solve's output
+        climbs, solves = [], []
+        real_ascend, real_solve = oracle._ascend, oracle._refine_solve
+
+        def ascend(ops, a, b, phis):
+            climbs.append((b, real_ascend(ops, a, b, phis)))
+            return climbs[-1][1]
+
+        def solve(channel, tol, prior=None):
+            solves.append((channel, real_solve(channel, tol, prior)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(oracle, "_ascend", ascend)
+        monkeypatch.setattr(oracle, "_refine_solve", solve)
+        povm = depolarize(discretized_uniform_povm(2, n_effects=5), 0.3)
+        res = informational_power(povm, qubit_grid, tol=1e-6)
+        assert res.refinement_rounds >= 2
+        assert len(climbs) == res.refinement_rounds + 1
+        assert not climbs[0][0].any()  # round 1 climbs against q: the KL form, b = 0
+        for (_, (states, vals, _)), (channel, solved) in zip(climbs[1:], solves):
+            out = solved.prior @ channel
+            p = oracle.povm_channel(povm, states)  # depolarized: every p > 0
+            divergence = np.einsum("xy,xy->x", p, np.log(p / out))
+            assert np.abs(math.log(2) + vals - divergence).max() <= 1e-12
 
     def test_qutrit_sic_refinement_closes(self, qutrit_sic):
         # the refinement channel here has a non-unique optimal prior, on which

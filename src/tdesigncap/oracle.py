@@ -1,8 +1,10 @@
 """Brute-force capacity route: column generation over pure-state ensembles,
 priced on a state grid and refined off it by an L-BFGS ascent with analytic
 gradients, plus the KL upper-bound objective (maximized by the same ascent) and
-its tightness certificate. Each pricing round climbs all of its starts in one
-stacked L-BFGS solve, in the KL form; the first round's climb is the KL search's.
+its tightness certificate. Each pricing round climbs from the grid states of its
+top max(32, d^2) prices in one stacked L-BFGS solve, in the KL form, stopped at the
+rounding floor of its gradient. The first round's climb is the KL search's, and
+the KL value is the best of its climbs.
 
 The grid is priced without forming its (n, m) channel: each linear term is one
 d x d operator applied to the grid's projectors, and the one nonlinear term,
@@ -34,7 +36,6 @@ TIGHTNESS_RESIDUAL_TOL = 1e-6
 REFINE_TOL = 1e-9  # bracket each refinement solve aims for (or the caller's tol, if smaller)
 REFINE_SLSQP_ITER = 500  # SLSQP iteration cap of each refinement solve
 REFINE_NEWTON_STEPS = 8  # KKT Newton step cap of each refinement solve after SLSQP
-KL_CANDIDATE_WINDOW = 1e-3  # grid values this far below the best are refined in kl_maximize
 PRICING_MAX_ROUNDS = 32  # column-generation round cap of informational_power
 ASCENT_MAX_ITER = 500  # L-BFGS iteration cap of each local ascent over pure states
 GRID_BLOCK = 1 << 16  # channel entries per row block of the grid's entropy pass (cache-sized)
@@ -146,14 +147,13 @@ class _GridPricing:
     def _row_term_pass(self) -> np.ndarray:
         """H_x = sum_y P_xy ln P_xy for every grid row, in cache-sized row blocks."""
         n, m = len(self.proj), len(self.a)
-        ops_t = self.ops.view(float).T
+        ops_t = self.ops.view(float).T * self.a  # P = proj @ ops_t, the weights folded in once
         rows = min(n, max(1, GRID_BLOCK // m))
         p_buf, lnp_buf = np.empty((rows, m)), np.empty((rows, m))
         row_terms = np.empty(n)
         for lo in range(0, n, rows):
             block = self.proj[lo:lo + rows]
             p = np.matmul(block, ops_t, out=p_buf[:len(block)])
-            p *= self.a
             np.maximum(p, np.finfo(float).tiny, out=p)
             lnp = np.log(p, out=lnp_buf[:len(block)])
             row_terms[lo:lo + len(block)] = np.einsum("xy,xy->x", p, lnp)
@@ -175,18 +175,15 @@ class _GridPricing:
 
     def first_climb(self):
         """The first pricing round's climb, against q (b = 0), which is the KL search's, from
-        the longer of two prefixes of the descending first prices: the top max(32, d^2), and
-        the (at most 64) within ``KL_CANDIDATE_WINDOW`` of the best. Returns :func:`_ascend`'s
-        result, read-only, and the window prefix's length."""
+        the grid states of the top max(32, d^2) first prices, as every round climbs. Returns
+        :func:`_ascend`'s result, read-only."""
         if self._shared[1] is None:
-            first = self.prices(self.lnq)
-            order = np.argsort(first)[::-1]
-            window = int((first[order[:64]] >= first[order[0]] - KL_CANDIDATE_WINDOW).sum())
-            starts = self.states[order[:max(32, self.states.shape[1] ** 2, window)]]
-            climbed, vals, capped = _ascend(self.ops, self.a, np.zeros_like(self.a), starts)
+            top = np.argsort(self.prices(self.lnq))[::-1][:max(32, self.states.shape[1] ** 2)]
+            climbed, vals, capped = _ascend(self.ops, self.a, np.zeros_like(self.a),
+                                            self.states[top])
             for arr in (climbed, vals):
                 arr.setflags(write=False)
-            self._shared[1] = (climbed, vals, capped, window)
+            self._shared[1] = (climbed, vals, capped)
         return self._shared[1]
 
 
@@ -308,12 +305,6 @@ def _ascent_terms(z: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):
     return vals, grad
 
 
-def _ascent_objective(v: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """-sum_k F(phi_k) and its gradient at the interleaved (re, im) view v of a (K, d) stack."""
-    vals, grad = _ascent_terms(v.view(complex).reshape(-1, ops.shape[-1]), ops, a, b)
-    return -float(vals.sum()), -grad.view(float).ravel()
-
-
 def _ascend(ops: np.ndarray, a: np.ndarray, b: np.ndarray, phis: np.ndarray):
     """Maximize F(phi) = sum_y a_y x_y ln x_y + b_y x_y, x_y = <phi|chi_y|phi> / <phi|phi>,
     from every row of the (K, d) stack ``phis`` at once.
@@ -326,10 +317,16 @@ def _ascend(ops: np.ndarray, a: np.ndarray, b: np.ndarray, phis: np.ndarray):
     zero overlaps. The stopping rules are global: ftol applies relative to |sum_k F|, and
     a failed line search ends every start. So the oracle climbs D(p(.|phi) || out) - ln d,
     b = a (ln q - ln out), as sum_y a_y x_y = 1: D itself, b = a (ln a - ln out), is two
-    nearly cancelling O(1) sums whose rounding the relative ftol test would chase. Returns
-    the (K, d) normalized maximizers, F at each and whether the stack stopped at
-    ``ASCENT_MAX_ITER``. F is the solver's last evaluation when that was at the returned
-    point, so the stack is evaluated ``nfev`` times; once more after a failed line search.
+    nearly cancelling O(1) sums whose rounding the relative ftol test would chase. The
+    stack stops at gtol = 1e-9 on its largest gradient entry. The computed gradient has a
+    rounding floor of about 2e-11, so a gtol below it never fires: the line search then
+    tries steps whose sum_k F moves by +-1 ulp, for up to some 30 more evaluations. A
+    gradient of size g leaves F within about g^2 / (2 kappa) of its local maximum, kappa
+    the curvature there; for g = 1e-9 and kappa of order 1 that is 5e-19, far below F's
+    last bit. Returns the (K, d) normalized maximizers, F at each and whether the stack
+    stopped at ``ASCENT_MAX_ITER``. F is the solver's last evaluation when that was at the
+    returned point, so the stack is evaluated ``nfev`` times; once more after a failed line
+    search.
     """
     from scipy.optimize import minimize
 
@@ -343,7 +340,7 @@ def _ascend(ops: np.ndarray, a: np.ndarray, b: np.ndarray, phis: np.ndarray):
         return -float(vals.sum()), -grad.view(float).ravel()
 
     res = minimize(objective, v0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": ASCENT_MAX_ITER, "gtol": 1e-12, "ftol": 1e-15})
+                   options={"maxiter": ASCENT_MAX_ITER, "gtol": 1e-9, "ftol": 1e-15})
     z = res.x.view(complex).reshape(len(phis), -1)
     vals = last[1] if np.array_equal(last[0], res.x) else _ascent_terms(z, ops, a, b)[0]
     return z / np.linalg.norm(z, axis=1, keepdims=True), vals, res.status == 1
@@ -354,21 +351,20 @@ def kl_maximize(eset: WeightedElementSet, grid: StateGrid) -> tuple[float, np.nd
 
     That KL objective is D(p(.|phi) || q) = ln d + F (b = 0 in :func:`_ascend`), so it is
     the first pricing round of :func:`informational_power`: the grid values are that
-    round's prices, and the refinement is its climb (:meth:`_GridPricing.first_climb`),
-    run once per (POVM, grid) pair by whichever search comes first. Only the climbs from
-    grid values within ``KL_CANDIDATE_WINDOW`` of the best (at most 64) are scored, ln d
-    + F from their values there. Returns the refined maximum and every refined candidate
-    within 1e-8 of it (deduplicated by projector overlap); those states feed the convex
-    tightness check of the oracle.
+    round's prices, and the refinement is its climb (:meth:`_GridPricing.first_climb`) from
+    the top max(32, d^2) of them, run once per (POVM, grid) pair by whichever search comes
+    first. Every climb is scored, ln d + F at its end, so the value is the best of them.
+    Returns it and every climb within 1e-8 of it (deduplicated by projector overlap); those
+    states feed the convex tightness check of the oracle.
     """
     if eset.role != "povm":
         raise ValueError("kl_maximize expects a POVM-role set")
     if eset.dim != grid.dim:
         raise ValueError("grid and element set dimensions differ")
-    climbed, vals, _, window = _GridPricing(eset, grid).first_climb()
-    scores = math.log(eset.dim) + vals[:window]
+    climbed, vals, _ = _GridPricing(eset, grid).first_climb()
+    scores = math.log(eset.dim) + vals
     best_val = float(scores.max())
-    return best_val, _dedupe_states(climbed[:window][scores >= best_val - 1e-8], 1e-6)
+    return best_val, _dedupe_states(climbed[scores >= best_val - 1e-8], 1e-6)
 
 
 # ---------------------------------------------------------------------------

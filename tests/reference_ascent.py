@@ -5,9 +5,10 @@ the whole stack of starts, with an analytic gradient. The tests keep the two
 searches it replaced, so that each can be compared with it on the same grid
 and starts: the step-halving coordinate ascent, which uses objective values
 only, and one L-BFGS ascent per start. They also keep the one-pass form of
-the ascent's objective, which the oracle now evaluates in row blocks, and the
-KL objective of one state, which the oracle now reads off the first pricing
-round's climb.
+the ascent's objective, which the oracle now evaluates in row blocks, the
+ascent's objective as one solver callback, which the oracle now forms inside
+its stacked solve, and the KL objective of one state, which the oracle now reads
+off the first pricing round's climb.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 
 from tdesigncap import oracle
 from tdesigncap.core import eta_array, overlaps
-from tdesigncap.oracle import KL_CANDIDATE_WINDOW, _dedupe_states
+from tdesigncap.oracle import _dedupe_states
 
 
 def kl_objective(eset, phi: np.ndarray) -> float:
@@ -59,24 +60,29 @@ def _coordinate_ascent(objective, phi: np.ndarray, max_iter: int = 200,
 
 
 def kl_maximize_reference(eset, grid) -> tuple[float, np.ndarray]:
-    """`oracle.kl_maximize` with every candidate refined by coordinate ascent.
+    """`oracle.kl_maximize` with its starts refined by coordinate ascent.
 
-    The ascent runs until its step falls below ``min_step`` (at most 10 000
-    sweeps). At the default cap of 200 sweeps it can stop short: 3.1e-5 below
-    the maximum for anti_sic:3 at lambda = 1 on ``default_grid(3, 2016,
-    resolution=256)``.
+    The starts are the oracle's: the grid states of the top max(32, d^2) KL
+    values. Every climb is scored. The ascent runs until its step falls below
+    ``min_step`` (at most 10 000 sweeps). At the default cap of 200 sweeps it
+    can stop short: 3.1e-5 below the maximum for anti_sic:3 at lambda = 1 on
+    ``default_grid(3, 2016, resolution=256)``.
     """
     ov = overlaps(grid.states, eset.ops)
     vals = math.log(eset.dim) - eset.dim * (eta_array(ov) @ eset.weights)
-    order = np.argsort(vals)[::-1]
-    n_cand = min(64, len(order))
-    cutoff = vals[order[0]] - KL_CANDIDATE_WINDOW
-    cand_idx = [i for i in order[:n_cand] if vals[i] >= cutoff] or [order[0]]
+    starts = np.argsort(vals)[::-1][:max(32, eset.dim ** 2)]
     refined = [_coordinate_ascent(lambda p: kl_objective(eset, p), grid.states[i],
-                                  max_iter=10_000)[:2][::-1] for i in cand_idx]
+                                  max_iter=10_000)[:2][::-1] for i in starts]
     best_val = max(v for v, _ in refined)
     near = [phi for val, phi in refined if val >= best_val - 1e-8]
     return float(best_val), _dedupe_states(near, 1e-6)
+
+
+def ascent_objective(v: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """-sum_k F(phi_k) and its gradient at the interleaved (re, im) view v of a (K, d) stack,
+    as `oracle._ascend` hands them to its solver."""
+    vals, grad = oracle._ascent_terms(v.view(complex).reshape(-1, ops.shape[-1]), ops, a, b)
+    return -float(vals.sum()), -grad.view(float).ravel()
 
 
 def ascend_per_start(ops, a, b, phis):
@@ -90,7 +96,7 @@ def ascend_per_start(ops, a, b, phis):
     states, values, capped = [], [], []
     for phi in phis:
         v0 = np.ascontiguousarray(phi, dtype=complex).view(float)
-        res = minimize(oracle._ascent_objective, v0, args=(ops, a, b), jac=True,
+        res = minimize(ascent_objective, v0, args=(ops, a, b), jac=True,
                        method="L-BFGS-B", options={"maxiter": oracle.ASCENT_MAX_ITER,
                                                    "gtol": 1e-12, "ftol": 1e-15})
         states.append(res.x.view(complex) / np.linalg.norm(res.x))

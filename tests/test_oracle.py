@@ -24,8 +24,8 @@ from tdesigncap.closedform import ConvergenceError, optimal_ensemble
 from tdesigncap.core import haar_random_states
 from tdesigncap.oracle import StateGrid, fibonacci_bloch_states
 
-from reference_ascent import (ascend_per_start, ascent_terms_one_pass, kl_maximize_reference,
-                              kl_objective)
+from reference_ascent import (ascend_per_start, ascent_objective, ascent_terms_one_pass,
+                              kl_maximize_reference, kl_objective)
 from reference_blahut_arimoto import blahut_arimoto
 from reference_grid import dense_grid_phase
 
@@ -177,6 +177,27 @@ class TestKlMaximize:
             val, _ = kl_maximize(eset, grid)
             assert val == pytest.approx(math.log(want), abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["qutrit_sic_phase", "uniform_7", "hoggar_unseeded"])
+    def test_value_is_the_best_climb(self, kind):
+        # the best climb starts from a grid state whose value lies more than 1e-3 below the
+        # best grid value: a value from the climbs of near-best grid states alone is lower
+        if kind == "qutrit_sic_phase":
+            povm, grid = build(DesignSpec("qutrit_sic", 1.0, 0.7)), default_grid(3, seed=2016)
+            want, tol = math.log(3 / 2), 1e-12
+        elif kind == "uniform_7":
+            povm = discretized_uniform_povm(3, n_effects=7, seed=5)
+            grid = default_grid(3, seed=2016)
+            want, tol = 0.6194719, 1e-7
+        else:
+            povm = build(DesignSpec("hoggar_sic", 1.0))
+            grid = default_grid(8, seed=2016, resolution=2000)
+            want, tol = math.log(16 / 9), 1e-12
+        val, _ = kl_maximize(povm, grid)
+        _, vals, _ = oracle._GridPricing(povm, grid).first_climb()
+        assert val == math.log(povm.dim) + vals.max()
+        assert val == pytest.approx(want, abs=tol)
+        assert informational_power(povm, grid, tol=1e-6).capacity_estimate <= val + 1e-6
+
     @pytest.mark.parametrize("family,dim", [("qubit_sic", None), ("icosahedron", None),
                                             ("anti_sic", 3), ("hoggar_sic", None)])
     def test_matches_coordinate_ascent_reference(self, family, dim):
@@ -206,9 +227,9 @@ class TestAscent:
         for b in (kl_form, a * (np.log(a) - np.log(out)), shifted):
             for phi in 1.3 * haar_random_states(d, 3, seed=29):  # off the unit sphere
                 v = phi.view(float)
-                val, grad = oracle._ascent_objective(v, eset.ops, a, b)
-                fd = np.array([(oracle._ascent_objective(v + step * e, eset.ops, a, b)[0]
-                                - oracle._ascent_objective(v - step * e, eset.ops, a, b)[0])
+                val, grad = ascent_objective(v, eset.ops, a, b)
+                fd = np.array([(ascent_objective(v + step * e, eset.ops, a, b)[0]
+                                - ascent_objective(v - step * e, eset.ops, a, b)[0])
                                / (2 * step) for e in np.eye(2 * d)])
                 assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
                 if b is kl_form:
@@ -216,7 +237,7 @@ class TestAscent:
                     assert -val == pytest.approx(kl_objective(eset, unit) - math.log(d),
                                                  abs=1e-14)
                 if b is shifted:  # sum_y a_y x_y = 1, so a shift of b by a ln d adds ln d to F
-                    unshifted, unshifted_grad = oracle._ascent_objective(
+                    unshifted, unshifted_grad = ascent_objective(
                         v, eset.ops, a, b + a * math.log(d))
                     assert unshifted == pytest.approx(val - math.log(d), abs=1e-14)
                     assert np.abs(unshifted_grad - grad).max() <= 1e-13
@@ -342,6 +363,20 @@ class TestAscendEvaluations:
             assert np.array_equal(vals, counted["real_terms"](z, eset.ops, a, b)[0])
             assert np.array_equal(states, z / np.linalg.norm(z, axis=1, keepdims=True))
 
+    def test_first_climb_stops_at_the_rounding_floor(self, counted):
+        # at gtol = 1e-12, below the gradient's rounding floor, this stack takes 37 evaluations,
+        # most of them line-search steps of +-1 ulp; one solve per start keeps gtol = 1e-12
+        eset = depolarize(build(DesignSpec("icosahedron", 1.0)), 0.5)
+        grid = default_grid(2, seed=2016, resolution=512)
+        pricing = oracle._GridPricing(eset, grid)
+        counted["terms"] = 0
+        climbed, vals, _ = pricing.first_climb()
+        assert len(climbed) == 32
+        assert counted["terms"] <= 8
+        starts = grid.states[np.argsort(pricing.prices(pricing.lnq))[::-1][:32]]
+        _, ref_vals, _ = ascend_per_start(eset.ops, pricing.a, np.zeros_like(pricing.a), starts)
+        assert np.abs(vals - ref_vals).max() <= 1e-12
+
     def test_recomputes_at_an_earlier_iterate(self, counted, monkeypatch):
         # a failed line search returns an iterate before the last evaluation
         import scipy.optimize
@@ -422,23 +457,26 @@ class TestOneSolvePerStack:
 class TestSharedFirstClimb:
     """The KL search and the first pricing round are one climb per (POVM, grid) pair."""
 
-    @pytest.mark.parametrize("kind,window", [("qubit_sic", 13), ("uniform", 64)])
-    def test_starts_are_the_longer_prefix(self, kind, window):
-        # the top max(32, d^2) first prices, or the <= 64 within KL_CANDIDATE_WINDOW of the
-        # best, whichever is longer: a nearly flat objective makes the window the longer one
+    @pytest.mark.parametrize("kind", ["qubit_sic", "uniform"])
+    def test_starts_are_the_top_prices(self, kind):
+        # the top max(32, d^2) first prices, as in every round, even when the objective is
+        # nearly flat: uniform:2 has 64 first prices within 1e-3 of its best
         if kind == "uniform":
             povm = depolarize(discretized_uniform_povm(2, seed=2016), 0.4)
             grid = default_grid(2, seed=2016, resolution=512)
         else:
             povm, grid = _fresh_pair(kind)
         pricing = oracle._GridPricing(povm, grid)
-        first = np.sort(pricing.prices(pricing.lnq))[::-1]
-        assert np.count_nonzero(first[:64] >= first[0] - oracle.KL_CANDIDATE_WINDOW) == window
-        climbed, vals, _, got_window = pricing.first_climb()
-        assert got_window == window
-        assert len(climbed) == max(32, window)
-        # the KL search scores the window prefix only
-        assert kl_maximize(povm, grid)[0] == math.log(2) + vals[:window].max()
+        first = pricing.prices(pricing.lnq)
+        if kind == "uniform":
+            assert np.count_nonzero(first >= first.max() - 1e-3) >= 64
+        climbed, vals, _ = pricing.first_climb()
+        assert len(climbed) == 32
+        starts = grid.states[np.argsort(first)[::-1][:32]]
+        fresh = oracle._ascend(pricing.ops, pricing.a, np.zeros_like(pricing.a), starts)
+        assert np.array_equal(climbed, fresh[0]) and np.array_equal(vals, fresh[1])
+        # the KL search scores every climb
+        assert kl_maximize(povm, grid)[0] == math.log(2) + vals.max()
 
     @pytest.mark.parametrize("kind", ["qubit_sic", "non_design"])
     def test_either_order_matches_fresh_pairs(self, kind):
@@ -574,7 +612,7 @@ class TestRowTermsMemo:
         assert np.array_equal(first.row_terms, first._row_term_pass())
         with pytest.raises(ValueError):
             first.row_terms[0] = 0.0
-        climbed, vals, _, _ = again.first_climb()
+        climbed, vals, _ = again.first_climb()
         assert first.first_climb()[0] is climbed
         for shared in (climbed, vals):
             with pytest.raises(ValueError):

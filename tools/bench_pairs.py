@@ -10,14 +10,16 @@ BENCHMARK.json (``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0``, T its ``run_seconds``) in both copies, one after the other: the
 parent first in pairs 1, 3, ..., the change first in pairs 2, 4, .... Every
 workload of BASE_SEED runs PAIRS pairs, at seeds BASE_SEED[W] + 1 ... + PAIRS;
-one ``--trace 1`` pair follows at the next seed. Every run's last output line is appended to DIR/runs.jsonl, keyed by
-workload, seed, trace flag and commit, and a run found there is not
-repeated, so an interrupted session resumes.
+TRACED_PAIRS ``--trace 1`` pairs follow at the next seeds, in the same
+alternating order. Every run's last output line is appended to
+DIR/runs.jsonl, keyed by workload, seed, trace flag and commit, and a run
+found there is not repeated, so an interrupted session resumes.
 
 The summary holds, per workload and end-to-end metric, each side's median,
 inclusive quartiles and runs, the relative change of the medians and the
-number of pairs the change reads lower; per traced pair, every per-layer
-metric that is nonzero on either side.
+number of pairs the change reads lower; per workload's traced pairs, every
+per-layer metric that is nonzero in any of their runs, with each side's
+median and runs and the number of pairs the change reads lower.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import tempfile
 BASE_SEED = {"oracle_sweep": 9300, "oracle_points": 9200, "analytic_sweep": 9000,
              "certify_matrix": 9100}
 PAIRS = 10
+TRACED_PAIRS = 3  # one pair cannot resolve a 10-15 % move in a per-layer time
 SIDES = ("parent", "change")
 
 
@@ -95,13 +98,20 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def end_to_end(runs: Runs, workload: str) -> dict:
-    seeds = [BASE_SEED[workload] + i for i in range(1, PAIRS + 1)]
+def paired_runs(runs: Runs, workload: str, seeds: list[int], trace: int):
+    """One pair per seed, the parent first at the 1st, 3rd, ... seed: the order per seed and
+    each side's results in seed order."""
     order = {seed: SIDES if i % 2 == 0 else SIDES[::-1] for i, seed in enumerate(seeds)}
     results = {side: [] for side in SIDES}
     for seed in seeds:
         for side in order[seed]:
-            results[side].append(runs.get(workload, seed, 0, side))
+            results[side].append(runs.get(workload, seed, trace, side))
+    return order, results
+
+
+def end_to_end(runs: Runs, workload: str) -> dict:
+    seeds = [BASE_SEED[workload] + i for i in range(1, PAIRS + 1)]
+    order, results = paired_runs(runs, workload, seeds, 0)
     metrics = {}
     for m in runs.bench["end_to_end"]:
         vals = {side: [r["metrics"][m["name"]]["value"] for r in results[side]] for side in SIDES}
@@ -122,15 +132,25 @@ def end_to_end(runs: Runs, workload: str) -> dict:
     }
 
 
-def traced_pair(runs: Runs, workload: str) -> dict:
-    seed = BASE_SEED[workload] + PAIRS + 1
-    res = {side: runs.get(workload, seed, 1, side)["metrics"] for side in SIDES}
+def traced_pairs(runs: Runs, workload: str) -> dict:
+    seeds = [BASE_SEED[workload] + PAIRS + i for i in range(1, TRACED_PAIRS + 1)]
+    order, results = paired_runs(runs, workload, seeds, 1)
+    metrics = {}
+    for name, m in results["parent"][0]["metrics"].items():
+        vals = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
+        if any(vals["parent"]) or any(vals["change"]):
+            metrics[name] = {
+                "unit": m["unit"],
+                "parent": {"median": statistics.median(vals["parent"]), "runs": vals["parent"]},
+                "change": {"median": statistics.median(vals["change"]), "runs": vals["change"]},
+                "change_lower_in_pairs": sum(c < p for p, c in zip(vals["parent"],
+                                                                   vals["change"])),
+            }
     return {
-        "seed": seed, "command": " ".join(runs.command(workload, seed, 1)),
-        "metrics": {name: {"parent": m["value"], "change": res["change"][name]["value"],
-                           "unit": m["unit"]}
-                    for name, m in res["parent"].items()
-                    if m["value"] or res["change"][name]["value"]},
+        "seeds": seeds, "pairs": TRACED_PAIRS,
+        "commands": [" ".join(runs.command(workload, seed, 1)) for seed in seeds],
+        "order": {str(seed): list(sides) for seed, sides in order.items()},
+        "metrics": metrics,
     }
 
 
@@ -145,8 +165,9 @@ METHOD = ("Each command was run from the root of a git archive copy of the paren
           " below), sequentially, with the BLAS thread count set by run.py. Medians and"
           " quartiles over the runs: statistics.quantiles(n=4, method='inclusive')."
           " change_lower_in_pairs counts pairs where the change's value is lower."
-          " traced_pairs lists the per-layer metrics that are nonzero on either side, from one"
-          " --trace 1 run per side. Written by tools/bench_pairs.py.")
+          " traced_pairs lists the per-layer metrics that are nonzero in any traced run, with"
+          " each side's median over its --trace 1 runs (statistics.median), alternating as"
+          " above. Written by tools/bench_pairs.py.")
 
 
 def main(argv=None) -> int:
@@ -166,7 +187,7 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     runs = Runs(os.path.join(args.workdir, "runs.jsonl"), commits, args.workdir, bench)
     e2e = {w: end_to_end(runs, w) for w in BASE_SEED}
-    traced = {w: traced_pair(runs, w) for w in BASE_SEED}
+    traced = {w: traced_pairs(runs, w) for w in BASE_SEED}
     claim = None
     if args.claim:
         workload, metric = args.claim.split(":")

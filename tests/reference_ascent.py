@@ -88,8 +88,10 @@ def ascent_objective(v: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarra
 def ascend_per_start(ops, a, b, phis):
     """`oracle._ascend` with one L-BFGS solve per start, each with its own stopping rules.
 
-    Returns the (K, d) normalized maximizers, F at each and whether each start
-    stopped at ``oracle.ASCENT_MAX_ITER``.
+    Each solve keeps gtol = 1e-12, below the gradient's rounding floor, so only
+    its ftol test or a failed line search stops it. Returns the (K, d)
+    normalized maximizers, F at each and whether each start stopped at
+    ``oracle.ASCENT_MAX_ITER``.
     """
     from scipy.optimize import minimize
 

@@ -13,7 +13,7 @@ workload of BASE_SEED runs PAIRS pairs, at seeds BASE_SEED[W] + 1 ... + PAIRS;
 TRACED_PAIRS ``--trace 1`` pairs follow at the next seeds, in the same
 alternating order. Every run's last output line is appended to
 DIR/runs.jsonl, keyed by workload, seed, trace flag and commit, and a run
-found there is not repeated, so an interrupted session resumes.
+found there is not repeated, so an interrupted run of this script resumes.
 
 The summary holds, per workload and end-to-end metric, each side's median,
 inclusive quartiles and runs, the relative change of the medians and the

@@ -42,7 +42,6 @@ from .bounds import (
     bound_Ct,
     bound_from_set,
     hermite_interpolate,
-    verify_below,
 )
 from .closedform import capacity, hyp2f1_11, optimal_ensemble, uniform_capacity
 from .oracle import (
@@ -66,5 +65,4 @@ __all__ = [
     "hermite_interpolate", "hyp2f1_11", "informational_power", "kl_maximize",
     "moments", "moments_of_depolarized", "mutual_information", "optimal_ensemble",
     "pair_probability", "pure_ensemble", "relative_entropy", "uniform_capacity",
-    "verify_below",
 ]

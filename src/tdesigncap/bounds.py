@@ -26,8 +26,8 @@ odd t. The rule integrates r exactly and r = eta on its nodes, so
 C_t = ln d - d sum_j w_j eta(x_j) (Golub & Welsch 1969 give the
 construction). One path computes every t. Each call still builds the
 interpolant, and the run-time checks listed at ``_assemble`` carry the
-remainder argument's hypotheses; ``verify_below`` checks the property
-numerically, and the tests run it on every interpolant of the figure sweeps.
+remainder argument's hypotheses; the tests check the property numerically
+on every interpolant of the figure sweeps.
 
 For t = 4 the discriminant of the node polynomial is
 
@@ -52,7 +52,6 @@ from .core import eta, eta_array
 from .verify import DesignCertificate, gamma_predicted, moments
 
 MAX_T = 5  # largest t at which bound_Ct computes C_t
-BELOW_TOL = 1e-10
 NODE_MIN_SEPARATION = 1e-9
 DEFINING_RESIDUAL_TOL = 1e-11
 CROSS_CHECK_TOL = 1e-10
@@ -157,36 +156,6 @@ def hermite_interpolate(spec: InterpolationSpec, check_pattern: bool = True) -> 
     if residual > DEFINING_RESIDUAL_TOL:
         raise IllConditionedError(f"interpolation residual {residual:.3e} > 1e-11")
     return coeffs
-
-
-def verify_below(coeffs: np.ndarray, interval: tuple[float, float] = (0.0, 1.0),
-                 n_grid: int = 512) -> bool:
-    """True iff eta - r >= -1e-10 on the interval.
-
-    Checks a uniform grid plus every critical point of eta - r located by
-    root-finding on the derivative (sign changes bracketed on a finer grid).
-    """
-    from scipy.optimize import brentq
-
-    a, b = interval
-    xs = np.linspace(a, b, max(n_grid, 8))
-    coeffs = np.asarray(coeffs, dtype=float)
-    gap = eta_array(xs) - np.polynomial.polynomial.polyval(xs, coeffs)
-    worst = float(gap.min())
-
-    dcoeffs = np.polynomial.polynomial.polyder(coeffs)
-
-    def dgap(x):
-        return -np.log(x) - 1.0 - np.polynomial.polynomial.polyval(x, dcoeffs)
-
-    lo = max(a, 1e-12)
-    fine = np.linspace(lo, b, max(4 * n_grid, 1024))
-    vals = dgap(fine)
-    sign_change = np.where(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    for i in sign_change:
-        root = brentq(dgap, fine[i], fine[i + 1], xtol=1e-14)
-        worst = min(worst, eta(root) - float(np.polynomial.polynomial.polyval(root, coeffs)))
-    return worst >= -BELOW_TOL
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,8 @@ ascent evaluates its (K, m) overlaps in cache-sized row blocks too.
 
 The oracle lower-bounds capacity by construction (it exhibits an achievable
 ensemble); the KL route upper-bounds it. Together they bracket the closed
-forms they are meant to check.
-
-scipy.optimize is imported inside the functions that call it, so importing
-the package (and every analytic CLI path) does not pay for loading it.
+forms they are meant to check. Its solvers are numpy code (L-BFGS climbs, a log-barrier
+master solve, Lawson-Hanson NNLS for the tightness check): no CLI path loads scipy.
 """
 
 from __future__ import annotations
@@ -34,8 +32,8 @@ from .core import WeightedElementSet, haar_random_states, overlaps, projector_vi
 DEFAULT_GRID_SIZES = {2: 4096, 3: 20000, 8: 60000}
 TIGHTNESS_RESIDUAL_TOL = 1e-6
 REFINE_TOL = 1e-9  # bracket each refinement solve aims for (or the caller's tol, if smaller)
-REFINE_SLSQP_ITER = 500  # SLSQP iteration cap of each refinement solve
-REFINE_NEWTON_STEPS = 8  # KKT Newton step cap of each refinement solve after SLSQP
+REFINE_BARRIER_STEPS = 100  # barrier Newton step cap of each refinement solve
+REFINE_NEWTON_STEPS = 8  # KKT Newton step cap of each refinement solve after the barrier path
 PRICING_MAX_ROUNDS = 32  # column-generation round cap of informational_power
 ASCENT_MAX_ITER = 500  # L-BFGS iteration cap of each local ascent over pure states
 GRID_BLOCK = 1 << 16  # channel entries per row block of the grid's entropy pass (cache-sized)
@@ -198,18 +196,19 @@ class BAResult:
 def _refine_solve(channel: np.ndarray, tol: float, prior: np.ndarray | None = None) -> BAResult:
     """Capacity of a channel with few rows by a direct convex solve.
 
-    Maximizes I(r) = sum_x r_x D(P_x || rP) over the simplex: SLSQP first,
-    then Newton steps on the KKT system D_x(r) = C over the support, solved
-    by least squares because the system is singular when the optimal prior
-    is not unique. Each iterate is clipped to a valid prior r, so I(r) is an
-    achievable rate and max_x D(P_x || rP) an upper bound on the capacity;
-    the iterate with the narrowest bracket is returned. The cost grows with
-    the row count, and the step count is capped by ``REFINE_SLSQP_ITER`` and
-    ``REFINE_NEWTON_STEPS``; a bracket wider than ``tol`` is returned as is.
-    SLSQP starts from ``prior`` if given, else from the flat prior.
+    Maximizes I(r) = sum_x r_x D(P_x || rP) over the simplex by a log-barrier Newton path
+    (Boyd & Vandenberghe, Convex Optimization, sec. 11.3) from halfway between ``prior``
+    (else the flat prior) and the flat prior: each step solves the KKT system of
+    I + mu sum_x ln r_x on sum_x r_x = 1, with K + diag(mu / r^2) and K = P diag(1/rP) P^T,
+    backtracked on that objective inside the simplex; mu starts at the bracket over n and
+    shrinks 100x per centring. The barrier holds a state off the support at about mu over
+    its gap to max_x D, so each iterate is scored with the weights below that gap zeroed.
+    Newton steps on D_x(r) = C over the support (least squares: the system is singular when
+    the optimal prior is not unique) then polish the best. Each scored r is a valid prior:
+    I(r) is achievable, max_x D(P_x || rP) bounds the capacity above. The narrowest bracket
+    is returned, wider than ``tol`` only if the step caps ``REFINE_BARRIER_STEPS`` and
+    ``REFINE_NEWTON_STEPS`` stopped it.
     """
-    from scipy.optimize import minimize
-
     P = np.asarray(channel, dtype=float)
     n = P.shape[0]
     if n == 1:  # one input carries no information
@@ -220,28 +219,39 @@ def _refine_solve(channel: np.ndarray, tol: float, prior: np.ndarray | None = No
         out = np.maximum(r @ P, np.finfo(float).tiny)  # an unreached output makes D huge
         return H - np.einsum("xy,y->x", P, np.log(out)), out
 
-    def neg_rate(r):
-        D, _ = divergences(r)
-        return -float(r @ D), 1.0 - D
-
-    def iterate(r):
-        """r clipped to a valid prior, with D(P_x || rP), rP, I(r) and the bracket width."""
+    def iterate(r):  # r clipped to a valid prior, with D(P_x || rP), rP, I(r) and the bracket
         r = np.clip(r, 0.0, None)
         r /= r.sum()
         D, out = divergences(r)
         lower = float(r @ D)
         return r, D, out, lower, max(float(D.max()) - lower, 0.0)
 
-    best = cur = iterate(np.full(n, 1.0 / n) if prior is None else prior)
-    steps = 0
-    if best[4] > tol:
-        res = minimize(neg_rate, best[0], jac=True, method="SLSQP", bounds=[(0.0, 1.0)] * n,
-                       constraints=[{"type": "eq", "fun": lambda r: r.sum() - 1.0,
-                                     "jac": lambda r: np.ones_like(r)}],
-                       options={"maxiter": REFINE_SLSQP_ITER, "ftol": 1e-16})
-        steps = int(res.nit)
-        cur = iterate(res.x)
-        best = min(best, cur, key=lambda it: it[4])
+    def barrier(r, mu):
+        D, out = divergences(r)
+        return float(r @ D + mu * np.log(r).sum()), D, out
+
+    best = iterate(np.full(n, 1.0 / n) if prior is None else prior)
+    r, mu, steps = 0.5 * best[0] + 0.5 / n, best[4] / n, 0
+    phi, D, out = barrier(r, mu)
+    while best[4] > tol and steps < REFINE_BARRIER_STEPS:
+        # dr = r u: (R K R + mu I) u + nu r = r (D - 1) + mu, r . u = 0
+        scaled = r[:, None] * P / np.sqrt(out)
+        rhs = r * (D - 1.0) + mu
+        sol = np.linalg.solve(scaled @ scaled.T + mu * np.eye(n), np.stack([rhs, r], axis=1))
+        u = sol[:, 0] - (r @ sol[:, 0]) / (r @ sol[:, 1]) * sol[:, 1]
+        decrement, t = float(rhs @ u), min(1.0, 0.99 / max(-u.min(), 1e-300))
+        if decrement <= 1e-15 * abs(phi):  # phi's rounding hides any gain: the polish takes over
+            break
+        while (trial := barrier(r * (1.0 + t * u), mu))[0] < phi + 1e-4 * t * decrement:
+            if t < 1e-12:
+                break
+            t *= 0.5
+        r, (phi, D, out), steps = r * (1.0 + t * u), trial, steps + 1
+        best = min(best, iterate(np.where(r > D.max() - D, r, 0.0)), key=lambda it: it[4])
+        if decrement <= mu:  # centred: shrink the barrier
+            mu *= 0.01
+            phi = barrier(r, mu)[0]
+    cur = best
     for _ in range(REFINE_NEWTON_STEPS):
         if best[4] <= tol:
             break
@@ -252,10 +262,9 @@ def _refine_solve(channel: np.ndarray, tol: float, prior: np.ndarray | None = No
         kkt = np.ones((k + 1, k + 1))
         kkt[:k, :k] = (P[s] / out) @ P[s].T
         kkt[k, k] = 0.0
-        dr = np.linalg.lstsq(kkt, np.append(D[s], 0.0), rcond=None)[0][:k]
-        r = r.copy()
-        r[s] += dr
-        cur = iterate(r)
+        dr = np.zeros(n)
+        dr[s] = np.linalg.lstsq(kkt, np.append(D[s], 0.0), rcond=None)[0][:k]
+        cur = iterate(r + dr)
         best = min(best, cur, key=lambda it: it[4])
         steps += 1
     r, _, _, lower, width = best
@@ -305,45 +314,83 @@ def _ascent_terms(z: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):
     return vals, grad
 
 
+def _lbfgs(fun, x0: np.ndarray, max_iter: int, gtol: float, ftol: float):
+    """Minimize ``fun(x) -> (f, gradient)`` from ``x0`` by L-BFGS with Armijo backtracking.
+
+    Directions come from the two-loop recursion over the last 10 pairs (s, y) of positive
+    curvature, scaled by s . y / y . y (Nocedal & Wright, Numerical Optimization, alg. 7.4);
+    the first is a steepest-descent step of length 1, as in L-BFGS-B. A step is cut by
+    quadratic interpolation, to 0.1-0.5 of itself, until f falls by 1e-4 of its predicted
+    fall; 20 cuts fail the line search. It stops at a largest gradient entry <= ``gtol``, at a
+    step lowering f by <= ``ftol`` max(|f|, |f_new|, 1), at a failed line search or after
+    ``max_iter`` iterations. Returns the last accepted x (``fun`` saw it last unless a line
+    search failed), the evaluation count and whether ``max_iter`` ended the solve.
+    """
+    x, (f, g), nfev, pairs = x0, fun(x0), 1, []  # pairs (s, y, 1 / s . y), oldest first
+    for it in range(max_iter + 1):
+        if np.abs(g).max() <= gtol or it == max_iter:
+            return x, nfev, bool(np.abs(g).max() > gtol)
+        p, alphas = -g, []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ p))
+            p = p - alphas[-1] * y
+        p = p / (pairs[-1][2] * (pairs[-1][1] @ pairs[-1][1]) if pairs else np.linalg.norm(g))
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            p = p + (alpha - rho * (y @ p)) * s
+        slope, t = float(g @ p), 1.0
+        for _ in range(20):
+            x_new = x + t * p
+            f_new, g_new = fun(x_new)
+            nfev += 1
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            cut = -slope * t / (2.0 * (f_new - f - slope * t))  # the quadratic's minimum
+            t *= min(max(cut, 0.1), 0.5) if math.isfinite(cut) else 0.1
+        else:
+            return x, nfev, False
+        s, y = x_new - x, g_new - g
+        if s @ y > 1e-12 * (y @ y):
+            pairs = [*pairs[-9:], (s, y, 1.0 / (s @ y))]
+        if f - f_new <= ftol * max(abs(f), abs(f_new), 1.0):
+            return x_new, nfev, False
+        x, f, g = x_new, f_new, g_new
+
+
 def _ascend(ops: np.ndarray, a: np.ndarray, b: np.ndarray, phis: np.ndarray):
     """Maximize F(phi) = sum_y a_y x_y ln x_y + b_y x_y, x_y = <phi|chi_y|phi> / <phi|phi>,
     from every row of the (K, d) stack ``phis`` at once.
 
-    One L-BFGS on the separable sum sum_k F(phi_k) over (Re phi_k, Im phi_k) climbs all K
-    starts, with the analytic gradient 2 / |phi|^2 (B phi - (g . x) phi), g = a (ln x + 1) + b
-    and B = sum_y g_y chi_y. The stack's x, ln x and g come in cache-sized row blocks, and
-    every B from one real matmul over the flattened operators (:func:`_ascent_terms`). x is
-    clamped at the smallest normal float before the log, since an optimal state may have
-    zero overlaps. The stopping rules are global: ftol applies relative to |sum_k F|, and
-    a failed line search ends every start. So the oracle climbs D(p(.|phi) || out) - ln d,
-    b = a (ln q - ln out), as sum_y a_y x_y = 1: D itself, b = a (ln a - ln out), is two
-    nearly cancelling O(1) sums whose rounding the relative ftol test would chase. The
-    stack stops at gtol = 1e-9 on its largest gradient entry. The computed gradient has a
-    rounding floor of about 2e-11, so a gtol below it never fires: the line search then
-    tries steps whose sum_k F moves by +-1 ulp, for up to some 30 more evaluations. A
-    gradient of size g leaves F within about g^2 / (2 kappa) of its local maximum, kappa
-    the curvature there; for g = 1e-9 and kappa of order 1 that is 5e-19, far below F's
-    last bit. Returns the (K, d) normalized maximizers, F at each and whether the stack
-    stopped at ``ASCENT_MAX_ITER``. F is the solver's last evaluation when that was at the
-    returned point, so the stack is evaluated ``nfev`` times; once more after a failed line
-    search.
+    One L-BFGS solve (:func:`_lbfgs`) on the separable sum sum_k F(phi_k) over
+    (Re phi_k, Im phi_k) climbs all K starts, with the analytic gradient
+    2 / |phi|^2 (B phi - (g . x) phi), g = a (ln x + 1) + b and B = sum_y g_y chi_y, formed
+    in cache-sized row blocks (:func:`_ascent_terms`). x is clamped at the smallest normal
+    float before the log, since an optimal state may have zero overlaps. The stopping rules
+    are global: ftol = 1e-15 applies relative to |sum_k F|, and a failed line search ends
+    every start. So the oracle climbs D(p(.|phi) || out) - ln d, b = a (ln q - ln out), as
+    sum_y a_y x_y = 1: D itself, b = a (ln a - ln out), is two nearly cancelling O(1) sums
+    whose rounding the relative ftol test would chase. The stack stops at gtol = 1e-9 on its
+    largest gradient entry. The computed gradient has a rounding floor of about 2e-11, so a
+    gtol below it never fires: the ftol test or a failed line search then ends the stack,
+    after extra steps whose sum_k F moves by +-1 ulp. A gradient of size g
+    leaves F within about g^2 / (2 kappa) of its local maximum, kappa the curvature there;
+    for g = 1e-9 and kappa of order 1 that is 5e-19, far below F's last bit. Returns the
+    (K, d) normalized maximizers, F at each and whether the stack stopped at
+    ``ASCENT_MAX_ITER``. F is the solver's last evaluation when that was at the returned
+    point; the stack is evaluated once more after a failed line search.
     """
-    from scipy.optimize import minimize
-
-    v0 = np.ascontiguousarray(phis, dtype=complex).view(float).ravel()
-    last = None  # (v, F at each row) of the solver's last evaluation
+    shape, last = np.shape(phis), None  # last: (v, F at each row) of the last evaluation
 
     def objective(v):
         nonlocal last
-        vals, grad = _ascent_terms(v.view(complex).reshape(len(phis), -1), ops, a, b)
-        last = (v.copy(), vals)
+        vals, grad = _ascent_terms(v.view(complex).reshape(shape), ops, a, b)
+        last = (v, vals)
         return -float(vals.sum()), -grad.view(float).ravel()
 
-    res = minimize(objective, v0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": ASCENT_MAX_ITER, "gtol": 1e-9, "ftol": 1e-15})
-    z = res.x.view(complex).reshape(len(phis), -1)
-    vals = last[1] if np.array_equal(last[0], res.x) else _ascent_terms(z, ops, a, b)[0]
-    return z / np.linalg.norm(z, axis=1, keepdims=True), vals, res.status == 1
+    v, _, capped = _lbfgs(objective, np.ascontiguousarray(phis, dtype=complex).view(float).ravel(),
+                          ASCENT_MAX_ITER, gtol=1e-9, ftol=1e-15)
+    z = v.view(complex).reshape(shape)
+    vals = last[1] if last[0] is v else _ascent_terms(z, ops, a, b)[0]
+    return z / np.linalg.norm(z, axis=1, keepdims=True), vals, capped
 
 
 def kl_maximize(eset: WeightedElementSet, grid: StateGrid) -> tuple[float, np.ndarray]:
@@ -489,6 +536,45 @@ def _dedupe_states(states, tol: float = 1e-8) -> np.ndarray:
     return states[keep]
 
 
+def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """argmin ||a x - b|| over x >= 0 and its residual, by the active-set method of Lawson &
+    Hanson, Solving Least Squares Problems (1974), ch. 23.
+
+    With no more columns than rows, one least-squares solve is tried first: nonnegative, it
+    is the answer. The passive set grows by the column of largest gradient a^T (b - a x) and
+    shrinks along the segment to each least-squares solve on it: no n x n matrix is formed.
+    """
+    m, n = a.shape
+    if n <= m:
+        x = np.linalg.lstsq(a, b, rcond=None)[0]
+        if x.min() >= 0.0:
+            return x, float(np.linalg.norm(a @ x - b))
+    x, passive, barred = np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    tol = 10 * max(m, n) * np.finfo(float).eps * np.abs(a).max() * np.abs(b).sum()
+    for _ in range(3 * n):
+        free = np.where(passive | barred, -np.inf, a.T @ (b - a @ x))
+        j = int(np.argmax(free))
+        if free[j] <= tol:
+            break
+        passive[j] = True
+        while True:
+            idx = np.flatnonzero(passive)
+            z = np.linalg.lstsq(a[:, idx], b, rcond=None)[0]
+            if z.min() > 0.0:
+                x[idx], barred[:] = z, False
+                break
+            if x[j] == 0.0 and z[np.searchsorted(idx, j)] <= 0.0:
+                passive[j], barred[j] = False, True  # w_j > 0 by rounding: barred till x moves
+                break
+            neg = np.flatnonzero(z <= 0.0)
+            ratios = x[idx[neg]] / (x[idx[neg]] - z[neg])
+            x[idx] += ratios.min() * (z - x[idx])
+            x[idx[neg[np.argmin(ratios)]]] = 0.0
+            passive &= x > 0.0
+            x[~passive] = 0.0
+    return x, float(np.linalg.norm(a @ x - b))
+
+
 def _identity_hull_residual(states: np.ndarray, d: int) -> float:
     """Distance of 1/d from the convex hull of the state projectors.
 
@@ -498,14 +584,12 @@ def _identity_hull_residual(states: np.ndarray, d: int) -> float:
     residual bounds the full one and is returned if it meets the tolerance,
     which spares the full solve on a grid-sized ensemble.
     """
-    from scipy.optimize import nnls
-
     projs = np.einsum("xi,xj->xij", states, states.conj()).reshape(len(states), -1)
     a = np.concatenate([projs.real, projs.imag], axis=1).T
     target = np.concatenate([(np.eye(d) / d).ravel(), np.zeros(d * d)])
-    _, resid = nnls(a[:, ::max(1, len(states) // (8 * d * d))], target)
+    _, resid = _nnls(a[:, ::max(1, len(states) // (8 * d * d))], target)
     if resid > TIGHTNESS_RESIDUAL_TOL:
-        _, resid = nnls(a, target)
+        _, resid = _nnls(a, target)
     return float(resid)
 
 

@@ -31,11 +31,11 @@ from tdesigncap import (
     moments,
     moments_of_depolarized,
     optimal_ensemble,
-    verify_below,
 )
 from tdesigncap.bounds import PatternError
 from tdesigncap.cli import main as cli_main
 
+from reference_bounds import verify_below
 from reference_gamma import gamma_explicit
 
 SEED = 2016

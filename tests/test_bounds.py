@@ -17,7 +17,6 @@ from tdesigncap import (
     hermite_interpolate,
     moments,
     moments_of_depolarized,
-    verify_below,
 )
 from tdesigncap.bounds import (
     CROSS_CHECK_TOL,
@@ -27,6 +26,8 @@ from tdesigncap.bounds import (
     PatternError,
     _eta_derivative,
 )
+
+from reference_bounds import verify_below
 
 
 def projective_gammas(d, k_max=5):

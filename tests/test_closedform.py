@@ -16,6 +16,7 @@ from tdesigncap import (
     pair_probability,
     uniform_capacity,
 )
+from tdesigncap import closedform
 from tdesigncap.catalog import UnsupportedFamilyError
 from tdesigncap.closedform import overlap_spectrum
 from tdesigncap.core import overlaps
@@ -135,6 +136,21 @@ class TestHyp2f1:
     def test_positive_argument_rejected(self):
         with pytest.raises(ValueError):
             hyp2f1_11(4, 0.1)
+
+    def test_digamma_seed_against_scipy(self):
+        from scipy.special import digamma
+
+        for x in (1.0, 1.0001, 1.5, 2.0, 3.0, 4.25, 7.3, 10.0, 15.999, 16.0, 17.5, 100.0, 1e6):
+            assert closedform._digamma(x) == pytest.approx(float(digamma(x)), abs=1e-14)
+
+    def test_log_case_against_mpmath(self):
+        # z < -999 takes the log-case series in powers of 1/(1 - z)
+        mpmath = pytest.importorskip("mpmath")
+        for c in (4, 4.5, 5, 10):
+            for z in (-1e3, -4e4, -2e7, -1e11):
+                with mpmath.workdps(30):
+                    ref = float(mpmath.hyp2f1(1, 1, c, z))
+                assert hyp2f1_11(c, z) == pytest.approx(ref, rel=1e-13)
 
     def test_uniform_monotone_and_below_ln_d(self):
         for d in (2, 3, 8):

@@ -329,21 +329,19 @@ class TestAscendEvaluations:
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        import scipy.optimize
-
-        real_terms, real_minimize = oracle._ascent_terms, scipy.optimize.minimize
+        real_terms, real_lbfgs = oracle._ascent_terms, oracle._lbfgs
         seen = {"terms": 0, "results": [], "real_terms": real_terms}
 
         def terms(*args):
             seen["terms"] += 1
             return real_terms(*args)
 
-        def minimize(*args, **kwargs):
-            seen["results"].append(real_minimize(*args, **kwargs))
+        def lbfgs(*args, **kwargs):
+            seen["results"].append(real_lbfgs(*args, **kwargs))
             return seen["results"][-1]
 
         monkeypatch.setattr(oracle, "_ascent_terms", terms)
-        monkeypatch.setattr(scipy.optimize, "minimize", minimize)
+        monkeypatch.setattr(oracle, "_lbfgs", lbfgs)
         return seen
 
     @pytest.mark.parametrize("family,dim,lam", [("qubit_sic", None, 0.5),
@@ -357,15 +355,15 @@ class TestAscendEvaluations:
         for b in (np.zeros_like(a), a * np.linspace(-0.5, 0.5, len(a))):
             counted["terms"] = 0
             states, vals, _ = oracle._ascend(eset.ops, a, b, starts)
-            res = counted["results"][-1]
-            assert counted["terms"] == res.nfev
-            z = res.x.view(complex).reshape(len(starts), -1)
+            x, nfev, _ = counted["results"][-1]
+            assert counted["terms"] == nfev
+            z = x.view(complex).reshape(len(starts), -1)
             assert np.array_equal(vals, counted["real_terms"](z, eset.ops, a, b)[0])
             assert np.array_equal(states, z / np.linalg.norm(z, axis=1, keepdims=True))
 
     def test_first_climb_stops_at_the_rounding_floor(self, counted):
-        # at gtol = 1e-12, below the gradient's rounding floor, this stack takes 37 evaluations,
-        # most of them line-search steps of +-1 ulp; one solve per start keeps gtol = 1e-12
+        # gtol = 1e-9, above the gradient's rounding floor, stops this stack in 6 evaluations;
+        # one solve per start keeps gtol = 1e-12
         eset = depolarize(build(DesignSpec("icosahedron", 1.0)), 0.5)
         grid = default_grid(2, seed=2016, resolution=512)
         pricing = oracle._GridPricing(eset, grid)
@@ -379,22 +377,31 @@ class TestAscendEvaluations:
 
     def test_recomputes_at_an_earlier_iterate(self, counted, monkeypatch):
         # a failed line search returns an iterate before the last evaluation
-        import scipy.optimize
+        real = oracle._lbfgs
 
-        real = scipy.optimize.minimize
+        def back_to_start(fun, x0, *args, **kwargs):
+            _, nfev, capped = real(fun, x0, *args, **kwargs)
+            return np.array(x0), nfev, capped
 
-        def back_to_start(fun, x0, **kwargs):
-            res = real(fun, x0, **kwargs)
-            res.x = np.array(x0)
-            return res
-
-        monkeypatch.setattr(scipy.optimize, "minimize", back_to_start)
+        monkeypatch.setattr(oracle, "_lbfgs", back_to_start)
         eset = depolarize(build(DesignSpec("qutrit_sic", 1.0)), 0.5)
         a, b = 3 * eset.weights, np.zeros(len(eset))
         starts = haar_random_states(3, 8, seed=7)
         counted["terms"] = 0
         _, vals, _ = oracle._ascend(eset.ops, a, b, starts)
-        assert counted["terms"] == counted["results"][-1].nfev + 1
+        assert counted["terms"] == counted["results"][-1][1] + 1
+        assert np.array_equal(vals, counted["real_terms"](starts, eset.ops, a, b)[0])
+
+    def test_converged_start_is_returned_unchanged(self, counted):
+        # the KL maximizers of the qubit SIC are the states orthogonal to its elements
+        eset = depolarize(build(DesignSpec("qubit_sic", 1.0)), 0.5)
+        a, b = 2 * eset.weights, np.zeros(len(eset))
+        starts = np.array([np.linalg.eigh(op)[1][:, 0] for op in eset.ops])
+        _, grad = counted["real_terms"](starts, eset.ops, a, b)
+        assert np.abs(grad).max() <= 1e-9  # below the stack's gtol
+        states, vals, capped = oracle._ascend(eset.ops, a, b, starts)
+        assert counted["terms"] == counted["results"][-1][1] == 1
+        assert np.abs(states - starts).max() <= 1e-15 and not capped
         assert np.array_equal(vals, counted["real_terms"](starts, eset.ops, a, b)[0])
 
 
@@ -409,49 +416,47 @@ def _fresh_pair(kind: str):
 
 class TestOneSolvePerStack:
     @pytest.fixture
-    def lbfgs_calls(self, monkeypatch):
-        import scipy.optimize
-
+    def ascents(self, monkeypatch):
         calls = []
-        real = scipy.optimize.minimize
+        real = oracle._ascend
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("method"))
-            return real(*args, **kwargs)
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
 
-        monkeypatch.setattr(scipy.optimize, "minimize", counted)
-        return lambda: calls.count("L-BFGS-B")
+        monkeypatch.setattr(oracle, "_ascend", counted)
+        return lambda: len(calls)
 
-    def test_kl_maximize(self, icosahedron, qutrit_sic, qubit_grid, qutrit_grid, lbfgs_calls):
+    def test_kl_maximize(self, icosahedron, qutrit_sic, qubit_grid, qutrit_grid, ascents):
         for eset, grid in [(icosahedron, qubit_grid), (depolarize(qutrit_sic, 0.5), qutrit_grid)]:
-            before = lbfgs_calls()
+            before = ascents()
             kl_maximize(eset, grid)
-            assert lbfgs_calls() - before == 1
+            assert ascents() - before == 1
 
-    def test_informational_power(self, qubit_sic, lbfgs_calls):
+    def test_informational_power(self, qubit_sic, ascents):
         grid = default_grid(2, seed=2016, resolution=200)
         for povm in (depolarize(qubit_sic, 0.5),
                      depolarize(discretized_uniform_povm(2, n_effects=5), 0.3)):
-            before = lbfgs_calls()
+            before = ascents()
             res = informational_power(povm, grid, tol=1e-6)
-            assert 1 <= lbfgs_calls() - before <= res.refinement_rounds + 1
+            assert 1 <= ascents() - before <= res.refinement_rounds + 1
 
     @pytest.mark.parametrize("kind", ["qubit_sic", "non_design"])
-    def test_one_climb_serves_both_searches(self, kind, lbfgs_calls):
+    def test_one_climb_serves_both_searches(self, kind, ascents):
         # the pricing first: one climb per round, and one more that finds no state above the
         # value; the KL search after it adds none
         povm, grid = _fresh_pair(kind)
         res = informational_power(povm, grid, tol=1e-6)
         assert res.refinement_rounds >= 1 and not res.diagnostics["pricing_capped"]
-        assert lbfgs_calls() == res.refinement_rounds + 1
+        assert ascents() == res.refinement_rounds + 1
         kl_maximize(povm, grid)
-        assert lbfgs_calls() == res.refinement_rounds + 1
+        assert ascents() == res.refinement_rounds + 1
         # the KL search first: its one climb is the pricing's round 1, which adds none
         povm, grid = _fresh_pair(kind)
         kl_maximize(povm, grid)
-        assert lbfgs_calls() == res.refinement_rounds + 2
+        assert ascents() == res.refinement_rounds + 2
         informational_power(povm, grid, tol=1e-6)
-        assert lbfgs_calls() == 2 * res.refinement_rounds + 2
+        assert ascents() == 2 * res.refinement_rounds + 2
 
 
 class TestSharedFirstClimb:
@@ -759,7 +764,7 @@ class TestInformationalPower:
 
         def stalled(channel, tol, prior=None):
             res = real(channel, tol, prior)
-            return dataclasses.replace(res, iterations=oracle.REFINE_SLSQP_ITER
+            return dataclasses.replace(res, iterations=oracle.REFINE_BARRIER_STEPS
                                        + oracle.REFINE_NEWTON_STEPS, bracket_width=1e-3)
 
         monkeypatch.setattr(oracle, "_refine_solve", stalled)
@@ -927,6 +932,60 @@ class TestRefineSolve:
         assert res.bracket_width <= 1e-9
         assert res.capacity == pytest.approx(capacity("qutrit_sic", 0.25), abs=1e-9)
         self._check_certified(channel, res)
+
+
+    def test_closes_every_non_design_round(self, monkeypatch):
+        # several rounds, each warm-started from the last prior with the new states at 0
+        real, seen = oracle._refine_solve, []
+
+        def recorded(channel, tol, prior=None):
+            seen.append((channel, tol, prior))
+            return real(channel, tol, prior)
+
+        monkeypatch.setattr(oracle, "_refine_solve", recorded)
+        informational_power(*_fresh_pair("non_design"), tol=1e-6)
+        assert len(seen) >= 3 and sum(prior is not None for *_, prior in seen) >= 2
+        for channel, tol, prior in seen:
+            assert tol == oracle.REFINE_TOL
+            res = real(channel, tol, prior)
+            assert res.bracket_width <= oracle.REFINE_TOL
+            self._check_certified(channel, res)
+
+
+class TestNnls:
+    """Lawson-Hanson NNLS against scipy's, and on the shapes the tightness check solves."""
+
+    @pytest.mark.parametrize("rows,cols", [(40, 4), (30, 30), (8, 400), (18, 2000)])
+    @pytest.mark.parametrize("inside", [False, True])  # b in the cone of the columns, or not
+    def test_matches_scipy(self, rows, cols, inside):
+        from scipy.optimize import nnls
+
+        rng = np.random.default_rng(rows * cols + inside)
+        for _ in range(5):
+            a = rng.normal(size=(rows, cols))
+            x0 = rng.uniform(size=cols) * (rng.uniform(size=cols) < 0.2)
+            x0[0] = 1.0
+            b = a @ x0 if inside else rng.normal(size=rows)
+            b /= np.linalg.norm(b)
+            x, resid = oracle._nnls(a, b)
+            assert x.min() >= 0.0
+            assert resid == pytest.approx(np.linalg.norm(a @ x - b), abs=1e-15)
+            assert abs(resid - nnls(a, b)[1]) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["hoggar_sic", "qutrit_sic"])
+    def test_hull_shapes_match_scipy(self, family):
+        from scipy.optimize import nnls
+
+        # Hoggar's 64 optimal states over 128 rows: one least-squares solve; then a grid
+        states = np.array([np.linalg.eigh(p)[1][:, -1] for p in optimal_ensemble(family).ops])
+        d = states.shape[1]
+        for ensemble in (states, states[: d * d // 2], haar_random_states(d, 600, seed=3)):
+            projs = np.einsum("xi,xj->xij", ensemble, ensemble.conj()).reshape(len(ensemble), -1)
+            a = np.concatenate([projs.real, projs.imag], axis=1).T
+            for target in (np.eye(d) / d, np.diag(np.arange(d) == 0) * 1.0):
+                b = np.concatenate([target.ravel(), np.zeros(d * d)])
+                assert abs(oracle._nnls(a, b)[1] - nnls(a, b)[1]) <= 1e-12
+        assert oracle._identity_hull_residual(states, d) <= 1e-12
 
 
 class TestDiscretizedUniform:

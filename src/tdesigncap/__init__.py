@@ -10,7 +10,6 @@ independent column-generation oracle.
 from .core import (
     WeightedElementSet,
     eta,
-    haar_random_state,
     mutual_information,
     pair_probability,
     pure_ensemble,
@@ -61,8 +60,8 @@ __all__ = [
     "WeightedElementSet", "admissible_lambda", "anti_design", "bell_polynomial",
     "bound_Ct", "bound_from_set", "build", "capacity", "certify",
     "default_grid", "depolarize", "design_strength", "discretized_uniform_povm",
-    "eta", "gamma_empirical", "gamma_predicted", "haar_random_state",
-    "hermite_interpolate", "hyp2f1_11", "informational_power", "kl_maximize",
-    "moments", "moments_of_depolarized", "mutual_information", "optimal_ensemble",
-    "pair_probability", "pure_ensemble", "relative_entropy", "uniform_capacity",
+    "eta", "gamma_empirical", "gamma_predicted", "hermite_interpolate",
+    "hyp2f1_11", "informational_power", "kl_maximize", "moments", "moments_of_depolarized",
+    "mutual_information", "optimal_ensemble", "pair_probability", "pure_ensemble",
+    "relative_entropy", "uniform_capacity",
 ]

@@ -93,17 +93,12 @@ def mutual_information(joint: np.ndarray) -> float:
     return relative_entropy(joint.ravel(), np.outer(px, py).ravel())
 
 
-def haar_random_state(dim: int, seed: int) -> np.ndarray:
-    """A pure state drawn from the unitarily invariant measure; deterministic in seed."""
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def haar_random_states(dim: int, count: int, seed: int) -> np.ndarray:
     """(count, dim) array of independent Haar states from one seeded stream."""
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim!r}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count!r}")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     return v / np.linalg.norm(v, axis=1)[:, None]

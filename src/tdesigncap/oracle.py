@@ -8,10 +8,12 @@ the KL value is the best of its climbs.
 
 The grid is priced without forming its (n, m) channel: each linear term is one
 d x d operator applied to the grid's projectors, and the one nonlinear term,
-sum_y p ln p per grid state, is one pass in cache-sized row blocks. That pass and
-the first climb run once per (POVM, grid) pair for both searches: every pricing
-round of :func:`informational_power`, and :func:`kl_maximize`. The stacked
-ascent evaluates its (K, m) overlaps in cache-sized row blocks too.
+sum_y p ln p per grid state, is one pass in cache-sized row blocks that floors p
+only in the rows holding a p <= 0. That pass and the first climb run once per
+(POVM, grid) pair for both searches: every pricing round of
+:func:`informational_power`, and :func:`kl_maximize`. Each round's starts are
+its top prices, picked by one partition. The stacked ascent evaluates its
+(K, m) overlaps in cache-sized row blocks too.
 
 The oracle lower-bounds capacity by construction (it exhibits an achievable
 ensemble); the KL route upper-bounds it. Together they bracket the closed
@@ -117,8 +119,10 @@ class _GridPricing:
     B_v = sum_y d q_y v_y chi_y (the clip only removes rounding below 0), so it costs one
     (n, 2d^2) matvec over the grid's :func:`core.projector_view`, built per pricing. The one
     nonlinear term, the row terms H_x = sum_y P ln P, is one pass in row blocks of
-    about ``GRID_BLOCK`` entries that stay in cache; P is floored at the smallest normal
-    float there, which adds at most m * 1.6e-305. The pass runs once per (POVM, grid)
+    about ``GRID_BLOCK`` entries that stay in cache. A row holding an exact-zero or a
+    rounding-negative P sums to nan there and is summed again with P floored at the
+    smallest normal float, which adds at most m * 1.6e-305; the other rows skip that
+    floor. The pass runs once per (POVM, grid)
     pair, and so does the first pricing round's climb (:meth:`first_climb`): H and that
     climb of the last pair are kept, under weak references to the pair, so the KL search
     after :func:`informational_power` (or the other way round) reuses both, and neither
@@ -143,24 +147,31 @@ class _GridPricing:
         self.row_terms = self._shared[0]
 
     def _row_term_pass(self) -> np.ndarray:
-        """H_x = sum_y P_xy ln P_xy for every grid row, in cache-sized row blocks."""
+        """H_x = sum_y P_xy ln P_xy for every grid row, in cache-sized row blocks; only the
+        rows whose sum is not finite are redone with P floored at the smallest normal float."""
         n, m = len(self.proj), len(self.a)
         ops_t = self.ops.view(float).T * self.a  # P = proj @ ops_t, the weights folded in once
         rows = min(n, max(1, GRID_BLOCK // m))
         p_buf, lnp_buf = np.empty((rows, m)), np.empty((rows, m))
         row_terms = np.empty(n)
-        for lo in range(0, n, rows):
-            block = self.proj[lo:lo + rows]
-            p = np.matmul(block, ops_t, out=p_buf[:len(block)])
-            np.maximum(p, np.finfo(float).tiny, out=p)
-            lnp = np.log(p, out=lnp_buf[:len(block)])
-            row_terms[lo:lo + len(block)] = np.einsum("xy,xy->x", p, lnp)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lo in range(0, n, rows):
+                block = self.proj[lo:lo + rows]
+                p = np.matmul(block, ops_t, out=p_buf[:len(block)])
+                h = row_terms[lo:lo + len(block)]
+                np.einsum("xy,xy->x", p, np.log(p, out=lnp_buf[:len(block)]), out=h)
+                bad = np.flatnonzero(~np.isfinite(h))  # a P <= 0 gives nan: floor those rows
+                if len(bad):
+                    p = np.maximum(p[bad], np.finfo(float).tiny)
+                    h[bad] = np.einsum("xy,xy->x", p, np.log(p))
         return row_terms
 
     def flat_rate(self) -> float:
         """I(r) of the flat prior r over the grid: mean_x H_x - out . ln out, where
-        out = r P = d q_y <chi_y, mean_x |phi_x><phi_x|> is linear too."""
-        out = np.maximum(self.a * (self.ops.view(float) @ self.proj.mean(axis=0)), 0.0)
+        out = r P = d q_y <chi_y, mean_x |phi_x><phi_x|> is linear too: the mean projector
+        is one matvec of the flat weights over the projector view."""
+        mean_proj = np.full(len(self.proj), 1.0 / len(self.proj)) @ self.proj  # one matvec
+        out = np.maximum(self.a * (self.ops.view(float) @ mean_proj), 0.0)
         return float(self.row_terms.mean() - out @ _masked_log(out))
 
     def prices(self, lnout: np.ndarray) -> np.ndarray:
@@ -176,7 +187,7 @@ class _GridPricing:
         the grid states of the top max(32, d^2) first prices, as every round climbs. Returns
         :func:`_ascend`'s result, read-only."""
         if self._shared[1] is None:
-            top = np.argsort(self.prices(self.lnq))[::-1][:max(32, self.states.shape[1] ** 2)]
+            top = _top_k(self.prices(self.lnq), max(32, self.states.shape[1] ** 2))
             climbed, vals, capped = _ascend(self.ops, self.a, np.zeros_like(self.a),
                                             self.states[top])
             for arr in (climbed, vals):
@@ -273,6 +284,15 @@ def _refine_solve(channel: np.ndarray, tol: float, prior: np.ndarray | None = No
 
 def _masked_log(a: np.ndarray) -> np.ndarray:
     return np.log(a, out=np.zeros_like(a), where=a > 0)
+
+
+def _top_k(v: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest entries of v, largest first: np.argsort(v)[::-1][:k], with
+    only those k sorted after one partition."""
+    if k >= len(v):
+        return np.argsort(v)[::-1]
+    top = np.argpartition(v, len(v) - k)[len(v) - k:]
+    return top[np.argsort(v[top])[::-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +498,7 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
     rounds = refine_capped = ascent_capped = 0
     while rounds < PRICING_MAX_ROUNDS and (rounds or priced.max() > value + tol):
         if rounds:  # D(p(.|phi) || out) = ln d + F with b = a (ln q - ln out), p_y = a_y x_y
-            top = grid.states[np.argsort(priced)[::-1][:max(32, d * d)]]
+            top = grid.states[_top_k(priced, max(32, d * d))]
             climb = _ascend(pricing.ops, pricing.a, pricing.a * (pricing.lnq - lnout), top)
         else:  # out = q, so b = 0: the KL search's climb
             climb = pricing.first_climb()

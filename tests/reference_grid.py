@@ -6,7 +6,8 @@ blocked pass for the row terms. The tests keep the dense construction that the
 oracle used before, so that the two can be compared: `povm_channel` over the
 whole grid, its row terms sum_y P ln P, the flat grid prior's rate, the first
 prices against the maximally mixed input's output q, and the KL objective's grid
-values ln d - d sum_y q_y eta(<phi_x|chi_y|phi_x>).
+values ln d - d sum_y q_y eta(<phi_x|chi_y|phi_x>). `floored_row_terms` is the row-term
+pass as it was before it floored only the rows holding a P <= 0.
 """
 
 import math
@@ -39,3 +40,14 @@ def dense_grid_phase(eset, states: np.ndarray) -> DenseGridPhase:
     ov = overlaps(states, eset.ops)
     kl_values = math.log(eset.dim) - eset.dim * (eta_array(ov) @ eset.weights)
     return DenseGridPhase(channel, row_terms, flat_rate, first_prices, kl_values)
+
+
+def floored_row_terms(pricing, rows: int) -> np.ndarray:
+    """sum_y P ln P per grid row with every P floored at the smallest normal float, in the
+    row blocks of ``rows`` rows that `oracle._GridPricing` uses, so it rounds the same."""
+    ops_t = pricing.ops.view(float).T * pricing.a
+    terms = []
+    for lo in range(0, len(pricing.proj), rows):
+        p = np.maximum(pricing.proj[lo:lo + rows] @ ops_t, np.finfo(float).tiny)
+        terms.append(np.einsum("xy,xy->x", p, np.log(p)))
+    return np.concatenate(terms)

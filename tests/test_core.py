@@ -13,7 +13,6 @@ from tdesigncap import (
     certify,
     depolarize,
     eta,
-    haar_random_state,
     mutual_information,
     pair_probability,
     pure_ensemble,
@@ -149,13 +148,14 @@ class TestPairProbability:
 
 class TestHaarRandomState:
     def test_deterministic(self):
-        a = haar_random_state(2, seed=99)
-        b = haar_random_state(2, seed=99)
+        a = haar_random_states(2, 1, seed=99)
+        b = haar_random_states(2, 1, seed=99)
+        assert a.shape == (1, 2)
         assert np.array_equal(a, b)
 
     def test_normalized(self):
         for d in (2, 3, 8):
-            assert np.linalg.norm(haar_random_state(d, seed=d)) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(haar_random_states(d, 1, seed=d)) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_haar_moments(self, d):
@@ -169,8 +169,14 @@ class TestHaarRandomState:
             assert err < 3 * samples.std() / math.sqrt(n)
 
     def test_dim_guard(self):
-        with pytest.raises(ValueError):
-            haar_random_state(1, seed=0)
+        for dim in (1, 0, -2):
+            with pytest.raises(ValueError, match="dim"):
+                haar_random_states(dim, 1, seed=0)
+
+    def test_count_guard(self):
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="count"):
+                haar_random_states(2, count, seed=0)
 
 
 class TestWeightedElementSet:

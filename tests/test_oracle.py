@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -27,7 +28,7 @@ from tdesigncap.oracle import StateGrid, fibonacci_bloch_states
 from reference_ascent import (ascend_per_start, ascent_objective, ascent_terms_one_pass,
                               kl_maximize_reference, kl_objective)
 from reference_blahut_arimoto import blahut_arimoto
-from reference_grid import dense_grid_phase
+from reference_grid import dense_grid_phase, floored_row_terms
 
 
 def _seeded_d8_grid(family):
@@ -102,6 +103,11 @@ class TestStateGrid:
     def test_default_grid_sizes(self, qubit_grid):
         assert qubit_grid.resolution == 4096
         assert qubit_grid.provenance == "fibonacci-sphere"
+
+    @pytest.mark.parametrize("dim", [1, 0])
+    def test_dimension_below_two_refused(self, dim):
+        with pytest.raises(ValueError, match="dim"):
+            default_grid(dim, 0)
 
     def test_seeded_states_prepended(self):
         extra = np.eye(2, dtype=complex)
@@ -512,6 +518,8 @@ class TestGridPricing:
         ref = dense_grid_phase(eset, states)
         pricing = oracle._GridPricing(eset, grid)
         assert np.abs(pricing.row_terms - ref.row_terms).max() <= 1e-12
+        rows = min(len(states), oracle.GRID_BLOCK // len(eset.weights))
+        assert np.array_equal(pricing.row_terms, floored_row_terms(pricing, rows))
         assert pricing.flat_rate() == pytest.approx(ref.flat_rate, abs=1e-12)
         first = pricing.prices(oracle._masked_log(eset.weights))
         assert np.abs(first - ref.first_prices).max() <= 1e-12
@@ -568,6 +576,37 @@ class TestGridPricing:
             finally:
                 tracemalloc.stop()
             assert peak < 16 * 2 ** 20, solve.__name__
+
+
+class TestRowTermPass:
+    def test_one_block_mixes_zero_negative_and_ordinary_rows(self, qubit_mub, monkeypatch):
+        # qubit_mub's own states (from eigh) give rounding-negative P, the exact basis state
+        # |1> an exact-zero P; 16 rows per block put all 7 in the first block with 9 sampled
+        monkeypatch.setattr(oracle, "GRID_BLOCK", 16 * 6)
+        own = np.array([np.linalg.eigh(op)[1][:, -1] for op in qubit_mub.ops])
+        grid = default_grid(2, seed=2016, extra_states=np.vstack([own, [[0, 1]]]), resolution=200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pricing = oracle._GridPricing(qubit_mub, grid)
+            row_terms = pricing._row_term_pass()
+        raw = pricing.proj[:16] @ (pricing.ops.view(float).T * pricing.a)
+        zero, negative = (raw == 0).any(axis=1), (raw < 0).any(axis=1)
+        fallback = np.flatnonzero(zero | negative)
+        assert zero.any() and negative.any() and len(fallback) < 16
+        floored = np.maximum(dense_grid_phase(qubit_mub, grid.states).channel,
+                             np.finfo(float).tiny)
+        ref = np.einsum("xy,xy->x", floored, np.log(floored))
+        assert np.abs(row_terms[fallback] - ref[fallback]).max() <= 1e-12
+        # the ordinary rows skip the floor, and every row keeps the floor-everywhere value
+        assert np.array_equal(row_terms, floored_row_terms(pricing, 16))
+
+
+class TestTopK:
+    @pytest.mark.parametrize("n", [1, 7, 33, 2000])
+    def test_matches_a_full_sort(self, n):
+        v = np.random.default_rng(n).standard_normal(n)
+        for k in sorted({1, n // 2, n - 1, n, n + 5} - {0}):
+            assert np.array_equal(oracle._top_k(v, k), np.argsort(v)[::-1][:k]), k
 
 
 class TestRowTermsMemo:

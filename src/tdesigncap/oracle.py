@@ -170,7 +170,7 @@ class _GridPricing:
         """I(r) of the flat prior r over the grid: mean_x H_x - out . ln out, where
         out = r P = d q_y <chi_y, mean_x |phi_x><phi_x|> is linear too: the mean projector
         is one matvec of the flat weights over the projector view."""
-        mean_proj = np.full(len(self.proj), 1.0 / len(self.proj)) @ self.proj  # one matvec
+        mean_proj = np.full(len(self.proj), 1.0 / len(self.proj)) @ self.proj
         out = np.maximum(self.a * (self.ops.view(float) @ mean_proj), 0.0)
         return float(self.row_terms.mean() - out @ _masked_log(out))
 

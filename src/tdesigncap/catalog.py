@@ -1,5 +1,11 @@
 """Construction of the named measurement families and the depolarizing map.
 
+Everything the package knows about a family is one ``Family`` row of
+``FAMILY``: its cataloged dimensions, design strength, lambda = 1 POVM,
+capacity-achieving states and closed-form overlap spectrum. Rows hold
+constructors, so nothing is built at import; a new family costs its state
+constructor and one row.
+
 Every finite family is built as a POVM-role WeightedElementSet whose stored
 operators are the unit-trace elements chi_x (effects are d * p_x * chi_x).
 The uniform rank-one POVM is an analytic marker: it has no finite element
@@ -11,24 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .core import WeightedElementSet, pure_ensemble
-
-FINITE_FAMILIES = (
-    "qubit_sic", "qubit_mub", "icosahedron",
-    "qutrit_sic", "qutrit_mub", "hoggar_sic", "anti_sic",
-)
-FAMILIES = FINITE_FAMILIES + ("uniform",)
-
-_FAMILY_DIM = {"qubit_sic": 2, "qubit_mub": 2, "icosahedron": 2,
-               "qutrit_sic": 3, "qutrit_mub": 3, "hoggar_sic": 8}
-
-# Largest t for which the (undepolarized) family is a mixed t design.
-_DESIGN_STRENGTH = {"qubit_sic": 2, "qubit_mub": 3, "icosahedron": 5,
-                    "qutrit_sic": 2, "qutrit_mub": 2, "hoggar_sic": 2,
-                    "anti_sic": 2}
 
 
 class UnsupportedFamilyError(ValueError):
@@ -51,8 +44,8 @@ class AnalyticFamilyError(ValueError):
 class DesignSpec:
     """CLI/JSON-facing description of a catalog measurement.
 
-    ``dim`` is required for the dimension-generic families (anti_sic, uniform)
-    and ignored otherwise. ``fiducial_phase`` selects a member of the qutrit
+    ``dim`` must be one of the family's cataloged dims; it may be omitted
+    where there is only one. ``fiducial_phase`` selects a member of the qutrit
     SIC fiducial family (0, 1, -e^{i theta})/sqrt(2); the default 0 is the
     Hesse fiducial. The uniform family has no element list to check ``lam``
     against at build time, so its [1/(1 - d), 1] is checked here.
@@ -64,25 +57,26 @@ class DesignSpec:
     dim: int | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        row = FAMILY.get(self.family)
+        if row is None:
             raise UnsupportedFamilyError(f"unknown family {self.family!r}; known: {FAMILIES}")
-        if self.family in ("anti_sic", "uniform"):
-            if self.dim is None:
-                raise UnsupportedFamilyError(f"{self.family} requires an explicit dim")
-            if self.family == "anti_sic" and self.dim not in SIC_STATES:
-                raise UnsupportedFamilyError(
-                    f"anti_sic is cataloged for dim in {sorted(SIC_STATES)}")
-            if self.family == "uniform":
-                if self.dim < 2:
-                    raise UnsupportedFamilyError("uniform requires dim >= 2")
-                interval = AdmissibleInterval(1.0 / (1 - self.dim), 1.0)
-                if not interval.contains(self.lam):
-                    raise LambdaRangeError(f"lambda={self.lam} outside admissible interval"
-                                           f" [{interval.lo:.6g}, 1] for uniform")
+        if self.dim is None:
+            if len(row.dims) != 1:
+                raise UnsupportedFamilyError(f"{self.family} requires an explicit dimension")
+        elif row.dims and self.dim not in row.dims:
+            raise UnsupportedFamilyError(f"{self.family} is cataloged for dim in"
+                                         f" {list(row.dims)}, not {self.dim}")
+        elif self.dim < 2:
+            raise UnsupportedFamilyError(f"{self.family} requires dim >= 2")
+        if row.povm is None:
+            interval = AdmissibleInterval(1.0 / (1 - self.dim), 1.0)
+            if not interval.contains(self.lam):
+                raise LambdaRangeError(f"lambda={self.lam} outside admissible interval"
+                                       f" [{interval.lo:.6g}, 1] for {self.family}")
 
     @property
     def dimension(self) -> int:
-        return self.dim if self.dim is not None else _FAMILY_DIM[self.family]
+        return self.dim if self.dim is not None else FAMILY[self.family].dims[0]
 
 
 @dataclass(frozen=True)
@@ -103,9 +97,7 @@ class AdmissibleInterval:
 
 def design_strength(family: str) -> int | float:
     """Largest t at which the family is a t design; math.inf for uniform."""
-    if family == "uniform":
-        return math.inf
-    return _DESIGN_STRENGTH[family]
+    return FAMILY[family].strength
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +150,25 @@ def qutrit_sic_states(fiducial_phase: float = 0.0) -> np.ndarray:
     return states
 
 
+def _qutrit_sic_optimal(fiducial_phase: float) -> np.ndarray:
+    """The states orthogonal to 3 SIC elements: null vectors of dependent triples.
+
+    The Hesse-equivalent fiducials admit 12 such states (the complete MUB);
+    any other fiducial admits one orthonormal basis of them.
+    """
+    from itertools import combinations
+    found: list[np.ndarray] = []
+    for triple in combinations(qutrit_sic_states(fiducial_phase).conj(), 3):
+        _, s, vh = np.linalg.svd(np.array(triple))
+        phi = vh[-1].conj()
+        if s[-1] < 1e-8 * s[0] and all(abs(np.vdot(phi, f)) ** 2 < 1 - 1e-8 for f in found):
+            found.append(phi)
+    if len(found) not in (3, 12):
+        raise RuntimeError(f"{len(found)} states are orthogonal to 3 SIC elements;"
+                           " expected 3 or 12")
+    return np.array(found)
+
+
 def qutrit_mub_states() -> np.ndarray:
     """Computational basis plus the three quadratic-phase Fourier bases (12 states)."""
     omega = np.exp(2j * np.pi / 3)
@@ -207,34 +218,83 @@ def hoggar_dual_states() -> np.ndarray:
     return duals
 
 
-# The SIC states of each cataloged dimension, by fiducial phase (only the
-# qutrit SIC has a fiducial family); anti_sic is their anti-design.
-SIC_STATES = {2: lambda fiducial_phase: _bloch_amplitudes(_TETRAHEDRON),
-              3: qutrit_sic_states,
-              8: lambda fiducial_phase: hoggar_states()}
-
-_POVM_STATES = {"qubit_sic": SIC_STATES[2],
-                "qubit_mub": lambda fiducial_phase: _bloch_amplitudes(_OCTAHEDRON),
-                "icosahedron": lambda fiducial_phase: _bloch_amplitudes(_ICOSAHEDRON),
-                "qutrit_sic": SIC_STATES[3],
-                "qutrit_mub": lambda fiducial_phase: qutrit_mub_states(),
-                "hoggar_sic": SIC_STATES[8]}
-
-
-def _base_povm(family: str, dim: int | None, fiducial_phase: float) -> WeightedElementSet:
-    if family == "anti_sic":
-        sic = pure_ensemble(dim, SIC_STATES[dim](fiducial_phase), role="povm")
-        return anti_design(sic, label=f"anti_sic_{dim}")
-    if family not in _POVM_STATES:
-        raise UnsupportedFamilyError(family)
-    states = _POVM_STATES[family](fiducial_phase)
-    return pure_ensemble(states.shape[1], states, role="povm", label=family)
-
-
 def _bloch_amplitudes(vectors: np.ndarray) -> np.ndarray:
     theta = np.arccos(np.clip(vectors[:, 2], -1.0, 1.0))
     phi = np.arctan2(vectors[:, 1], vectors[:, 0])
     return np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the family record
+
+@dataclass(frozen=True)
+class Family:
+    """One catalog family; ``FAMILY`` holds one row per family."""
+
+    dims: tuple[int, ...]  # the cataloged dimensions; () means any d >= 2
+    strength: int | float  # the largest t at which it is a t design
+    povm: Callable | None = None  # (d, phase) -> the lambda = 1 POVM; None: analytic
+    optimal: tuple | None = None  # (label, (d, phase) -> capacity-achieving states)
+    spectrum: Callable | None = None  # d -> ((c_k, a_k), ...) of the closed form
+    phased: tuple[int, ...] = ()  # the dimensions whose elements depend on the phase
+
+
+def _bloch(vectors: np.ndarray) -> Callable:
+    return lambda d, phase: _bloch_amplitudes(vectors)
+
+
+def _rank_one(label: str, states: Callable) -> Callable:
+    return lambda d, phase: pure_ensemble(d, states(d, phase), role="povm", label=label)
+
+
+# The SIC states of each cataloged dimension, by fiducial phase (only the
+# qutrit SIC has a fiducial family); the anti-SICs are their anti-designs.
+_SIC_STATES = {2: lambda phase: _bloch_amplitudes(_TETRAHEDRON),
+               3: qutrit_sic_states,
+               8: lambda phase: hoggar_states()}
+
+
+def _sic(d: int, phase: float) -> np.ndarray:
+    return _SIC_STATES[d](phase)
+
+
+def _anti_sic(d: int, phase: float) -> WeightedElementSet:
+    return anti_design(pure_ensemble(d, _sic(d, phase), role="povm"), label=f"anti_sic_{d}")
+
+
+# Each finite family's closed form is the KL bound of its capacity-achieving
+# states phi: C(lambda) = ln d - sum_k c_k eta(lambda a_k + (1 - lambda)/d), where
+# a_k is an overlap <phi|chi_y|phi> with the undepolarized elements and c_k is d
+# times the total weight q_y of the elements at that overlap (Dall'Arno,
+# D'Ariano & Sacchi, PRA 83, 062304, 2011). Every spectrum has sum c_k = d and
+# sum c_k a_k = 1. The anti-SIC's holds in every d, cataloged or not.
+_SQRT5 = math.sqrt(5.0)
+FAMILY = {
+    "qubit_sic": Family((2,), 2, _rank_one("qubit_sic", _sic),
+                        ("dual_tetrahedron", _bloch(-_TETRAHEDRON)),
+                        lambda d: ((1 / 2, 0.0), (3 / 2, 2 / 3))),
+    "qubit_mub": Family((2,), 3, _rank_one("qubit_mub", _bloch(_OCTAHEDRON)),
+                        ("octahedron", _bloch(_OCTAHEDRON)),
+                        lambda d: ((1 / 3, 0.0), (4 / 3, 1 / 2), (1 / 3, 1.0))),
+    "icosahedron": Family((2,), 5, _rank_one("icosahedron", _bloch(_ICOSAHEDRON)),
+                          ("icosahedron", _bloch(_ICOSAHEDRON)),
+                          lambda d: ((1 / 6, 0.0), (5 / 6, (5 - _SQRT5) / 10),
+                                     (5 / 6, (5 + _SQRT5) / 10), (1 / 6, 1.0))),
+    "qutrit_sic": Family((3,), 2, _rank_one("qutrit_sic", _sic),
+                         ("sic_orthogonal_basis", lambda d, phase: _qutrit_sic_optimal(phase)),
+                         lambda d: ((1.0, 0.0), (2.0, 1 / 2)), phased=(3,)),
+    "qutrit_mub": Family((3,), 2, _rank_one("qutrit_mub", lambda d, phase: qutrit_mub_states()),
+                         ("hesse_sic", lambda d, phase: qutrit_sic_states(0.0)),
+                         lambda d: ((1.0, 0.0), (2.0, 1 / 2))),
+    "hoggar_sic": Family((8,), 2, _rank_one("hoggar_sic", _sic),
+                         ("dual_hoggar", lambda d, phase: hoggar_dual_states()),
+                         lambda d: ((7 / 2, 0.0), (9 / 2, 2 / 9))),
+    "anti_sic": Family(tuple(_SIC_STATES), 2, _anti_sic, ("sic_states", _sic),
+                       lambda d: ((1 / d, 0.0), ((d * d - 1) / d, d / (d * d - 1))),
+                       phased=(3,)),
+    "uniform": Family((), math.inf),
+}
+FAMILIES = tuple(FAMILY)
 
 
 def build(spec: DesignSpec) -> WeightedElementSet:
@@ -243,10 +303,11 @@ def build(spec: DesignSpec) -> WeightedElementSet:
     The uniform family has no finite representation; requesting it raises
     AnalyticFamilyError so callers can route to closed-form paths.
     """
-    if spec.family == "uniform":
+    povm = FAMILY[spec.family].povm
+    if povm is None:
         raise AnalyticFamilyError(
-            "the uniform POVM is handled analytically; no element list exists")
-    base = _base_povm(spec.family, spec.dim, spec.fiducial_phase)
+            f"the {spec.family} POVM is handled analytically; no element list exists")
+    base = povm(spec.dimension, spec.fiducial_phase)
     interval = admissible_lambda(base)
     if not interval.contains(spec.lam):
         raise LambdaRangeError(
@@ -336,8 +397,9 @@ def moments_of_depolarized(moments: list[float], lam: float, d: int) -> list[flo
 
 
 def spec_to_json_dict(spec: DesignSpec) -> dict:
+    phased = spec.dimension in FAMILY[spec.family].phased
     out = {"family": spec.family, "lambda": spec.lam,
-           "fiducial_phase": spec.fiducial_phase if spec.family == "qutrit_sic" else None}
+           "fiducial_phase": spec.fiducial_phase if phased else None}
     if spec.dim is not None:
         out["dim"] = spec.dim
     return out

@@ -145,7 +145,7 @@ def _oracle_inputs(spec: DesignSpec, seed: int):
     """The lambda = 1 element set the oracle depolarizes, and its state grid.
 
     The uniform POVM is discretized (d <= 8 only). In d = 8 the grid is
-    seeded with the states of the closed-form optimal ensemble.
+    seeded with the family's capacity-achieving states.
     """
     if spec.family == "uniform":
         if spec.dimension > 8:
@@ -154,10 +154,8 @@ def _oracle_inputs(spec: DesignSpec, seed: int):
         eset = oracle.discretized_uniform_povm(spec.dimension, seed=seed)
     else:
         eset = catalog.build(DesignSpec(spec.family, 1.0, spec.fiducial_phase, spec.dim))
-    extra = None
-    if spec.dimension == 8 and spec.family != "uniform":
-        extra = closedform.optimal_ensemble(spec.family, spec.dim).ops
-        extra = np.array([_principal_vector(p) for p in extra])
+    optimal = catalog.FAMILY[spec.family].optimal
+    extra = optimal[1](8, spec.fiducial_phase) if optimal and spec.dimension == 8 else None
     return eset, oracle.default_grid(spec.dimension, seed, extra_states=extra)
 
 
@@ -165,11 +163,6 @@ def _run_oracle(inputs, lam: float, tol: float) -> oracle.OracleResult:
     eset, grid = inputs
     target = catalog.depolarize(eset, lam) if lam != 1.0 else eset
     return oracle.informational_power(target, grid, tol=tol)
-
-
-def _principal_vector(projector: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(projector)
-    return v[:, -1]
 
 
 def cmd_capacity(args) -> int:
@@ -244,9 +237,8 @@ def _sweep_row(spec: DesignSpec, base: list[float], oracle_inputs, oracle_tol: f
 
 
 def _family_token(spec: DesignSpec) -> str:
-    if spec.family in ("anti_sic", "uniform"):
-        return f"{spec.family}:{spec.dimension}"
-    return spec.family
+    one_dim = len(catalog.FAMILY[spec.family].dims) == 1
+    return spec.family if one_dim else f"{spec.family}:{spec.dimension}"
 
 
 def cmd_sweep(args) -> int:

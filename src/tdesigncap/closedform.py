@@ -2,11 +2,11 @@
 
 Every finite family is one formula in the depolarizing parameter lambda in
 [0, 1], read from the overlap spectrum of its capacity-achieving states
-(``overlap_spectrum``). The uniform rank-one POVM has a continuous overlap
-distribution and needs the Gauss hypergeometric value 2F1(1, 1; d+2; z) at
-non-positive argument, evaluated here via the Pfaff transformation and a
-convergent series. Also provides the known capacity-achieving ensembles for
-every finite family.
+(``overlap_spectrum``); ``optimal_ensemble`` builds those states. Both come
+from the family's ``catalog.FAMILY`` row. The uniform rank-one POVM has a
+continuous overlap distribution and needs the Gauss hypergeometric value
+2F1(1, 1; d+2; z) at non-positive argument, evaluated here via the Pfaff
+transformation and a convergent series.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ import numpy as np
 from . import catalog
 from .catalog import DesignSpec
 from .core import WeightedElementSet, eta, pure_ensemble
-
-_SQRT5 = math.sqrt(5.0)
-
 
 class ConvergenceError(RuntimeError):
     pass
@@ -114,87 +111,32 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"closed forms cover the depolarizing regime lambda in [0, 1], got {lam}")
 
 
-# Each finite family's closed form is the KL bound of its capacity-achieving
-# states phi: C(lambda) = ln d - sum_k c_k eta(lambda a_k + (1 - lambda)/d), where
-# a_k is an overlap <phi|chi_y|phi> with the undepolarized elements and c_k is d
-# times the total weight q_y of the elements at that overlap (Dall'Arno,
-# D'Ariano & Sacchi, PRA 83, 062304, 2011). Every row has sum c_k = d and
-# sum c_k a_k = 1. Values: (d, ((c_k, a_k), ...)).
-_OVERLAP_SPECTRA = {
-    "qubit_sic": (2, ((1 / 2, 0.0), (3 / 2, 2 / 3))),
-    "qubit_mub": (2, ((1 / 3, 0.0), (4 / 3, 1 / 2), (1 / 3, 1.0))),
-    "icosahedron": (2, ((1 / 6, 0.0), (5 / 6, (5 - _SQRT5) / 10),
-                        (5 / 6, (5 + _SQRT5) / 10), (1 / 6, 1.0))),
-    "qutrit_sic": (3, ((1.0, 0.0), (2.0, 1 / 2))),
-    "qutrit_mub": (3, ((1.0, 0.0), (2.0, 1 / 2))),
-    "hoggar_sic": (8, ((7 / 2, 0.0), (9 / 2, 2 / 9))),
-}
-
-
 def overlap_spectrum(family: str, dim: int | None = None) -> tuple:
-    """(d, ((c_k, a_k), ...)) of a finite family; see ``_OVERLAP_SPECTRA``.
+    """(d, ((c_k, a_k), ...)) of a finite family, from its ``catalog.FAMILY`` row.
 
-    The anti-SIC of any dimension d has the SIC states as optimal states:
-    one element at overlap 0 and d^2 - 1 at d/(d^2 - 1).
+    ``dim`` is checked as ``DesignSpec`` checks it, except that the anti-SIC's
+    spectrum holds in every d: one element at overlap 0 and d^2 - 1 at
+    d/(d^2 - 1) with its SIC states.
     """
-    if family == "anti_sic":
-        if dim is None:
-            raise ValueError("anti_sic capacity needs the dimension")
-        n = dim * dim - 1
-        return dim, ((1 / dim, 0.0), (n / dim, dim / n))
-    if family not in _OVERLAP_SPECTRA:
+    row = catalog.FAMILY.get(family)
+    if row is None or row.spectrum is None:
         raise catalog.UnsupportedFamilyError(family)
-    return _OVERLAP_SPECTRA[family]
+    if dim is None or len(row.dims) == 1:
+        dim = DesignSpec(family, 1.0, 0.0, dim).dimension
+    return dim, row.spectrum(dim)
 
 
 def capacity(family: str, lam: float, dim: int | None = None) -> float:
     """Closed-form capacity of the depolarized family, in nats."""
     _check_lambda(lam)
     if family == "uniform":
-        if dim is None:
-            raise ValueError("uniform capacity needs the dimension")
-        return uniform_capacity(dim, lam)
+        return uniform_capacity(DesignSpec(family, 1.0, 0.0, dim).dimension, lam)
     d, spectrum = overlap_spectrum(family, dim)
     return math.log(d) - sum(c * eta(lam * a + (1.0 - lam) / d) for c, a in spectrum)
 
 
 def capacity_for(spec: DesignSpec) -> float:
     return capacity(spec.family, spec.lam, spec.dim)
-
-
-# ---------------------------------------------------------------------------
-# capacity-achieving ensembles
-
-def _qutrit_sic_optimal(fiducial_phase: float) -> np.ndarray:
-    """The states orthogonal to 3 SIC elements: null vectors of dependent triples.
-
-    The Hesse-equivalent fiducials admit 12 such states (the complete MUB);
-    any other fiducial admits one orthonormal basis of them.
-    """
-    from itertools import combinations
-    found: list[np.ndarray] = []
-    for triple in combinations(catalog.qutrit_sic_states(fiducial_phase).conj(), 3):
-        _, s, vh = np.linalg.svd(np.array(triple))
-        phi = vh[-1].conj()
-        if s[-1] < 1e-8 * s[0] and all(abs(np.vdot(phi, f)) ** 2 < 1 - 1e-8 for f in found):
-            found.append(phi)
-    if len(found) not in (3, 12):
-        raise RuntimeError(f"{len(found)} states are orthogonal to 3 SIC elements;"
-                           " expected 3 or 12")
-    return np.array(found)
-
-
-# Label and states (by fiducial phase) of each family's capacity-achieving ensemble.
-_OPTIMAL_STATES = {
-    "qubit_sic": ("dual_tetrahedron",
-                  lambda phase: catalog._bloch_amplitudes(-catalog._TETRAHEDRON)),
-    "qubit_mub": ("octahedron", lambda phase: catalog._bloch_amplitudes(catalog._OCTAHEDRON)),
-    "icosahedron": ("icosahedron",
-                    lambda phase: catalog._bloch_amplitudes(catalog._ICOSAHEDRON)),
-    "qutrit_sic": ("sic_orthogonal_basis", _qutrit_sic_optimal),
-    "qutrit_mub": ("hesse_sic", lambda phase: catalog.qutrit_sic_states(0.0)),
-    "hoggar_sic": ("dual_hoggar", lambda phase: catalog.hoggar_dual_states()),
-}
 
 
 def optimal_ensemble(family: str, dim: int | None = None,
@@ -205,16 +147,10 @@ def optimal_ensemble(family: str, dim: int | None = None,
     average to the maximally mixed state. The anti-SIC's are its SIC states.
     The uniform POVM has a continuous optimizer set and is not supported here.
     """
-    if family == "uniform":
+    d = DesignSpec(family, 1.0, fiducial_phase, dim).dimension
+    optimal = catalog.FAMILY[family].optimal
+    if optimal is None:
         raise catalog.UnsupportedFamilyError(
-            "the uniform POVM's optimizer set is continuous; no finite ensemble exists")
-    if family == "anti_sic":
-        if dim not in catalog.SIC_STATES:
-            raise catalog.UnsupportedFamilyError(f"anti_sic dim {dim}")
-        label, states = "sic_states", catalog.SIC_STATES[dim]
-    elif family in _OPTIMAL_STATES:
-        label, states = _OPTIMAL_STATES[family]
-    else:
-        raise catalog.UnsupportedFamilyError(family)
-    amplitudes = states(fiducial_phase)
-    return pure_ensemble(amplitudes.shape[1], amplitudes, label=label)
+            f"the {family} POVM's optimizer set is continuous; no finite ensemble exists")
+    label, states = optimal
+    return pure_ensemble(d, states(d, fiducial_phase), label=label)

@@ -29,6 +29,9 @@ class SupportViolationError(ValueError):
 
 def check_probability_vector(p: np.ndarray, tol: float = WEIGHT_TOL) -> np.ndarray:
     p = np.asarray(p, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(p))
+    if bad.size:
+        raise ValueError(f"non-finite probability entry {float(p[bad[0]])!r} at index {bad[0]}")
     if p.min() < -tol:
         raise ValueError(f"negative probability entry {p.min():.3e}")
     s = float(p.sum())
@@ -155,6 +158,9 @@ class WeightedElementSet:
             raise ValueError("weights and ops length mismatch")
         if self.role not in ("ensemble", "povm", "design"):
             raise ValueError(f"unknown role {self.role!r}")
+        finite = np.isfinite(ops).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"element {int(np.argmin(finite))} has a non-finite entry")
         herm = np.abs(ops - ops.conj().transpose(0, 2, 1)).max(axis=(1, 2))
         if herm.max() > HERMITICITY_TOL:
             x = int(np.argmax(herm > HERMITICITY_TOL))

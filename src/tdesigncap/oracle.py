@@ -625,6 +625,8 @@ def discretized_uniform_povm(dim: int, n_effects: int | None = None,
     if dim < 2:
         raise ValueError("dim must be >= 2")
     m = n_effects if n_effects is not None else max(2048, 32 * dim * dim)
+    if m < dim:
+        raise ValueError(f"n_effects must be >= dim = {dim} to resolve the identity, got {m}")
     raw = fibonacci_bloch_states(m) if dim == 2 else haar_random_states(dim, m, seed)
     s = (dim / m) * np.einsum("mi,mj->ij", raw, raw.conj())
     w, v = np.linalg.eigh(s)

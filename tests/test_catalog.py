@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tdesigncap import (
+    FAMILIES,
     DesignSpec,
     admissible_lambda,
     anti_design,
@@ -13,7 +14,9 @@ from tdesigncap import (
     depolarize,
     moments_of_depolarized,
 )
+from tdesigncap import verify
 from tdesigncap.catalog import (
+    FAMILY,
     AnalyticFamilyError,
     FiducialVerificationError,
     HOGGAR_FIDUCIAL,
@@ -40,6 +43,11 @@ ALL_FINITE_SPECS = [
     DesignSpec("anti_sic", dim=3),
     DesignSpec("anti_sic", dim=8),
 ]
+
+
+# every cataloged (family, d), read from the family record so that a new row is
+# tested as soon as it is added
+CATALOGED = [(name, d) for name, row in FAMILY.items() for d in row.dims]
 
 
 def _pairwise_state_overlaps(eset):
@@ -110,6 +118,14 @@ class TestBuild:
             DesignSpec("anti_sic")
         with pytest.raises(UnsupportedFamilyError):
             DesignSpec("anti_sic", dim=5)
+
+    @pytest.mark.parametrize("name", [name for name, row in FAMILY.items() if row.dims])
+    def test_dim_outside_the_row_refused(self, name):
+        # a qubit_sic spec at dim 3 used to build the d = 2 set and report dim 3
+        dims = FAMILY[name].dims
+        with pytest.raises(UnsupportedFamilyError,
+                           match=rf"{name} is cataloged for dim in \[.*{dims[-1]}\]"):
+            DesignSpec(name, dim=dims[-1] + 1)
 
     def test_lambda_out_of_range(self):
         with pytest.raises(LambdaRangeError):
@@ -259,7 +275,34 @@ class TestMomentsOfDepolarized:
             moments_of_depolarized([1.0, 1.0], 0.5, 2)
 
 
+class TestFamilyRecord:
+    @pytest.mark.parametrize("name,d", CATALOGED)
+    def test_built_dim_is_the_rows(self, name, d):
+        assert build(DesignSpec(name, dim=d)).dim == d
+        if len(FAMILY[name].dims) == 1:
+            assert DesignSpec(name).dimension == d
+
+    @pytest.mark.parametrize("name,d", CATALOGED)
+    def test_certified_at_its_strength_only(self, name, d):
+        t = FAMILY[name].strength
+        eset = build(DesignSpec(name, dim=d))
+        assert verify.certify(eset, t, n_spotchecks=0).passed
+        if t + 1 <= verify.MAX_T:
+            assert not verify.certify(eset, t + 1, n_spotchecks=0).passed
+
+    def test_families_keep_their_order(self):
+        assert FAMILIES == ("qubit_sic", "qubit_mub", "icosahedron", "qutrit_sic",
+                            "qutrit_mub", "hoggar_sic", "anti_sic", "uniform")
+
+
 class TestSpecJson:
+    @pytest.mark.parametrize("name,d", CATALOGED)
+    def test_round_trip_builds_the_same_set(self, name, d):
+        # anti_sic:3's JSON used to drop its fiducial phase and read back as phase 0
+        spec = DesignSpec(name, 1.0, 0.7, d)
+        again = build(spec_from_json_dict(spec_to_json_dict(spec)))
+        assert np.array_equal(again.ops, build(spec).ops)
+
     def test_round_trip(self):
         spec = DesignSpec("anti_sic", 0.4, dim=3)
         again = spec_from_json_dict(spec_to_json_dict(spec))

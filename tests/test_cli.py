@@ -166,6 +166,18 @@ class TestBoundCommand:
         assert "5-design" not in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--family", "qubit_sic", "--dim", "3", "--lambda", "0.5"],
+        ["build", "--family", "qubit_sic", "--dim", "5"],
+        ["capacity", "--family", "hoggar_sic:2"]])
+    def test_dim_contradicting_the_family_exits_one(self, capsys, argv):
+        # qubit_sic at --dim 3 used to give the d = 3 bound of the d = 2 moments
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "is cataloged for dim in" in err
+
+
 class TestSpecFileAndPrecedence:
     def test_spec_file_with_flag_override(self, capsys, tmp_path):
         spec = {"family": "qubit_mub", "lambda": 1.0, "fiducial_phase": None}

@@ -16,7 +16,7 @@ from tdesigncap import (
     pair_probability,
     uniform_capacity,
 )
-from tdesigncap import closedform
+from tdesigncap import catalog, closedform
 from tdesigncap.catalog import UnsupportedFamilyError
 from tdesigncap.closedform import overlap_spectrum
 from tdesigncap.core import overlaps
@@ -69,12 +69,19 @@ class TestCapacityEndpoints:
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-FINITE_FAMILIES = [(f, d) for f, d in ALL_FAMILIES if f != "uniform"]
+# every (family, d) whose row has a spectrum, read from the family record so that a
+# new row is tested as soon as it is added; the dim argument is None where the row
+# has only one d
+_ROWS = [(name, row, d, None if len(row.dims) == 1 else d)
+         for name, row in catalog.FAMILY.items() if row.spectrum for d in row.dims]
+FINITE_FAMILIES = [(name, dim) for name, _, _, dim in _ROWS]
+# ... and at a second fiducial phase where the elements depend on it
+SPECTRUM_CASES = [(name, dim, phase) for name, row, d, dim in _ROWS
+                  for phase in ((0.0, 0.9) if d in row.phased else (0.0,))]
 
 
 class TestOverlapSpectra:
-    @pytest.mark.parametrize("fam,dim,phase", [(f, d, 0.0) for f, d in FINITE_FAMILIES]
-                             + [("qutrit_sic", None, 0.9)])
+    @pytest.mark.parametrize("fam,dim,phase", SPECTRUM_CASES)
     def test_optimal_states_reproduce_spectrum(self, fam, dim, phase):
         # every optimal state sees the elements at the table's overlaps a_k,
         # with d times their total weight equal to c_k

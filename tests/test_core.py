@@ -19,7 +19,8 @@ from tdesigncap import (
     relative_entropy,
 )
 from tdesigncap.catalog import qutrit_sic_states
-from tdesigncap.core import SupportViolationError, haar_random_states, overlaps
+from tdesigncap.core import (SupportViolationError, check_probability_vector, haar_random_states,
+                             overlaps)
 from tdesigncap.verify import moments
 
 
@@ -212,6 +213,22 @@ class TestWeightedElementSet:
         indefinite = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError, match="element 3 is not positive semidefinite"):
             WeightedElementSet(2, weights, np.array([ok, ok, ok, indefinite]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_refused(self, bad):
+        with pytest.raises(ValueError, match=f"non-finite probability entry {bad!r} at index 1"):
+            check_probability_vector(np.array([1.0, bad]))
+        ops = np.array([np.eye(2) / 2, np.eye(2) / 2])
+        with pytest.raises(ValueError, match="non-finite probability entry"):
+            WeightedElementSet(2, np.array([bad, 0.5]), ops)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_ops_refused(self, bad):
+        ok = np.eye(2, dtype=complex) / 2
+        broken = ok.copy()
+        broken[0, 1] = complex(0.0, bad)
+        with pytest.raises(ValueError, match="element 1 has a non-finite entry"):
+            WeightedElementSet(2, np.full(2, 0.5), np.array([ok, broken]))
 
     def test_povm_completeness_validation(self):
         # two copies of the same projector do not resolve the identity

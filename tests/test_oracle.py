@@ -130,6 +130,15 @@ class TestStateGrid:
         assert not g.states.flags.writeable
 
 
+class TestDiscretizedUniformPovm:
+    @pytest.mark.parametrize("dim,n_effects", [(2, 0), (2, 1), (3, 2)])
+    def test_fewer_effects_than_dim_refused(self, dim, n_effects):
+        # fewer than d rank-one effects cannot resolve the identity; n_effects = 1
+        # used to return weights [nan] and n_effects = 0 a ZeroDivisionError
+        with pytest.raises(ValueError, match="n_effects"):
+            discretized_uniform_povm(dim, n_effects=n_effects)
+
+
 class TestKlObjective:
     def test_flat_povm_is_zero(self, qubit_sic):
         flat = depolarize(qubit_sic, 0.0)

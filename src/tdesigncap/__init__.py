@@ -29,10 +29,8 @@ from .catalog import (
 from .verify import (
     DesignCertificate,
     MomentVector,
-    bell_polynomial,
     certify,
-    gamma_empirical,
-    gamma_predicted,
+    gammas,
     moments,
 )
 from .bounds import (
@@ -57,10 +55,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibleInterval", "BoundReport", "DesignCertificate", "DesignSpec",
     "FAMILIES", "InterpolationSpec", "MomentVector", "OracleResult", "StateGrid",
-    "WeightedElementSet", "admissible_lambda", "anti_design", "bell_polynomial",
-    "bound_Ct", "bound_from_set", "build", "capacity", "certify",
-    "default_grid", "depolarize", "design_strength", "discretized_uniform_povm",
-    "eta", "gamma_empirical", "gamma_predicted", "hermite_interpolate",
+    "WeightedElementSet", "admissible_lambda", "anti_design", "bound_Ct",
+    "bound_from_set", "build", "capacity", "certify", "default_grid", "depolarize",
+    "design_strength", "discretized_uniform_povm", "eta", "gammas", "hermite_interpolate",
     "hyp2f1_11", "informational_power", "kl_maximize", "moments", "moments_of_depolarized",
     "mutual_information", "optimal_ensemble", "pair_probability", "pure_ensemble",
     "relative_entropy", "uniform_capacity",

@@ -49,7 +49,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import eta, eta_array
-from .verify import DesignCertificate, gamma_predicted, moments
+from .verify import DesignCertificate, gammas, moments
 
 MAX_T = 5  # largest t at which bound_Ct computes C_t
 NODE_MIN_SEPARATION = 1e-9
@@ -302,6 +302,4 @@ def bound_from_set(eset, t: int, certificate: DesignCertificate | None = None) -
     elif certificate.strength_tested < t or not certificate.passed:
         warnings.warn(f"bound_from_set: certificate ({certificate.verdict} at"
                       f" t={certificate.strength_tested}) does not cover t={t}", stacklevel=2)
-    mv = moments(eset, 5)
-    gammas = [gamma_predicted(mv, eset.dim, k) for k in range(1, 6)]
-    return bound_Ct(eset.dim, gammas, t)
+    return bound_Ct(eset.dim, gammas(moments(eset, MAX_T)), t)

@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .core import WeightedElementSet, pure_ensemble
+from .verify import MomentVector
 
 
 class UnsupportedFamilyError(ValueError):
@@ -44,8 +45,8 @@ class AnalyticFamilyError(ValueError):
 class DesignSpec:
     """CLI/JSON-facing description of a catalog measurement.
 
-    ``dim`` must be one of the family's cataloged dims; it may be omitted
-    where there is only one. ``fiducial_phase`` selects a member of the qutrit
+    ``dim`` must be an int (not a bool) among the family's cataloged dims; it
+    may be omitted where there is only one. ``fiducial_phase`` selects a member of the qutrit
     SIC fiducial family (0, 1, -e^{i theta})/sqrt(2); the default 0 is the
     Hesse fiducial. The uniform family has no element list to check ``lam``
     against at build time, so its [1/(1 - d), 1] is checked here.
@@ -57,9 +58,9 @@ class DesignSpec:
     dim: int | None = None
 
     def __post_init__(self):
-        row = FAMILY.get(self.family)
-        if row is None:
-            raise UnsupportedFamilyError(f"unknown family {self.family!r}; known: {FAMILIES}")
+        row = _family(self.family)
+        if self.dim is not None and (isinstance(self.dim, bool) or not isinstance(self.dim, int)):
+            raise UnsupportedFamilyError(f"dim must be an integer, got {self.dim!r}")
         if self.dim is None:
             if len(row.dims) != 1:
                 raise UnsupportedFamilyError(f"{self.family} requires an explicit dimension")
@@ -95,9 +96,16 @@ class AdmissibleInterval:
         return self.lo - tol <= lam <= self.hi + tol
 
 
+def _family(name: str) -> Family:
+    row = FAMILY.get(name)
+    if row is None:
+        raise UnsupportedFamilyError(f"unknown family {name!r}; known: {FAMILIES}")
+    return row
+
+
 def design_strength(family: str) -> int | float:
     """Largest t at which the family is a t design; math.inf for uniform."""
-    return FAMILY[family].strength
+    return _family(family).strength
 
 
 # ---------------------------------------------------------------------------
@@ -377,23 +385,20 @@ def anti_design(eset: WeightedElementSet, label: str | None = None) -> WeightedE
     return depolarize(eset, 1.0 / (1.0 - d * a_max), label)
 
 
-def moments_of_depolarized(moments: list[float], lam: float, d: int) -> list[float]:
-    """Push moments mu_0..mu_k through the depolarizing map.
+def moments_of_depolarized(mv: MomentVector, lam: float) -> MomentVector:
+    """Push the moments mu_1..mu_k of ``mv`` through the depolarizing map.
 
-    mu_k(D_lam(chi)) = sum_n C(k, n) lam^n ((1-lam)/d)^(k-n) mu_n(chi);
-    the zeroth moment mu_0 = Tr[chi^0] = d must be supplied explicitly.
+    mu_k(D_lam(chi)) = sum_n C(k, n) lam^n ((1-lam)/d)^(k-n) mu_n(chi), with
+    d = mu_0 = Tr[chi^0] read from ``mv``.
     """
-    if len(moments) < 1:
-        raise ValueError("need at least mu_0")
-    if abs(moments[0] - d) > 1e-9:
-        raise ValueError(f"mu_0 must equal d={d}, got {moments[0]!r}")
-    out = [float(d)]
-    for k in range(1, len(moments)):
+    d = mv.mu0
+    out = []
+    for k in range(1, len(mv) + 1):
         acc = 0.0
         for n in range(k + 1):
-            acc += math.comb(k, n) * lam ** n * ((1.0 - lam) / d) ** (k - n) * moments[n]
+            acc += math.comb(k, n) * lam ** n * ((1.0 - lam) / d) ** (k - n) * mv[n]
         out.append(acc)
-    return out
+    return MomentVector(values=tuple(out), mu0=d)
 
 
 def spec_to_json_dict(spec: DesignSpec) -> dict:

@@ -187,20 +187,12 @@ def cmd_capacity(args) -> int:
     return 0
 
 
-def _base_moments(spec: DesignSpec) -> list[float]:
-    """mu_0 = d, mu_1..mu_5 of the family at lambda = 1."""
-    d = spec.dimension
+def _base_moments(spec: DesignSpec) -> verify.MomentVector:
+    """mu_1..mu_MAX_T of the family at lambda = 1, with mu_0 = d."""
     if spec.family == "uniform":
-        return [float(d)] + [1.0] * 5
+        return verify.MomentVector((1.0,) * bounds.MAX_T, spec.dimension)
     eset = catalog.build(DesignSpec(spec.family, 1.0, spec.fiducial_phase, spec.dim))
-    return [float(d)] + list(verify.moments(eset, 5).values)
-
-
-def _analytic_gammas(base: list[float], lam: float, d: int) -> list[float]:
-    """gamma_1..gamma_5 of the family depolarized to lam, from its base moments."""
-    mu = catalog.moments_of_depolarized(base, lam, d)
-    mv = verify.MomentVector(values=tuple(mu[1:]), mu0=d)
-    return [verify.gamma_predicted(mv, d, k) for k in range(1, 6)]
+    return verify.moments(eset, bounds.MAX_T)
 
 
 def cmd_bound(args) -> int:
@@ -212,7 +204,7 @@ def cmd_bound(args) -> int:
     for t in ts:
         if t > t_max:
             raise ValueError(f"{spec.family} is only a {t_max}-design; C_{t} does not apply")
-    gammas = _analytic_gammas(_base_moments(spec), spec.lam, spec.dimension)
+    gammas = verify.gammas(catalog.moments_of_depolarized(_base_moments(spec), spec.lam))
     reports = [bounds.bound_Ct(spec.dimension, gammas, t) for t in ts]
     result = {"spec": catalog.spec_to_json_dict(spec),
               "units": "bits" if args.bits else "nats",
@@ -221,11 +213,12 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _sweep_row(spec: DesignSpec, base: list[float], oracle_inputs, oracle_tol: float) -> dict:
+def _sweep_row(spec: DesignSpec, base: verify.MomentVector, oracle_inputs,
+               oracle_tol: float) -> dict:
     row = {"family": _family_token(spec), "lambda": spec.lam}
     row["closed_form"] = closedform.capacity_for(spec)
     t_max = min(catalog.design_strength(spec.family), bounds.MAX_T)
-    gammas = _analytic_gammas(base, spec.lam, spec.dimension)
+    gammas = verify.gammas(catalog.moments_of_depolarized(base, spec.lam))
     for t in range(2, 6):  # the CSV's C2..C5 columns
         if t <= t_max:
             row[f"C{t}"] = bounds.bound_Ct(spec.dimension, gammas, t).value

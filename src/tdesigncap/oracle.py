@@ -23,6 +23,7 @@ master solve, Lawson-Hanson NNLS for the tightness check): no CLI path loads sci
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -117,7 +118,8 @@ class _GridPricing:
 
     Every linear term of P is one d x d operator: P v = <phi_x|B_v|phi_x> with
     B_v = sum_y d q_y v_y chi_y (the clip only removes rounding below 0), so it costs one
-    (n, 2d^2) matvec over the grid's :func:`core.projector_view`, built per pricing. The one
+    (n, 2d^2) matvec over the grid's :func:`core.projector_view`, built on a pricing's first
+    use of it: one that finds its pair's row terms and first climb kept builds none. The one
     nonlinear term, the row terms H_x = sum_y P ln P, is one pass in row blocks of
     about ``GRID_BLOCK`` entries that stay in cache. A row holding an exact-zero or a
     rounding-negative P sums to nan there and is summed again with P floored at the
@@ -137,7 +139,6 @@ class _GridPricing:
         self.lnq = _masked_log(eset.weights)  # the maximally mixed input's output (unit trace)
         self.ops = np.ascontiguousarray(eset.ops).reshape(m, grid.dim ** 2)
         self.states = grid.states
-        self.proj = projector_view(grid.states)
         eset_ref, grid_ref, self._shared = _GridPricing._last
         if eset_ref is None or eset_ref() is not eset or grid_ref() is not grid:
             row_terms = self._row_term_pass()
@@ -145,6 +146,11 @@ class _GridPricing:
             self._shared = [row_terms, None]
             _GridPricing._last = (weakref.ref(eset), weakref.ref(grid), self._shared)
         self.row_terms = self._shared[0]
+
+    @functools.cached_property
+    def proj(self) -> np.ndarray:
+        """The grid's projector view, built only by a pricing that reads it."""
+        return projector_view(self.states)
 
     def _row_term_pass(self) -> np.ndarray:
         """H_x = sum_y P_xy ln P_xy for every grid row, in cache-sized row blocks; only the

@@ -81,44 +81,20 @@ def moments(eset: WeightedElementSet, k_max: int) -> MomentVector:
 
 
 # ---------------------------------------------------------------------------
-# Bell polynomials and indices of coincidence
+# indices of coincidence
 
-def bell_polynomial(x: list[float]) -> float:
-    """Complete exponential Bell polynomial B_k(x_1..x_k) for k <= 5.
+def gammas(mv: MomentVector) -> tuple[float, ...]:
+    """The indices of coincidence gamma_1..gamma_k of a mixed k design, k = len(mv).
 
-    Evaluated by the recurrence B_0 = 1,
-    B_{n+1} = sum_{j=0}^{n} C(n, j) x_{j+1} B_{n-j}.
+    gamma_k = B_k(x_1..x_k) / (d (d+1) ... (d+k-1)) with d = mu_0, the complete
+    Bell polynomial of x_i = (i-1)! mu_i. Every B_k comes from one pass of the
+    recurrence B_0 = 1, B_{n+1} = sum_{j=0}^{n} C(n, j) x_{j+1} B_{n-j}.
     """
-    k = len(x)
-    if k > 5:
-        raise ValueError("bell_polynomial supports k <= 5")
+    x = [math.factorial(i) * mu for i, mu in enumerate(mv.values)]
     b = [1.0]
-    for n in range(k):
+    for n in range(len(x)):
         b.append(sum(math.comb(n, j) * x[j] * b[n - j] for j in range(n + 1)))
-    return b[k]
-
-
-def gamma_predicted(mv: MomentVector, d: int, k: int) -> float:
-    """The index of coincidence gamma_k of a mixed k design, k <= 5.
-
-    gamma_k = B_k(x_1..x_k) / (d (d+1) ... (d+k-1)), the complete Bell
-    polynomial with x_i = (i-1)! mu_i.
-    """
-    if k < 1 or k > 5:
-        raise ValueError("gamma_predicted supports k in [1, 5]")
-    if k > len(mv):
-        raise ValueError(f"need moments up to {k}, have {len(mv)}")
-    xs = [math.factorial(i - 1) * mv[i] for i in range(1, k + 1)]
-    return bell_polynomial(xs) / math.prod(range(d, d + k))
-
-
-def gamma_empirical(eset: WeightedElementSet, phi: np.ndarray, k: int) -> float:
-    """gamma_k(chi, phi) = sum_x p_x <phi|chi_x|phi>^k for a pure probe state."""
-    phi = np.asarray(phi, dtype=complex).ravel()
-    if phi.shape[0] != eset.dim:
-        raise ValueError(f"probe state dim {phi.shape[0]} != set dim {eset.dim}")
-    ov = np.einsum("i,xij,j->x", phi.conj(), eset.ops, phi).real
-    return float(eset.weights @ ov ** k)
+    return tuple(b[k] / math.prod(range(mv.mu0, mv.mu0 + k)) for k in range(1, len(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +315,8 @@ def certify(eset: WeightedElementSet, t: int, n_spotchecks: int = 25,
     if n_spotchecks > 0 and mv is not None:
         phis = haar_random_states(d, n_spotchecks, seed)
         ov = overlaps(phis, eset.ops)  # (probe, element)
-        ks = range(1, min(t, 5) + 1)
-        predicted = np.array([gamma_predicted(mv, d, k) for k in ks])
+        ks = range(1, t + 1)
+        predicted = np.array(gammas(mv))
         ov_powers = [ov]
         for _ in ks[1:]:
             ov_powers.append(ov_powers[-1] * ov)

@@ -1,9 +1,12 @@
-"""Reference indices of coincidence: the explicit k <= 5 closed forms.
+"""Reference indices of coincidence: the explicit k <= 5 closed forms and the probe sums.
 
-`tdesigncap.verify.gamma_predicted` computes gamma_k from the complete Bell
-polynomial of x_i = (i-1)! mu_i. The tests keep the expanded polynomials in
-the moments it replaced, so that the two forms can be compared.
+`tdesigncap.verify.gammas` computes gamma_k from the complete Bell polynomial
+of x_i = (i-1)! mu_i. The tests keep the expanded polynomials in the moments
+it replaced, so that the two forms can be compared, and the empirical index
+sum_x p_x <phi|chi_x|phi>^k of one probe state, which a design must match.
 """
+
+import numpy as np
 
 
 def gamma_explicit(mv, d: int, k: int) -> float:
@@ -25,3 +28,12 @@ def gamma_explicit(mv, d: int, k: int) -> float:
         return (1.0 + 10 * mu2 + 15 * mu2 ** 2 + 20 * mu3 + 30 * mu4 + 20 * mu2 * mu3
                 + 24 * mu5) / (d * (d + 1) * (d + 2) * (d + 3) * (d + 4))
     raise ValueError("gamma_explicit supports k in [1, 5]")
+
+
+def gamma_empirical(eset, phi, k: int) -> float:
+    """gamma_k(chi, phi) = sum_x p_x <phi|chi_x|phi>^k for a pure probe state."""
+    phi = np.asarray(phi, dtype=complex).ravel()
+    if phi.shape[0] != eset.dim:
+        raise ValueError(f"probe state dim {phi.shape[0]} != set dim {eset.dim}")
+    ov = np.einsum("i,xij,j->x", phi.conj(), eset.ops, phi).real
+    return float(eset.weights @ ov ** k)

@@ -23,8 +23,7 @@ from tdesigncap import (
     default_grid,
     depolarize,
     discretized_uniform_povm,
-    gamma_empirical,
-    gamma_predicted,
+    gammas,
     hermite_interpolate,
     informational_power,
     kl_maximize,
@@ -36,7 +35,7 @@ from tdesigncap.bounds import PatternError
 from tdesigncap.cli import main as cli_main
 
 from reference_bounds import verify_below
-from reference_gamma import gamma_explicit
+from reference_gamma import gamma_empirical, gamma_explicit
 
 SEED = 2016
 
@@ -189,9 +188,7 @@ def test_acceptance_5_bound_ordering_icosahedron():
     base = build(_spec("icosahedron"))
     mv1 = moments(base, 5)
     for lam in [0.1 * i for i in range(11)]:
-        mus = moments_of_depolarized([2.0] + list(mv1.values), lam, 2)
-        mv = MomentVector(values=tuple(mus[1:]), mu0=2)
-        gam = [gamma_predicted(mv, 2, k) for k in range(1, 6)]
+        gam = gammas(moments_of_depolarized(mv1, lam))
         chain = [bound_Ct(2, gam, t).value for t in (2, 3, 4, 5)]
         chain.append(capacity("icosahedron", lam))
         for a, b, name in zip(chain, chain[1:], ("C2>=C3", "C3>=C4", "C4>=C5", "C5>=C")):
@@ -279,8 +276,8 @@ def test_acceptance_7_coincidence_consistency():
         for _ in range(4):
             vals.append(vals[-1] * float(rng.uniform(0.15, 1.0)))
         mv = MomentVector(values=tuple(vals), mu0=d)
-        for k in range(1, 6):
-            if abs(gamma_predicted(mv, d, k) - gamma_explicit(mv, d, k)) > 1e-12:
+        for k, g in enumerate(gammas(mv), start=1):
+            if abs(g - gamma_explicit(mv, d, k)) > 1e-12:
                 failures.append(("bell-vs-explicit", d, vals, k))
 
     probes = 50
@@ -289,11 +286,11 @@ def test_acceptance_7_coincidence_consistency():
              (_spec("icosahedron", lam=0.5), 5)]
     for spec, t in cases:
         eset = build(spec)
-        mv = moments(eset, t)
+        predicted = gammas(moments(eset, t))
         from tdesigncap.core import haar_random_states
         for phi in haar_random_states(eset.dim, probes, seed=SEED):
             for k in range(1, t + 1):
-                err = abs(gamma_empirical(eset, phi, k) - gamma_predicted(mv, eset.dim, k))
+                err = abs(gamma_empirical(eset, phi, k) - predicted[k - 1])
                 if err > 1e-9:
                     failures.append(("empirical", spec.family, spec.lam, k, err))
     _report(7, "Bell/explicit gamma agreement (1e-12); empirical matches on designs (1e-9)",

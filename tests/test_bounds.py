@@ -13,7 +13,7 @@ from tdesigncap import (
     certify,
     depolarize,
     design_strength,
-    gamma_predicted,
+    gammas,
     hermite_interpolate,
     moments,
     moments_of_depolarized,
@@ -31,18 +31,11 @@ from reference_bounds import verify_below
 
 
 def projective_gammas(d, k_max=5):
-    mv = MomentVector(values=(1.0,) * k_max, mu0=d)
-    return [gamma_predicted(mv, d, k) for k in range(1, k_max + 1)]
+    return gammas(MomentVector(values=(1.0,) * k_max, mu0=d))
 
 
 def depolarized_gammas(base_set, lam, k_max=5):
-    return gammas_from_moments(list(moments(base_set, k_max).values), base_set.dim, lam)
-
-
-def gammas_from_moments(base_mus, d, lam):
-    mus = moments_of_depolarized([float(d)] + list(base_mus), lam, d)
-    mv = MomentVector(values=tuple(mus[1:]), mu0=d)
-    return [gamma_predicted(mv, d, k) for k in range(1, len(base_mus) + 1)]
+    return gammas(moments_of_depolarized(moments(base_set, k_max), lam))
 
 
 # The family tokens of the figure sweeps (figures 2 and 3).
@@ -56,9 +49,10 @@ def sweep_gammas():
     for token in SWEEP_TOKENS:
         name, _, dim = token.partition(":")
         spec = DesignSpec(name, 1.0, 0.0, int(dim) if dim else None)
-        base = [1.0] * 5 if name == "uniform" else moments(build(spec), 5).values
+        base = (MomentVector(values=(1.0,) * 5, mu0=spec.dimension) if name == "uniform"
+                else moments(build(spec), 5))
         for lam in np.linspace(0.0, 1.0, 31):
-            yield token, spec.dimension, lam, gammas_from_moments(base, spec.dimension, lam)
+            yield token, spec.dimension, lam, gammas(moments_of_depolarized(base, lam))
 
 
 # Closed forms of C_2..C_4 (the optimal-node formulas written out), kept as

@@ -8,6 +8,7 @@ import pytest
 from tdesigncap import (
     FAMILIES,
     DesignSpec,
+    MomentVector,
     admissible_lambda,
     anti_design,
     build,
@@ -127,6 +128,13 @@ class TestBuild:
                            match=rf"{name} is cataloged for dim in \[.*{dims[-1]}\]"):
             DesignSpec(name, dim=dims[-1] + 1)
 
+    @pytest.mark.parametrize("name,dim", [("uniform", 2.5), ("anti_sic", 3.0),
+                                          ("uniform", True), ("qubit_sic", "2")])
+    def test_dim_that_is_not_an_int_refused(self, name, dim):
+        # uniform at dim 2.5 used to give a closed form, and anti_sic at 3.0 was echoed as 3.0
+        with pytest.raises(UnsupportedFamilyError, match=rf"dim must be an integer, got {dim!r}"):
+            DesignSpec(name, dim=dim)
+
     def test_lambda_out_of_range(self):
         with pytest.raises(LambdaRangeError):
             build(DesignSpec("qubit_sic", 1.5))
@@ -243,20 +251,25 @@ class TestAntiDesign:
             anti_design(depolarize(qubit_sic, 0.0))
 
 
+def _mv(values, d):
+    return MomentVector(values=tuple(values), mu0=d)
+
+
 class TestMomentsOfDepolarized:
     def test_identity_at_lambda_one(self):
-        mus = [2.0, 1.0, 0.8, 0.7]
-        assert moments_of_depolarized(mus, 1.0, 2) == pytest.approx(mus, abs=1e-15)
+        mv = _mv([1.0, 0.8, 0.7], 2)
+        assert moments_of_depolarized(mv, 1.0).values == pytest.approx(mv.values, abs=1e-15)
 
     def test_flat_at_lambda_zero(self):
-        out = moments_of_depolarized([3.0, 1.0, 1.0, 1.0], 0.0, 3)
-        assert out[1:] == pytest.approx([3.0 ** (1 - k) for k in (1, 2, 3)], abs=1e-15)
+        out = moments_of_depolarized(_mv([1.0, 1.0, 1.0], 3), 0.0)
+        assert out.mu0 == 3
+        assert out.values == pytest.approx([3.0 ** (1 - k) for k in (1, 2, 3)], abs=1e-15)
 
     def test_rank_one_half_depolarized(self):
         # eigenvalue oracle: lam psi + (1-lam)/2 has spectrum {3/4, 1/4} at
         # lam = 1/2, so mu_2 = 9/16 + 1/16 = 0.625. The binomial identity must
         # reproduce it (a worked example quoting 0.5625 drops the second term).
-        out = moments_of_depolarized([2.0, 1.0, 1.0], 0.5, 2)
+        out = moments_of_depolarized(_mv([1.0, 1.0], 2), 0.5)
         assert out[2] == pytest.approx(0.625, abs=1e-15)
 
     def test_matches_eigenvalue_oracle_on_random_spectra(self, rng):
@@ -264,15 +277,10 @@ class TestMomentsOfDepolarized:
             d = int(rng.integers(2, 5))
             spec = rng.dirichlet(np.ones(d))
             lam = float(rng.uniform(0, 1))
-            mus = [float(d)] + [float((spec ** k).sum()) for k in range(1, 6)]
-            pushed = moments_of_depolarized(mus, lam, d)
+            pushed = moments_of_depolarized(_mv([(spec ** k).sum() for k in range(1, 6)], d), lam)
             dep = lam * spec + (1 - lam) / d
-            direct = [float(d)] + [float((dep ** k).sum()) for k in range(1, 6)]
-            assert pushed == pytest.approx(direct, abs=1e-13)
-
-    def test_mu0_must_be_d(self):
-        with pytest.raises(ValueError):
-            moments_of_depolarized([1.0, 1.0], 0.5, 2)
+            assert pushed.values == pytest.approx([(dep ** k).sum() for k in range(1, 6)],
+                                                  abs=1e-13)
 
 
 class TestFamilyRecord:
@@ -320,3 +328,7 @@ class TestSpecJson:
         assert design_strength("qubit_mub") == 3
         assert design_strength("icosahedron") == 5
         assert design_strength("uniform") == math.inf
+
+    def test_design_strength_of_an_unknown_family(self):
+        with pytest.raises(UnsupportedFamilyError, match=r"unknown family 'x'; known: \('qubit_sic'"):
+            design_strength("x")

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from tdesigncap.cli import main
 
 
@@ -23,3 +25,14 @@ def test_verify_takes_the_dimension_from_the_spec_file(tmp_path, capsys):
     result = verify_result(capsys, "--family", "uniform", "--spec", str(path))
     assert result["spec"]["dim"] == 3
     assert result == verify_result(capsys, "--family", "uniform", "--dim", "3")
+
+
+@pytest.mark.parametrize("spec", [{"family": "uniform", "dim": 2.5, "lambda": 0.5},
+                                  {"family": "anti_sic", "dim": 3.0}],
+                         ids=["uniform-2.5", "anti_sic-3.0"])
+def test_capacity_refuses_a_dim_that_is_not_an_int(spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["capacity", "--spec", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"got {spec['dim']!r}" in err

@@ -48,3 +48,10 @@ def test_analytic_paths_leave_scipy_optimize_unloaded(argv, tmp_path):
 ], ids=["capacity-qubit_sic", "capacity-qutrit_mub", "sweep-oracle"])
 def test_oracle_paths_leave_scipy_unloaded(argv, tmp_path):
     assert _run(argv, tmp_path) == {"code": 0, "loaded": False}
+
+
+def test_every_public_name_resolves_once():
+    names = tdesigncap.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(tdesigncap, name) is not None, name

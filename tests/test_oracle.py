@@ -656,6 +656,20 @@ class TestRowTermsMemo:
         informational_power(povm, grid, tol=1e-5)
         assert len(passes) == 1
 
+    def test_kl_search_after_the_pricing_builds_no_grid_view(self, monkeypatch):
+        povm, grid = _fresh_pair("qubit_sic")
+        informational_power(povm, grid, tol=1e-6)
+        rows = []
+        real = oracle.projector_view
+
+        def recorded(states):
+            rows.append(len(states))
+            return real(states)
+
+        monkeypatch.setattr(oracle, "projector_view", recorded)
+        kl_maximize(povm, grid)
+        assert len(grid.states) not in rows
+
     def test_shared_terms_equal_a_fresh_pass(self, qubit_sic):
         povm = depolarize(qubit_sic, 0.5)
         grid = default_grid(2, seed=2016, resolution=300)

@@ -13,16 +13,14 @@ from dense_reference import (
     permutation_basis,
     symmetric_projector,
 )
-from reference_gamma import gamma_explicit
+from reference_gamma import gamma_empirical, gamma_explicit
 from tdesigncap import (
     DesignSpec,
     MomentVector,
-    bell_polynomial,
     build,
     certify,
     depolarize,
-    gamma_empirical,
-    gamma_predicted,
+    gammas,
     moments,
     verify,
 )
@@ -52,42 +50,56 @@ class TestMoments:
             MomentVector(values=(1.0, 0.5, 0.6), mu0=2)  # increasing
 
 
+def bell_values(mus, d):
+    """B_1..B_k(x_1..x_k), x_i = (i-1)! mu_i, as gammas returns them times d (d+1) ... (d+k-1)."""
+    return [g * math.prod(range(d, d + k))
+            for k, g in enumerate(gammas(MomentVector(values=tuple(mus), mu0=d)), start=1)]
+
+
 class TestBellPolynomial:
     def test_first_three(self):
-        x1, x2, x3 = 1.7, -0.3, 2.2
-        assert bell_polynomial([x1]) == pytest.approx(x1, abs=1e-12)
-        assert bell_polynomial([x1, x2]) == pytest.approx(x1 ** 2 + x2, abs=1e-12)
-        assert bell_polynomial([x1, x2, x3]) == pytest.approx(
-            x1 ** 3 + 3 * x1 * x2 + x3, abs=1e-12)
+        x1, x2, x3 = 1.0, 0.7, 2 * 0.4
+        b = bell_values([1.0, 0.7, 0.4], 3)
+        assert b[0] == pytest.approx(x1, abs=1e-12)
+        assert b[1] == pytest.approx(x1 ** 2 + x2, abs=1e-12)
+        assert b[2] == pytest.approx(x1 ** 3 + 3 * x1 * x2 + x3, abs=1e-12)
 
     def test_fourth_and_fifth(self, rng):
         # independently transcribed complete Bell polynomials
         for _ in range(20):
-            x = rng.uniform(-2, 2, size=5)
+            mus = np.cumprod([1.0, *rng.uniform(0.2, 1.0, size=4)])
+            x = mus * [math.factorial(i) for i in range(5)]
             b4 = (x[0] ** 4 + 6 * x[0] ** 2 * x[1] + 4 * x[0] * x[2] + 3 * x[1] ** 2 + x[3])
             b5 = (x[0] ** 5 + 10 * x[0] ** 3 * x[1] + 10 * x[0] ** 2 * x[2]
                   + 15 * x[0] * x[1] ** 2 + 5 * x[0] * x[3] + 10 * x[1] * x[2] + x[4])
-            assert bell_polynomial(list(x[:4])) == pytest.approx(b4, rel=1e-12, abs=1e-12)
-            assert bell_polynomial(list(x)) == pytest.approx(b5, rel=1e-12, abs=1e-12)
-
-    def test_k_cap(self):
-        with pytest.raises(ValueError):
-            bell_polynomial([1.0] * 6)
+            b = bell_values(mus, int(rng.integers(2, 7)))
+            assert b[3] == pytest.approx(b4, rel=1e-12, abs=1e-12)
+            assert b[4] == pytest.approx(b5, rel=1e-12, abs=1e-12)
 
 
 class TestGamma:
     def test_projective_k2(self):
-        mv = MomentVector(values=(1.0, 1.0), mu0=2)
-        assert gamma_predicted(mv, 2, 2) == pytest.approx(1 / 3, abs=1e-15)
         for d in (2, 3, 5, 8):
             mv = MomentVector(values=(1.0, 1.0), mu0=d)
-            assert gamma_predicted(mv, d, 2) == pytest.approx(2 / (d * (d + 1)), abs=1e-15)
+            assert gammas(mv)[1] == pytest.approx(2 / (d * (d + 1)), abs=1e-15)
 
     def test_fully_depolarized(self):
         for d in (2, 3):
             mv = MomentVector(values=tuple(d ** (1 - k) for k in range(1, 6)), mu0=d)
-            for k in range(1, 6):
-                assert gamma_predicted(mv, d, k) == pytest.approx(d ** (-k), abs=1e-14)
+            assert gammas(mv) == pytest.approx([d ** (-k) for k in range(1, 6)], abs=1e-14)
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_beyond_k5_exact(self, d):
+        # mu = 1 (projective): gamma_k = 1 / C(d + k - 1, k); mu_k = d^(1-k) (flat): d^-k
+        projective = gammas(MomentVector(values=(1.0,) * 8, mu0=d))
+        flat = gammas(MomentVector(values=tuple(d ** (1 - k) for k in range(1, 9)), mu0=d))
+        for k in range(6, 9):
+            assert projective[k - 1] == pytest.approx(1 / math.comb(d + k - 1, k), rel=1e-13)
+            assert flat[k - 1] == pytest.approx(d ** (-k), rel=1e-13)
+
+    def test_one_gamma_per_moment(self):
+        assert gammas(MomentVector(values=(1.0,), mu0=3)) == (1 / 3,)
+        assert len(gammas(MomentVector(values=(1.0,) * 7, mu0=2))) == 7
 
     def test_bell_form_agreement_random(self, rng):
         for _ in range(100):
@@ -96,15 +108,8 @@ class TestGamma:
             for _ in range(4):
                 vals.append(vals[-1] * rng.uniform(0.2, 1.0))
             mv = MomentVector(values=tuple(vals), mu0=d)
-            for k in range(1, 6):
-                assert abs(gamma_predicted(mv, d, k) - gamma_explicit(mv, d, k)) < 1e-12
-
-    def test_k_out_of_range(self):
-        mv = MomentVector(values=(1.0,), mu0=2)
-        with pytest.raises(ValueError):
-            gamma_predicted(mv, 2, 6)
-        with pytest.raises(ValueError):
-            gamma_predicted(mv, 2, 2)  # moments too short
+            for k, g in enumerate(gammas(mv), start=1):
+                assert abs(g - gamma_explicit(mv, d, k)) < 1e-12
 
     def test_empirical_sic_own_state(self, qubit_sic):
         w, v = np.linalg.eigh(qubit_sic.ops[0])
@@ -248,11 +253,10 @@ class TestCertify:
 
     def test_phi_independence_on_passing_sets(self, icosahedron):
         cert = certify(icosahedron, 5, n_spotchecks=0)
-        mv = cert.moments
+        predicted = gammas(cert.moments)
         for phi in haar_random_states(2, 50, seed=17):
             for k in range(1, 6):
-                err = abs(gamma_empirical(icosahedron, phi, k) - gamma_predicted(mv, 2, k))
-                assert err < 1e-9
+                assert abs(gamma_empirical(icosahedron, phi, k) - predicted[k - 1]) < 1e-9
 
     def test_spotchecks_recorded(self, qubit_sic):
         cert = certify(qubit_sic, 2, n_spotchecks=7, seed=3)
@@ -266,10 +270,16 @@ class TestCertify:
         i, k, err = cert.gamma_spotchecks[3 * 7 + 2]
         assert (i, k) == (7, 3) and err > 1e-3
         phi = haar_random_states(2, 25, seed=11)[i]
-        again = abs(gamma_empirical(qubit_sic, phi, k) - gamma_predicted(cert.moments, 2, k))
+        again = abs(gamma_empirical(qubit_sic, phi, k) - gammas(cert.moments)[k - 1])
         assert again == pytest.approx(err, rel=1e-12)
         assert cert.to_json_dict()["gamma_spotchecks"][3 * 7 + 2] == {
             "probe": 7, "k": 3, "abs_error": err}
+
+    def test_spotchecks_reach_t7(self, qubit_sic):
+        cert = certify(depolarize(qubit_sic, 0.0), 7, n_spotchecks=25)
+        assert len(cert.gamma_spotchecks) == 25 * 7
+        assert {k for _, k, _ in cert.gamma_spotchecks} == set(range(1, 8))
+        assert max(err for _, _, err in cert.gamma_spotchecks) <= 1e-12
 
     def test_deterministic_given_seed(self, qubit_sic):
         a = certify(qubit_sic, 2, n_spotchecks=5, seed=42)

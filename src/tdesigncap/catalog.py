@@ -332,9 +332,9 @@ def depolarize(eset: WeightedElementSet, lam: float,
 
     Weights (and POVM completeness) are unchanged; lam must lie in the
     admissible interval of the set or positivity fails. The output keeps the
-    input's label unless ``label`` is given. The interval comes
-    from the input's stored spectrum, so the one diagonalisation is the
-    output's own validation: its spectrum is measured, not derived.
+    input's label unless ``label`` is given. The interval comes from the
+    input's spectrum; the output is validated without being diagonalised, and
+    its own spectrum, if read, is measured from its ops, not derived from lam.
     """
     interval = admissible_lambda(eset)
     if not interval.contains(lam):
@@ -349,10 +349,10 @@ def depolarize(eset: WeightedElementSet, lam: float,
 def admissible_lambda(eset: WeightedElementSet) -> AdmissibleInterval:
     """[1/(1 - d a_max), 1/(1 - d a_min)] from the extreme element eigenvalues.
 
-    a_min and a_max are read from the set's stored spectrum. a_min below
-    1e-12 is treated as an exact 0, making the upper endpoint 1. If every
-    element is already 1/d both denominators vanish; the interval is
-    clamped to +-1e12 and flagged.
+    a_min and a_max are read from the set's spectrum, which the first read
+    diagonalises and later reads share. a_min below 1e-12 is treated as an
+    exact 0, making the upper endpoint 1. If every element is already 1/d both
+    denominators vanish; the interval is clamped to +-1e12 and flagged.
     """
     d = eset.dim
     a_max = float(eset.spectrum[:, -1].max())
@@ -373,7 +373,8 @@ def admissible_lambda(eset: WeightedElementSet) -> AdmissibleInterval:
 def anti_design(eset: WeightedElementSet, label: str | None = None) -> WeightedElementSet:
     """Depolarize at the extreme negative endpoint 1/(1 - d a_max).
 
-    a_max is read from the set's stored spectrum. For rank-one input every
+    a_max is read from the set's spectrum (shared with the interval check of
+    :func:`depolarize`); the output is not diagonalised. For rank-one input every
     output element is (1 - chi)/(d - 1). ``label`` names the output (default:
     the input's), so relabelling needs no second validation.
     """

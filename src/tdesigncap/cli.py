@@ -129,6 +129,8 @@ def cmd_verify(args) -> int:
         # analytic route, valid at every t and dimension; --dim is optional here
         if args.t < 1:
             raise ValueError(f"t must be >= 1, got {args.t}")
+        if args.spotchecks < 0:
+            raise ValueError(f"n_spotchecks must be >= 0, got {args.spotchecks}")
         result = {"spec": spec_dict,
                   "certificate": {"strength_tested": args.t, "verdict": "pass",
                                   "notes": "analytic: the Haar-uniform POVM is a t design"
@@ -242,6 +244,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("lambda-end must be >= lambda-start")
     lams = np.linspace(args.lambda_start, args.lambda_end, args.steps)
     fams = [_spec_fields(args, tok) for tok in args.families.split(",") if tok]
+    if not fams:
+        raise ValueError("no family given (use --families)")
     specs = [catalog.spec_from_json_dict({**fields, "lambda": float(lam)})
              for fields in fams for lam in lams]
 

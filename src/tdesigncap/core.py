@@ -7,6 +7,7 @@ an exact value (0 or 1) are clamped rather than rejected.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -133,13 +134,17 @@ class WeightedElementSet:
     ``ops[x]`` is the unit-trace operator chi_x and ``weights[x]`` the
     probability p_x; a POVM-role set additionally satisfies
     d * sum_x p_x chi_x = identity, i.e. the effects are d * p_x * chi_x.
-    Validation is batched over the elements and names the first offender.
+    Validation is batched over the elements and names the first offender;
+    positivity is one batched Cholesky factorisation of chi_x + tol * 1, and
+    only a set it refuses is diagonalised, to name the element.
 
     ``spectrum`` is the read-only (n, d) array of each element's eigenvalues
-    in ascending order, the batched ``eigvalsh`` that the positivity check
-    computes. It is derived, never passed: every construction, including
+    in ascending order, the batched ``eigvalsh`` of ``ops`` made on its first
+    read and kept. It is measured, never passed: every construction, including
     :meth:`transposed` and ``dataclasses.replace``, diagonalises its own ops
-    once, and the moments and admissible interval read it from here.
+    at most once, and a set whose spectrum is never read (a depolarized set
+    that only the oracle uses) is not diagonalised at all. The moments and
+    admissible interval read it from here.
     """
 
     dim: int
@@ -147,7 +152,6 @@ class WeightedElementSet:
     ops: np.ndarray
     role: Role = "design"
     label: str = field(default="", compare=False)
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = check_probability_vector(np.asarray(self.weights, dtype=float))
@@ -169,12 +173,16 @@ class WeightedElementSet:
         if np.abs(tr - 1.0).max() > TRACE_TOL:
             x = int(np.argmax(np.abs(tr - 1.0) > TRACE_TOL))
             raise ValueError(f"element {x} has trace {complex(tr[x])!r}, expected 1")
-        spectrum = np.linalg.eigvalsh(ops)
-        lo = spectrum[:, 0]
-        if lo.min() < -POSITIVITY_TOL:
-            x = int(np.argmax(lo < -POSITIVITY_TOL))
-            raise ValueError(f"element {x} is not positive semidefinite:"
-                             f" min eigenvalue {lo[x]:.3e}")
+        try:
+            np.linalg.cholesky(ops + POSITIVITY_TOL * np.eye(self.dim))
+        except np.linalg.LinAlgError:
+            # The two tests disagree only within rounding of the threshold:
+            # an element the eigenvalues put above it is accepted.
+            lo = np.linalg.eigvalsh(ops)[:, 0]
+            if lo.min() < -POSITIVITY_TOL:
+                x = int(np.argmax(lo < -POSITIVITY_TOL))
+                raise ValueError(f"element {x} is not positive semidefinite:"
+                                 f" min eigenvalue {lo[x]:.3e}") from None
         if self.role == "povm":
             avg = np.einsum("x,xij->ij", weights, ops)
             dev = np.abs(self.dim * avg - np.eye(self.dim)).max()
@@ -182,13 +190,17 @@ class WeightedElementSet:
                 raise ValueError(f"POVM completeness violated: |d avg - 1| = {dev:.3e}")
         weights.setflags(write=False)
         ops.setflags(write=False)
-        spectrum.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "ops", ops)
-        object.__setattr__(self, "spectrum", spectrum)
 
     def __len__(self) -> int:
         return self.ops.shape[0]
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        spectrum = np.linalg.eigvalsh(self.ops)
+        spectrum.setflags(write=False)
+        return spectrum
 
     @property
     def effects(self) -> np.ndarray:

@@ -67,10 +67,11 @@ class MomentVector:
 
 
 def moments(eset: WeightedElementSet, k_max: int) -> MomentVector:
-    """mu_k = sum_x p_x Tr[chi_x^k] for k = 1..k_max, from the set's stored spectrum.
+    """mu_k = sum_x p_x Tr[chi_x^k] for k = 1..k_max, from the set's spectrum.
 
-    The eigenvalues are those the set's validation computed, so no element is
-    diagonalised again here.
+    The set diagonalises its elements on the first read of its spectrum and
+    keeps the eigenvalues, so this shares them with :func:`admissible_lambda`
+    and :func:`certify`.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -277,6 +278,8 @@ def certify(eset: WeightedElementSet, t: int, n_spotchecks: int = 25,
     """
     if t < 1:
         raise ValueError("t must be >= 1")
+    if n_spotchecks < 0:
+        raise ValueError(f"n_spotchecks must be >= 0, got {n_spotchecks!r}")
     if t > MAX_T:
         raise ResourceGuardError(
             f"t = {t} is outside the admitted range 1 <= t <= {MAX_T}: the cancellation"

@@ -72,6 +72,13 @@ class TestVerifyCommand:
         assert code == 1
         assert "admissible interval" in err
 
+    @pytest.mark.parametrize("family", ["qubit_sic", "uniform:3"])
+    def test_negative_spotchecks_exit_one(self, capsys, family):
+        code, out, err = run(capsys, "verify", "--family", family, "--t", "2",
+                             "--spotchecks", "-3")
+        assert (code, out) == (1, "")
+        assert "n_spotchecks must be >= 0, got -3" in err
+
     def test_malformed_spec_exits_one(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "not_a_family", "--t", "2")
         assert code == 1
@@ -249,6 +256,12 @@ class TestSweepCommand:
     def test_bad_steps_exit_one(self, capsys):
         code, _, err = run(capsys, "sweep", "--families", "qubit_sic", "--steps", "0")
         assert code == 1
+
+    @pytest.mark.parametrize("families", [",", ""])
+    def test_empty_family_list_exit_one(self, capsys, families):
+        code, out, err = run(capsys, "sweep", "--families", families, "--steps", "2")
+        assert (code, out) == (1, "")
+        assert "no family given" in err
 
     def test_usage_error_exit_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

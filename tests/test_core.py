@@ -214,6 +214,43 @@ class TestWeightedElementSet:
         with pytest.raises(ValueError, match="element 3 is not positive semidefinite"):
             WeightedElementSet(2, weights, np.array([ok, ok, ok, indefinite]))
 
+    @staticmethod
+    def rotated(lo: float) -> np.ndarray:
+        """A qubit element with eigenvalues (1 - lo, lo) and no zero entry, so the
+        positivity check's Cholesky factor is dense."""
+        u = np.array([[1, 1j], [1j, 1]]) / math.sqrt(2)
+        return u @ np.diag([1.0 - lo, lo]).astype(complex) @ u.conj().T
+
+    def test_positivity_refuses_just_past_tolerance(self):
+        ok = np.eye(2, dtype=complex) / 2
+        with pytest.raises(ValueError, match="element 1 is not positive semidefinite:"
+                                             " min eigenvalue -2.000e-10"):
+            WeightedElementSet(2, np.full(2, 0.5), np.array([ok, self.rotated(-2e-10)]))
+
+    def test_positivity_accepts_within_tolerance(self):
+        eset = WeightedElementSet(2, np.array([1.0]), self.rotated(-5e-11)[None])
+        assert eset.spectrum[0, 0] == pytest.approx(-5e-11, abs=1e-15)
+
+    def test_positivity_names_last_of_a_large_stack(self):
+        n = 2048
+        states = haar_random_states(2, n, seed=5)
+        ops = np.einsum("xi,xj->xij", states, states.conj())
+        ops[-1] = self.rotated(-0.5)
+        with pytest.raises(ValueError, match="element 2047 is not positive semidefinite"):
+            WeightedElementSet(2, np.full(n, 1.0 / n), ops)
+
+    def test_cholesky_refusal_within_rounding_is_accepted(self, monkeypatch):
+        # the two positivity tests can disagree only within rounding of the tolerance;
+        # there the eigenvalues decide, and a set none of whose elements is below it passes
+        def refuse(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        eset = WeightedElementSet(2, np.array([1.0]), self.rotated(-5e-11)[None])
+        assert len(eset) == 1
+        with pytest.raises(ValueError, match="element 0 is not positive semidefinite"):
+            WeightedElementSet(2, np.array([1.0]), self.rotated(-2e-10)[None])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_weights_refused(self, bad):
         with pytest.raises(ValueError, match=f"non-finite probability entry {bad!r} at index 1"):
@@ -267,14 +304,17 @@ def eigvalsh_calls(monkeypatch):
 
 
 class TestSpectrum:
-    """Each element set is diagonalised once, by its own validation."""
+    """An element set is diagonalised on the first read of its spectrum, and only then."""
 
     def test_construction_diagonalises_once(self, eigvalsh_calls):
         eset = pure_ensemble(3, qutrit_sic_states(), role="povm")
-        assert len(eigvalsh_calls) == 1
         WeightedElementSet(3, eset.weights, eset.ops, "povm")
-        assert len(eigvalsh_calls) == 2
-        for dim in (2, 3, 8):  # the SIC's validation and the anti-design's, labelled as made
+        assert eigvalsh_calls == []  # validation factorises, it does not diagonalise
+        spectrum = eset.spectrum
+        assert eigvalsh_calls == [(9, 3, 3)]
+        assert eset.spectrum is spectrum
+        assert len(eigvalsh_calls) == 1
+        for dim in (2, 3, 8):  # the SIC's, read by the anti-design and by build's interval check
             eigvalsh_calls.clear()
             assert build(DesignSpec("anti_sic", dim=dim)).label == f"anti_sic_{dim}"
             assert len(eigvalsh_calls) == 2
@@ -292,6 +332,11 @@ class TestSpectrum:
             WeightedElementSet(2, qubit_sic.weights, qubit_sic.ops, "povm",
                                spectrum=qubit_sic.spectrum)
 
+    def test_spectrum_is_not_a_field(self, qubit_sic):
+        qubit_sic.spectrum  # once read, it is kept out of the fields and the repr too
+        assert "spectrum" not in {f.name for f in dataclasses.fields(qubit_sic)}
+        assert "spectrum" not in repr(qubit_sic)
+
     @pytest.mark.parametrize("family,dim", [("qubit_sic", None), ("qutrit_sic", None),
                                             ("anti_sic", 3), ("hoggar_sic", None)])
     def test_consumers_read_the_stored_spectrum(self, family, dim, eigvalsh_calls):
@@ -300,20 +345,22 @@ class TestSpectrum:
         admissible_lambda(eset)
         moments(eset, 5)
         certify(eset, 2)
-        assert eigvalsh_calls == []
+        assert eigvalsh_calls == [(len(eset), eset.dim, eset.dim)]
         for derive in (lambda s: depolarize(s, 0.5), anti_design):
             eigvalsh_calls.clear()
-            derive(eset)  # its output's own validation
-            assert len(eigvalsh_calls) == 1
+            derive(eset)  # the input's spectrum is read, the output's is not
+            assert eigvalsh_calls == []
 
     def test_derived_sets_diagonalise_their_own_ops(self, qutrit_sic, eigvalsh_calls):
         eset = depolarize(qutrit_sic, 0.5)
+        eset.spectrum  # read first, so a derived set could only share it by copying
         for derive in (WeightedElementSet.transposed,
                        lambda s: dataclasses.replace(s, label="relabelled")):
             eigvalsh_calls.clear()
             derived = derive(eset)
-            assert len(eigvalsh_calls) == 1
+            assert eigvalsh_calls == []
             assert derived.spectrum is not eset.spectrum
+            assert len(eigvalsh_calls) == 1
             assert np.array_equal(derived.spectrum, np.linalg.eigvalsh(derived.ops))
 
 

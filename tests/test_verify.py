@@ -258,6 +258,10 @@ class TestCertify:
             for k in range(1, 6):
                 assert abs(gamma_empirical(icosahedron, phi, k) - predicted[k - 1]) < 1e-9
 
+    def test_negative_spotcheck_count_refused(self, qubit_sic):
+        with pytest.raises(ValueError, match="n_spotchecks must be >= 0, got -3"):
+            certify(qubit_sic, 2, n_spotchecks=-3)
+
     def test_spotchecks_recorded(self, qubit_sic):
         cert = certify(qubit_sic, 2, n_spotchecks=7, seed=3)
         assert len(cert.gamma_spotchecks) == 7 * 2

@@ -16,16 +16,19 @@ DIR/runs.jsonl, keyed by workload, seed, trace flag and commit, and a run
 found there is not repeated, so an interrupted run of this script resumes.
 
 The summary holds, per workload and end-to-end metric, each side's median,
-inclusive quartiles and runs, the relative change of the medians and the
-number of pairs the change reads lower; per workload's traced pairs, every
-per-layer metric that is nonzero in any of their runs, with each side's
-median and runs and the number of pairs the change reads lower.
+inclusive quartiles and runs, the relative change of the medians, the
+number of pairs the change reads lower and two verdicts (see ``verdicts``):
+``within_bound`` and ``resolved``. With ``--claim``, the claim records
+whether it is met (see ``claim_verdict``). Per workload's traced pairs, it
+holds every per-layer metric that is nonzero in any of their runs, with each
+side's median and runs and the number of pairs the change reads lower.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -37,6 +40,7 @@ BASE_SEED = {"oracle_sweep": 9300, "oracle_points": 9200, "analytic_sweep": 9000
              "certify_matrix": 9100}
 PAIRS = 10
 TRACED_PAIRS = 3  # one pair cannot resolve a 10-15 % move in a per-layer time
+CLAIM_SHARE = 0.9  # a claimed gain must read better in at least this share of the pairs
 SIDES = ("parent", "change")
 
 
@@ -98,6 +102,33 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def verdicts(parent: list[float], change: list[float], bound: float, better: str) -> dict:
+    """Whether the change's median is within ``bound`` (relative to the parent's median) of
+    the parent's in the worse direction, and whether the runs resolve the bound: they do not
+    when the parent's interquartile range exceeds it, unless every change run is better than
+    every parent run. ``better`` is BENCHMARK.json's "lower" or "higher"."""
+    sign = 1.0 if better == "lower" else -1.0
+    p = summary(parent)
+    worse = sign * (statistics.median(change) - p["median"]) / p["median"]
+    separated = all(sign * (c - q) < 0 for c in change for q in parent)
+    return {"within_bound": worse <= bound,
+            "resolved": (p["q3"] - p["q1"]) / p["median"] <= bound or separated}
+
+
+def claim_verdict(parent: list[float], change: list[float], better: str) -> dict:
+    """A claimed gain is met when the change is better in at least CLAIM_SHARE of the pairs
+    (a tie counts for neither side) and its median beats the parent's by more than the
+    parent's interquartile range. Both lists are in pair order."""
+    sign = 1.0 if better == "lower" else -1.0
+    p = summary(parent)
+    better_in = sum(sign * (c - q) < 0 for q, c in zip(parent, change))
+    gap = sign * (p["median"] - statistics.median(change))
+    iqr = p["q3"] - p["q1"]
+    return {"change_better_in_pairs": better_in, "pairs": len(parent), "median_gap": gap,
+            "parent_iqr": iqr,
+            "claim_met": better_in >= math.ceil(CLAIM_SHARE * len(parent)) and gap > iqr}
+
+
 def paired_runs(runs: Runs, workload: str, seeds: list[int], trace: int):
     """One pair per seed, the parent first at the 1st, 3rd, ... seed: the order per seed and
     each side's results in seed order."""
@@ -117,9 +148,11 @@ def end_to_end(runs: Runs, workload: str) -> dict:
         vals = {side: [r["metrics"][m["name"]]["value"] for r in results[side]] for side in SIDES}
         parent, change = summary(vals["parent"]), summary(vals["change"])
         metrics[m["name"]] = {
-            "unit": m["unit"], "bound": m["bound"], "parent": parent, "change": change,
+            "unit": m["unit"], "bound": m["bound"], "better": m["better"],
+            "parent": parent, "change": change,
             "relative_change": (change["median"] - parent["median"]) / parent["median"],
             "change_lower_in_pairs": sum(c < p for p, c in zip(vals["parent"], vals["change"])),
+            **verdicts(vals["parent"], vals["change"], m["bound"], m["better"]),
         }
     return {
         "seeds": seeds, "pairs": PAIRS,
@@ -155,9 +188,11 @@ def traced_pairs(runs: Runs, workload: str) -> dict:
 
 
 def machine(env: dict) -> str:
+    """One line naming the machine of a run record; scipy only if the record has it."""
+    scipy = f" scipy {env['scipy']}," if "scipy" in env else ""
     return (f"{env['nproc']}-core {env['cpu']} (nproc {env['nproc']}), {env['blas_threads']}"
-            f" BLAS thread(s), Python {env['python']}, numpy {env['numpy']},"
-            f" scipy {env['scipy']}, {env['blas']}")
+            f" BLAS thread(s), Python {env['python']}, numpy {env['numpy']},{scipy}"
+            f" {env['blas']}")
 
 
 METHOD = ("Each command was run from the root of a git archive copy of the parent commit and of"
@@ -165,6 +200,12 @@ METHOD = ("Each command was run from the root of a git archive copy of the paren
           " below), sequentially, with the BLAS thread count set by run.py. Medians and"
           " quartiles over the runs: statistics.quantiles(n=4, method='inclusive')."
           " change_lower_in_pairs counts pairs where the change's value is lower."
+          " within_bound: the change's median is worse than the parent's by at most the"
+          " metric's bound, relative to the parent's median, in its 'better' direction."
+          " resolved: the parent's interquartile range is at most the bound (relative to its"
+          " median), or every change run is better than every parent run. A claim is met when"
+          " the change is better in at least nine tenths of the pairs (ties count for neither"
+          " side) and the gap of the medians exceeds the parent's interquartile range."
           " traced_pairs lists the per-layer metrics that are nonzero in any traced run, with"
           " each side's median over its --trace 1 runs (statistics.median), alternating as"
           " above. Written by tools/bench_pairs.py.")
@@ -191,7 +232,9 @@ def main(argv=None) -> int:
     claim = None
     if args.claim:
         workload, metric = args.claim.split(":")
-        claim = {"workload": workload, "metric": metric}
+        m = e2e[workload]["metrics"][metric]
+        claim = {"workload": workload, "metric": metric,
+                 **claim_verdict(m["parent"]["runs"], m["change"]["runs"], m["better"])}
     out = {"change": args.note, "parent_commit": commits["parent"],
            "change_commit": commits["change"], "claim": claim,
            "machine": machine(runs.environment), "method": METHOD,

@@ -8,7 +8,7 @@ an exact value (0 or 1) are clamped rather than rejected.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -127,7 +127,7 @@ def overlaps(states: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return projector_view(states) @ b.view(float).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedElementSet:
     """A finite weighted family of unit-trace positive operators.
 
@@ -145,13 +145,16 @@ class WeightedElementSet:
     at most once, and a set whose spectrum is never read (a depolarized set
     that only the oracle uses) is not diagonalised at all. The moments and
     admissible interval read it from here.
+
+    Two sets are equal when their ``dim``, ``role``, ``weights`` and ``ops``
+    are; the label is left out. A set is not hashable.
     """
 
     dim: int
     weights: np.ndarray
     ops: np.ndarray
     role: Role = "design"
-    label: str = field(default="", compare=False)
+    label: str = ""
 
     def __post_init__(self):
         weights = check_probability_vector(np.asarray(self.weights, dtype=float))
@@ -192,6 +195,15 @@ class WeightedElementSet:
         ops.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "ops", ops)
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim == other.dim and self.role == other.role
+                and np.array_equal(self.weights, other.weights)
+                and np.array_equal(self.ops, other.ops))
 
     def __len__(self) -> int:
         return self.ops.shape[0]

@@ -473,18 +473,29 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
     join the support, whose capacity a small convex solve, warm-started from the
     last prior, gives as the new value, its output as the next q; states of zero
     weight leave. No round runs if no grid state beats the flat rate by more than
-    ``tol`` (finite and > 0); then the loop stops when no climb ends above value +
-    tol, or after ``PRICING_MAX_ROUNDS`` rounds. The solve's bracket is certified:
-    I(r) of a valid prior r below, max_x D(p(.|x) || rP) above. The estimate is
-    the rate of the returned ensemble (the flat grid if no round ran), a lower bound.
+    ``tol`` (finite and > 0). By the minimax, the max of D(p(.|phi) || out) over
+    the states bounds the capacity above for every out, so each climb's best end
+    estimates such a bound; ``upper`` is the least of them, the KL value first.
+    The loop stops at a climb that ends nothing above value + tol, at a solve
+    whose value comes within tol of ``upper`` (before the next climb), or after
+    ``PRICING_MAX_ROUNDS`` rounds. The solve's bracket is certified: I(r) of a
+    valid prior r below, max_x D(p(.|x) || rP) above. The estimate is the rate of
+    the returned ensemble (the flat grid if no round ran), a lower bound.
 
     ``diagnostics["grid_gap"]`` is the last largest price minus the value
-    (negative when the support beats every grid state); ``"pricing_capped"``
-    says the round cap stopped the loop; ``"bracket_met"`` says the reported
-    bracket is within ``tol``; ``"refine_capped"`` counts the solves that ended
-    at their step cap without closing their bracket to min(tol, ``REFINE_TOL``),
-    and ``"ascent_capped"`` the ascents that stopped at ``ASCENT_MAX_ITER``:
-    every start of a round whose stacked solve hit the cap.
+    (negative when the support beats every grid state); ``"upper"`` is the
+    least climbed estimate, or None when no round climbed: a numerical
+    estimate, an upper bound only where the climbs reach the global maximum;
+    ``"stop"`` says why the loop ended: ``"flat"`` (no round ran), ``"climb"``
+    (the last climb ended nothing above value + tol), ``"upper"`` (the value came
+    within tol of ``upper``) or ``"cap"`` (``PRICING_MAX_ROUNDS`` rounds ran). Each
+    test runs as soon as its step ends and the first that holds names the stop,
+    so a last round whose solve meets ``upper`` reads ``"upper"``, not ``"cap"``;
+    ``"pricing_capped"`` says the round cap stopped the loop (``stop == "cap"``); ``"bracket_met"`` says the reported bracket
+    is within ``tol``; ``"refine_capped"`` counts the solves that ended at their
+    step cap without closing their bracket to min(tol, ``REFINE_TOL``), and
+    ``"ascent_capped"`` the ascents that stopped at ``ASCENT_MAX_ITER``: every
+    start of a round whose stacked solve hit the cap.
     """
     if eset.role != "povm":
         raise ValueError("informational_power expects a POVM-role set")
@@ -502,6 +513,7 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
 
     refine_tol = min(tol, REFINE_TOL)
     rounds = refine_capped = ascent_capped = 0
+    upper, stop = math.inf, "flat"  # upper: the least climbed max of D(p(.|phi) || out)
     while rounds < PRICING_MAX_ROUNDS and (rounds or priced.max() > value + tol):
         if rounds:  # D(p(.|phi) || out) = ln d + F with b = a (ln q - ln out), p_y = a_y x_y
             top = grid.states[_top_k(priced, max(32, d * d))]
@@ -510,8 +522,10 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
             climb = pricing.first_climb()
         climbed, prices, capped = climb[0], math.log(d) + climb[1], climb[2]
         ascent_capped += len(climbed) if capped else 0
+        upper = min(upper, float(prices.max()))
         # the climbs start at the best grid prices: none above value + tol, no grid state either
         if prices.max() <= value + tol:
+            stop = "climb"
             break
         kept = len(states) if rounds else 0  # before round 1, states is the flat grid
         states = _dedupe_states([*states[:kept], *climbed[prices > value + tol]])
@@ -526,6 +540,12 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
         # floored: an outcome the support never reaches prices the states reaching it high
         lnout = np.log(np.maximum(prior @ sub[keep], np.finfo(float).tiny))
         priced = pricing.prices(lnout)
+        if value + tol >= upper:  # a climb already paid for bounds C within tol of the value
+            stop = "upper"
+            break
+    else:
+        if rounds:
+            stop = "cap"
 
     sigma = np.einsum("x,xi,xj->ij", prior, states, states.conj())
     tight_res = _identity_hull_residual(states, d)
@@ -540,7 +560,8 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
                                      "seeded": grid.seeded, "bracket_met": bool(bracket <= tol),
                                      "refine_capped": refine_capped, "ascent_capped": ascent_capped,
                                      "grid_gap": float(priced.max()) - value,
-                                     "pricing_capped": rounds == PRICING_MAX_ROUNDS})
+                                     "pricing_capped": stop == "cap", "stop": stop,
+                                     "upper": None if upper == math.inf else upper})
 
 
 def _dedupe_states(states, tol: float = 1e-8) -> np.ndarray:

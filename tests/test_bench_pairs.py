@@ -1,7 +1,9 @@
 """The verdicts of tools/bench_pairs.py on synthetic runs."""
 
 import importlib.util
+import json
 import pathlib
+import sys
 
 import pytest
 
@@ -89,3 +91,67 @@ class TestMachine:
     def test_a_record_without_scipy(self):
         assert bench_pairs.machine(self.ENV) == ("2-core Xeon (nproc 2), 1 BLAS thread(s),"
                                                  " Python 3.11.7, numpy 2.4.6, openblas")
+
+
+class _SetupRuns:
+    """A stand-in for Runs: one synthetic setup_s per (seed, side), and the order of the gets."""
+
+    def __init__(self, values):
+        self.values, self.calls = values, []
+
+    def command(self, workload, seed, trace):
+        return ["run.py", "--workload", workload, "--seed", str(seed), f"--{trace}"]
+
+    def get(self, workload, seed, trace, side):
+        self.calls.append((seed, trace, side))
+        return {"setup_s": self.values[side][len([c for c in self.calls if c[2] == side]) - 1]}
+
+
+class TestSetupOnly:
+    PARENT_S = [0.14, 0.20, 0.13, 0.21]
+    CHANGE_S = [0.15, 0.19, 0.13, 0.20]
+
+    def test_alternating_runs_after_the_traced_pairs(self):
+        runs = _SetupRuns({"parent": self.PARENT_S, "change": self.CHANGE_S})
+        got = bench_pairs.setup_only(runs, "oracle_sweep", 4)
+        first = (bench_pairs.BASE_SEED["oracle_sweep"] + bench_pairs.PAIRS
+                 + bench_pairs.TRACED_PAIRS + 1)
+        assert got["seeds"] == [first, first + 1, first + 2, first + 3]
+        assert [side for _, _, side in runs.calls] == ["parent", "change", "change", "parent"] * 2
+        assert {trace for _, trace, _ in runs.calls} == {bench_pairs.SETUP_ONLY}
+        assert got["order"][str(first)] == ["parent", "change"]
+        assert got["order"][str(first + 1)] == ["change", "parent"]
+        assert got["commands"][0].endswith("--setup-only")
+
+    def test_summary(self):
+        runs = _SetupRuns({"parent": self.PARENT_S, "change": self.CHANGE_S})
+        got = bench_pairs.setup_only(runs, "certify_matrix", 4)
+        assert got["runs_per_side"] == 4
+        assert got["parent"]["runs"] == self.PARENT_S and got["change"]["runs"] == self.CHANGE_S
+        assert got["parent"]["median"] == pytest.approx(0.17)
+        assert got["change"]["median"] == pytest.approx(0.17)
+        assert got["parent"]["q1"] == pytest.approx(0.1375)
+        assert got["parent"]["q3"] == pytest.approx(0.2025)
+        assert got["relative_change"] == pytest.approx(0.0)
+        assert got["change_lower_in_pairs"] == 2
+
+    def test_a_setup_only_run_is_recorded_and_reused(self, tmp_path):
+        # a stand-in benchmark command that prints one {"setup_s": ...} line, as run.py does
+        script = tmp_path / "fake_run.py"
+        script.write_text("import json, sys\nprint(json.dumps({'setup_s': 0.125, "
+                          "'argv': sys.argv[1:]}))\n")
+        runs = bench_pairs.Runs.__new__(bench_pairs.Runs)
+        runs.path = str(tmp_path / "runs.jsonl")
+        runs.commits = {"parent": "p" * 40, "change": "c" * 40}
+        runs.bench = {"command": [sys.executable, str(script)], "run_seconds": 1}
+        runs.roots = {"parent": str(tmp_path), "change": str(tmp_path)}
+        runs.done, runs.environment = {}, None
+        got = runs.get("oracle_sweep", 5, bench_pairs.SETUP_ONLY, "change")
+        assert got["setup_s"] == 0.125
+        assert got["argv"] == ["--workload", "oracle_sweep", "--seed", "5", "--setup-only"]
+        assert runs.environment is None
+        script.write_text("raise SystemExit(3)\n")  # a cached run is not repeated
+        assert runs.get("oracle_sweep", 5, bench_pairs.SETUP_ONLY, "change") == got
+        lines = (tmp_path / "runs.jsonl").read_text().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["key"] == ["oracle_sweep", 5, "setup-only", "c" * 40]

@@ -281,6 +281,18 @@ class TestWeightedElementSet:
         with pytest.raises(ValueError):
             qubit_sic.ops[0, 0, 0] = 5.0
 
+    def test_equality(self, qubit_sic):
+        # distinct sets compare their contents; the array fields once made == raise
+        rebuilt = build(DesignSpec("qubit_sic", 1.0))
+        assert rebuilt is not qubit_sic
+        assert (rebuilt == qubit_sic) is True
+        assert (dataclasses.replace(qubit_sic, label="relabelled") == qubit_sic) is True
+        assert (depolarize(qubit_sic, 0.5) == qubit_sic) is False
+        assert (depolarize(qubit_sic, 0.5) != qubit_sic) is True
+        assert (qubit_sic == "qubit_sic") is False
+        with pytest.raises(TypeError):
+            hash(qubit_sic)
+
     def test_certified_pair_total(self, qutrit_sic):
         # pair_probability output total = 1 for certified POVM/ensemble pairs
         spec = DesignSpec("qutrit_sic", 0.6)

@@ -458,20 +458,22 @@ class TestOneSolvePerStack:
 
     @pytest.mark.parametrize("kind", ["qubit_sic", "non_design"])
     def test_one_climb_serves_both_searches(self, kind, ascents):
-        # the pricing first: one climb per round, and one more that finds no state above the
-        # value; the KL search after it adds none
+        # the pricing first: one climb per round, and one more only when a climb that finds no
+        # state above the value stops the loop (none when the value meets the least climbed
+        # estimate); the KL search after it adds none
         povm, grid = _fresh_pair(kind)
         res = informational_power(povm, grid, tol=1e-6)
         assert res.refinement_rounds >= 1 and not res.diagnostics["pricing_capped"]
-        assert ascents() == res.refinement_rounds + 1
+        climbs = res.refinement_rounds + (res.diagnostics["stop"] == "climb")
+        assert ascents() == climbs
         kl_maximize(povm, grid)
-        assert ascents() == res.refinement_rounds + 1
+        assert ascents() == climbs
         # the KL search first: its one climb is the pricing's round 1, which adds none
         povm, grid = _fresh_pair(kind)
         kl_maximize(povm, grid)
-        assert ascents() == res.refinement_rounds + 2
+        assert ascents() == climbs + 1
         informational_power(povm, grid, tol=1e-6)
-        assert ascents() == 2 * res.refinement_rounds + 2
+        assert ascents() == 2 * climbs
 
 
 class TestSharedFirstClimb:
@@ -917,7 +919,7 @@ class TestInformationalPower:
         povm = depolarize(discretized_uniform_povm(2, n_effects=5), 0.3)
         res = informational_power(povm, qubit_grid, tol=1e-6)
         assert res.refinement_rounds >= 2
-        assert len(climbs) == res.refinement_rounds + 1
+        assert len(climbs) == res.refinement_rounds + (res.diagnostics["stop"] == "climb")
         assert not climbs[0][0].any()  # round 1 climbs against q: the KL form, b = 0
         for (_, (states, vals, _)), (channel, solved) in zip(climbs[1:], solves):
             out = solved.prior @ channel
@@ -933,6 +935,80 @@ class TestInformationalPower:
         assert res.diagnostics["bracket_met"] is True
         assert res.diagnostics["refine_capped"] == 0
         assert res.capacity_estimate == pytest.approx(capacity("qutrit_sic", 0.25), abs=2e-3)
+
+
+@pytest.fixture(scope="module")
+def qutrit_acceptance_grid():
+    return default_grid(3, seed=2016)
+
+
+class TestStopRule:
+    """The pricing loop stops at the least climbed estimate of max_phi D(p(.|phi) || out)."""
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    @pytest.mark.parametrize("family,dim", [("qubit_sic", None), ("icosahedron", None),
+                                            ("anti_sic", 2), ("qutrit_sic", None)])
+    def test_covariant_sets_stop_at_upper(self, family, dim, lam, qubit_grid,
+                                          qutrit_acceptance_grid):
+        # on the acceptance-4 grids the KL climb already bounds the capacity within tol of the
+        # first solve's value, and one more climb, against that solve's output, adds nothing
+        tol = 1e-5
+        povm = depolarize(build(DesignSpec(family, 1.0, 0.0, dim)), lam)
+        grid = qubit_grid if povm.dim == 2 else qutrit_acceptance_grid
+        res = informational_power(povm, grid, tol=tol)
+        assert res.diagnostics["stop"] == "upper"
+        assert res.diagnostics["upper"] <= res.capacity_estimate + tol
+        pricing = oracle._GridPricing(povm, grid)
+        channel = oracle.povm_channel(povm, res.optimizer_states)
+        lnout = np.log(np.maximum(res.optimizer_weights @ channel, np.finfo(float).tiny))
+        top = grid.states[oracle._top_k(pricing.prices(lnout), max(32, povm.dim ** 2))]
+        _, vals, _ = oracle._ascend(pricing.ops, pricing.a, pricing.a * (pricing.lnq - lnout),
+                                    top)
+        assert math.log(povm.dim) + vals.max() <= res.capacity_estimate + tol
+
+    @pytest.mark.parametrize("family,dim", [*CATALOG_FAMILIES, ("uniform", 3)])
+    def test_upper_is_at_most_the_kl_value(self, family, dim, qubit_grid):
+        tol = 1e-5
+        if family == "uniform":  # seven effects that form no design
+            base = discretized_uniform_povm(3, n_effects=7, seed=5)
+        else:
+            base = build(DesignSpec(family, 1.0, 0.0, dim))
+        grid = {2: qubit_grid, 3: default_grid(3, seed=2016, resolution=2000)}.get(
+            base.dim) or _seeded_d8_grid("hoggar_sic")
+        for lam in (0.5, 1.0):
+            povm = depolarize(base, lam)
+            res = informational_power(povm, grid, tol=tol)
+            upper = res.diagnostics["upper"]
+            assert upper <= kl_maximize(povm, grid)[0]
+            if res.diagnostics["stop"] == "upper":
+                assert res.capacity_estimate >= upper - tol
+
+    def test_flat(self):
+        povm = depolarize(discretized_uniform_povm(2, seed=2016), 0.4)
+        res = informational_power(povm, default_grid(2, seed=2016, resolution=512), tol=1e-5)
+        assert res.refinement_rounds == 0
+        assert res.diagnostics["stop"] == "flat"
+        assert res.diagnostics["upper"] is None
+        assert res.diagnostics["pricing_capped"] is False
+
+    def test_cap(self, monkeypatch):
+        grid = default_grid(2, seed=2016, resolution=200)
+        povm = depolarize(discretized_uniform_povm(2, n_effects=5), 0.3)
+        monkeypatch.setattr(oracle, "PRICING_MAX_ROUNDS", 1)
+        res = informational_power(povm, grid, tol=1e-6)
+        assert res.refinement_rounds == 1
+        assert res.diagnostics["stop"] == "cap"
+        assert res.diagnostics["pricing_capped"] is True
+        assert res.capacity_estimate < res.diagnostics["upper"] - 1e-6
+
+    def test_upper_takes_precedence_over_cap(self, qubit_sic, monkeypatch):
+        # the one round allowed ends with a solve that meets the KL climb: "upper", not "cap"
+        grid = default_grid(2, seed=2016, resolution=200)
+        monkeypatch.setattr(oracle, "PRICING_MAX_ROUNDS", 1)
+        res = informational_power(depolarize(qubit_sic, 0.5), grid, tol=1e-6)
+        assert res.refinement_rounds == 1
+        assert res.diagnostics["stop"] == "upper"
+        assert res.diagnostics["pricing_capped"] is False
 
 
 def _direct_bracket(channel, prior):

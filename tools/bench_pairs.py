@@ -1,7 +1,7 @@
 """Benchmark two commits in alternating pairs and write a BENCH_*.json summary.
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_prN.json --workdir DIR \
-        [--claim WORKLOAD:METRIC] [--note TEXT]
+        [--claim WORKLOAD:METRIC] [--note TEXT] [--setup-only N]
 
 Run it from the root of a git checkout. Each commit is exported with
 ``git archive`` into DIR/<commit hash>, so the runs see exactly the
@@ -11,9 +11,13 @@ BENCHMARK.json (``python3 perfbench/run.py --workload W --seed S --seconds T
 parent first in pairs 1, 3, ..., the change first in pairs 2, 4, .... Every
 workload of BASE_SEED runs PAIRS pairs, at seeds BASE_SEED[W] + 1 ... + PAIRS;
 TRACED_PAIRS ``--trace 1`` pairs follow at the next seeds, in the same
-alternating order. Every run's last output line is appended to
-DIR/runs.jsonl, keyed by workload, seed, trace flag and commit, and a run
-found there is not repeated, so an interrupted run of this script resumes.
+alternating order. With ``--setup-only N``, N alternating ``run.py
+--setup-only`` runs per side and workload follow at the next seeds: they time
+only the set-up whose ``setup_s`` the pairs gate, which is bimodal from run to
+run, so a ``setup_s`` reading can be checked on more runs than the pairs give.
+Every run's last output line is appended to DIR/runs.jsonl, keyed by
+workload, seed, trace flag (``"setup-only"`` for those runs) and commit, and a
+run found there is not repeated, so an interrupted run of this script resumes.
 
 The summary holds, per workload and end-to-end metric, each side's median,
 inclusive quartiles and runs, the relative change of the medians, the
@@ -22,6 +26,8 @@ number of pairs the change reads lower and two verdicts (see ``verdicts``):
 whether it is met (see ``claim_verdict``). Per workload's traced pairs, it
 holds every per-layer metric that is nonzero in any of their runs, with each
 side's median and runs and the number of pairs the change reads lower.
+Under ``setup_only``, per workload, it holds each side's median, inclusive
+quartiles and runs of ``setup_s`` from the ``--setup-only`` runs.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ PAIRS = 10
 TRACED_PAIRS = 3  # one pair cannot resolve a 10-15 % move in a per-layer time
 CLAIM_SHARE = 0.9  # a claimed gain must read better in at least this share of the pairs
 SIDES = ("parent", "change")
+SETUP_ONLY = "setup-only"  # the trace slot of a run.py --setup-only run
 
 
 def export(commit: str, dest: str) -> str:
@@ -72,13 +79,17 @@ class Runs:
                 for line in fh:
                     rec = json.loads(line)
                     self.done[tuple(rec["key"])] = rec
-        self.environment = next((rec["environment"] for rec in self.done.values()), None)
+        self.environment = next((rec["environment"] for rec in self.done.values()
+                                 if "environment" in rec), None)
 
-    def command(self, workload: str, seed: int, trace: int) -> list[str]:
+    def command(self, workload: str, seed: int, trace: int | str) -> list[str]:
+        if trace == SETUP_ONLY:
+            return [*self.bench["command"], "--workload", workload, "--seed", str(seed),
+                    "--setup-only"]
         return [*self.bench["command"], "--workload", workload, "--seed", str(seed),
                 "--seconds", str(self.bench["run_seconds"]), "--trace", str(trace)]
 
-    def get(self, workload: str, seed: int, trace: int, side: str) -> dict:
+    def get(self, workload: str, seed: int, trace: int | str, side: str) -> dict:
         key = (workload, seed, trace, self.commits[side])
         if key not in self.done:
             cmd = self.command(workload, seed, trace)
@@ -86,14 +97,16 @@ class Runs:
             proc = subprocess.run(cmd, cwd=self.roots[side], capture_output=True, text=True,
                                   timeout=20 * self.bench["run_seconds"] + 600)
             lines = proc.stdout.strip().splitlines()
-            if proc.returncode != 0 or len(lines) < 2:
+            setup_only = trace == SETUP_ONLY  # one line, {"setup_s": ...}, and no details
+            if proc.returncode != 0 or len(lines) < (1 if setup_only else 2):
                 raise RuntimeError(f"{key}: exit {proc.returncode}: {proc.stderr.strip()[-800:]}")
-            details, result = json.loads(lines[-2]), json.loads(lines[-1])
-            rec = {"key": list(key), "result": result, "environment": details["environment"]}
+            rec = {"key": list(key), "result": json.loads(lines[-1])}
+            if not setup_only:
+                rec["environment"] = json.loads(lines[-2])["environment"]
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(rec) + "\n")
             self.done[key] = rec
-            self.environment = self.environment or rec["environment"]
+            self.environment = self.environment or rec.get("environment")
         return self.done[key]["result"]
 
 
@@ -187,6 +200,24 @@ def traced_pairs(runs: Runs, workload: str) -> dict:
     }
 
 
+def setup_only(runs: Runs, workload: str, count: int) -> dict:
+    """``count`` alternating ``--setup-only`` runs per side, at the seeds after the traced
+    pairs: each side's ``setup_s`` summary and the relative change of the medians."""
+    first = BASE_SEED[workload] + PAIRS + TRACED_PAIRS
+    seeds = [first + i for i in range(1, count + 1)]
+    order, results = paired_runs(runs, workload, seeds, SETUP_ONLY)
+    vals = {side: [r["setup_s"] for r in results[side]] for side in SIDES}
+    parent, change = summary(vals["parent"]), summary(vals["change"])
+    return {
+        "seeds": seeds, "runs_per_side": count,
+        "commands": [" ".join(runs.command(workload, seed, SETUP_ONLY)) for seed in seeds],
+        "order": {str(seed): list(sides) for seed, sides in order.items()},
+        "parent": parent, "change": change,
+        "relative_change": (change["median"] - parent["median"]) / parent["median"],
+        "change_lower_in_pairs": sum(c < p for p, c in zip(vals["parent"], vals["change"])),
+    }
+
+
 def machine(env: dict) -> str:
     """One line naming the machine of a run record; scipy only if the record has it."""
     scipy = f" scipy {env['scipy']}," if "scipy" in env else ""
@@ -208,7 +239,8 @@ METHOD = ("Each command was run from the root of a git archive copy of the paren
           " side) and the gap of the medians exceeds the parent's interquartile range."
           " traced_pairs lists the per-layer metrics that are nonzero in any traced run, with"
           " each side's median over its --trace 1 runs (statistics.median), alternating as"
-          " above. Written by tools/bench_pairs.py.")
+          " above. setup_only, when present, summarises run.py --setup-only runs of each"
+          " side, alternating as above. Written by tools/bench_pairs.py.")
 
 
 def main(argv=None) -> int:
@@ -219,7 +251,12 @@ def main(argv=None) -> int:
     p.add_argument("--workdir", required=True, help="directory for the copies and runs.jsonl")
     p.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims to improve")
     p.add_argument("--note", default="", help="what the change does, for the summary")
+    p.add_argument("--setup-only", type=int, default=0, metavar="N",
+                   help="also run N >= 2 alternating run.py --setup-only runs per side and"
+                        " workload")
     args = p.parse_args(argv)
+    if args.setup_only == 1 or args.setup_only < 0:
+        p.error(f"--setup-only needs 0 or at least 2 runs per side, got {args.setup_only}")
 
     commits = {"parent": rev(args.parent), "change": rev(args.change)}
     os.makedirs(args.workdir, exist_ok=True)
@@ -229,6 +266,7 @@ def main(argv=None) -> int:
     runs = Runs(os.path.join(args.workdir, "runs.jsonl"), commits, args.workdir, bench)
     e2e = {w: end_to_end(runs, w) for w in BASE_SEED}
     traced = {w: traced_pairs(runs, w) for w in BASE_SEED}
+    setups = {w: setup_only(runs, w, args.setup_only) for w in BASE_SEED if args.setup_only}
     claim = None
     if args.claim:
         workload, metric = args.claim.split(":")
@@ -239,6 +277,8 @@ def main(argv=None) -> int:
            "change_commit": commits["change"], "claim": claim,
            "machine": machine(runs.environment), "method": METHOD,
            "end_to_end": e2e, "traced_pairs": traced}
+    if setups:
+        out["setup_only"] = setups
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")

@@ -97,14 +97,14 @@ class _SetupRuns:
     """A stand-in for Runs: one synthetic setup_s per (seed, side), and the order of the gets."""
 
     def __init__(self, values):
-        self.values, self.calls = values, []
+        self.values, self.calls = {side: iter(v) for side, v in values.items()}, []
 
     def command(self, workload, seed, trace):
         return ["run.py", "--workload", workload, "--seed", str(seed), f"--{trace}"]
 
     def get(self, workload, seed, trace, side):
         self.calls.append((seed, trace, side))
-        return {"setup_s": self.values[side][len([c for c in self.calls if c[2] == side]) - 1]}
+        return {"setup_s": next(self.values[side])}
 
 
 class TestSetupOnly:

@@ -69,18 +69,18 @@ def _seed(args) -> int:
     return int(env) if env else DEFAULT_SEED
 
 
-def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write(text: str, args) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
-def _envelope(result: dict, seed: int, tolerances: dict) -> dict:
-    return {"artifact_version": __version__, "seed": seed,
-            "tolerances": tolerances, "result": result}
+def _emit(result: dict, seed: int, tolerances: dict, args) -> None:
+    envelope = {"artifact_version": __version__, "seed": seed, "tolerances": tolerances,
+                "result": result}
+    _write(json.dumps(envelope, indent=2, sort_keys=True) + "\n", args)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ def cmd_build(args) -> int:
     if spec.family == "uniform":
         result = {"spec": catalog.spec_to_json_dict(spec), "analytic": True,
                   "dim": spec.dimension, "n_elements": None}
-        _emit(_envelope(result, seed, {}), args)
+        _emit(result, seed, {}, args)
         return 0
     eset = catalog.build(spec)
     interval = catalog.admissible_lambda(eset)
@@ -105,7 +105,7 @@ def cmd_build(args) -> int:
         "moments": list(mv.values),
         "design_strength": catalog.design_strength(spec.family),
     }
-    _emit(_envelope(result, seed, {}), args)
+    _emit(result, seed, {}, args)
     return 0
 
 
@@ -135,33 +135,57 @@ def cmd_verify(args) -> int:
                   "certificate": {"strength_tested": args.t, "verdict": "pass",
                                   "notes": "analytic: the Haar-uniform POVM is a t design"
                                            " for every t"}}
-        _emit(_envelope(result, seed, tolerances), args)
+        _emit(result, seed, tolerances, args)
         return 0
     cert = verify.certify(catalog.build(spec), args.t, n_spotchecks=args.spotchecks, seed=seed)
     result = {"spec": spec_dict, "certificate": cert.to_json_dict()}
-    _emit(_envelope(result, seed, tolerances), args)
+    _emit(result, seed, tolerances, args)
     return 0 if cert.passed else 2
 
 
-def _oracle_inputs(spec: DesignSpec, seed: int):
-    """The lambda = 1 element set the oracle depolarizes, and its state grid.
+def _base(spec: DesignSpec, seed: int | None = None):
+    """The family's lambda = 1 moments mu_1..mu_MAX_T (mu_0 = d) and, given a seed, the
+    oracle's inputs: the lambda = 1 element set it depolarizes and its state grid.
 
-    The uniform POVM is discretized (d <= 8 only). In d = 8 the grid is
-    seeded with the family's capacity-achieving states.
+    spec.lam is checked against the admissible interval of the lambda = 1 set (a uniform
+    spec checks its own). The uniform POVM has every moment 1, and its oracle runs on a
+    discretized POVM (d <= 8 only). In d = 8 the grid is seeded with the family's
+    capacity-achieving states.
     """
+    if spec.family == "uniform":
+        mv = verify.MomentVector((1.0,) * bounds.MAX_T, spec.dimension)
+    else:
+        eset = catalog.build(DesignSpec(spec.family, 1.0, spec.fiducial_phase, spec.dim))
+        interval = catalog.admissible_lambda(eset)
+        if not interval.contains(spec.lam):
+            raise catalog.LambdaRangeError(
+                f"lambda={spec.lam} outside admissible interval [{interval.lo:.6g},"
+                f" {interval.hi:.6g}] for {spec.family}")
+        mv = verify.moments(eset, bounds.MAX_T)
+    if seed is None:
+        return mv, None
     if spec.family == "uniform":
         if spec.dimension > 8:
             raise ValueError("oracle for the uniform family is limited to d <= 8"
                              " (state-grid blowup)")
         eset = oracle.discretized_uniform_povm(spec.dimension, seed=seed)
-    else:
-        eset = catalog.build(DesignSpec(spec.family, 1.0, spec.fiducial_phase, spec.dim))
     optimal = catalog.FAMILY[spec.family].optimal
     extra = optimal[1](8, spec.fiducial_phase) if optimal and spec.dimension == 8 else None
-    return eset, oracle.default_grid(spec.dimension, seed, extra_states=extra)
+    return mv, (eset, oracle.default_grid(spec.dimension, seed, extra_states=extra))
 
 
-def _run_oracle(inputs, lam: float, tol: float) -> oracle.OracleResult:
+def _bounds(spec: DesignSpec, mv: verify.MomentVector, t: int | None = None) -> list:
+    """C_t of the depolarized family from its lambda = 1 moments ``mv``: at ``t``, or at
+    every t = 2..min(design strength, bounds.MAX_T)."""
+    strength = catalog.design_strength(spec.family)
+    if t is not None and t > strength:
+        raise ValueError(f"{spec.family} is only a {strength}-design; C_{t} does not apply")
+    ts = [t] if t is not None else range(2, min(strength, bounds.MAX_T) + 1)
+    gammas = verify.gammas(catalog.moments_of_depolarized(mv, spec.lam))
+    return [bounds.bound_Ct(spec.dimension, gammas, k) for k in ts]
+
+
+def _oracle(inputs, lam: float, tol: float) -> oracle.OracleResult:
     eset, grid = inputs
     target = catalog.depolarize(eset, lam) if lam != 1.0 else eset
     return oracle.informational_power(target, grid, tol=tol)
@@ -172,63 +196,30 @@ def cmd_capacity(args) -> int:
     seed = _seed(args)
     unit = LN2 if args.bits else 1.0
     result: dict = {"spec": catalog.spec_to_json_dict(spec),
-                    "units": "bits" if args.bits else "nats"}
-    tolerances = {"oracle_tol": args.tol}
-    if args.method in ("closed", "both"):
-        result["closed_form"] = closedform.capacity_for(spec) / unit
-        result["method"] = "closed-form"
-    if args.method in ("oracle", "both"):
-        res = _run_oracle(_oracle_inputs(spec, seed), spec.lam, args.tol)
-        result["oracle"] = res.capacity_estimate / unit
-        result["oracle_tightness"] = res.tightness
-        result["oracle_bracket"] = res.bracket_width
-        result["method"] = "oracle" if args.method == "oracle" else "both"
+                    "units": "bits" if args.bits else "nats",
+                    "method": "closed-form" if args.method == "closed" else args.method}
+    if args.method != "oracle":
+        result["closed_form"] = closedform.capacity(spec.family, spec.lam, spec.dim) / unit
+    if args.method != "closed":
+        res = _oracle(_base(spec, seed)[1], spec.lam, args.tol)
+        result.update(oracle=res.capacity_estimate / unit, oracle_tightness=res.tightness,
+                      oracle_bracket=res.bracket_width)
     if args.method == "both":
         result["discrepancy"] = result["oracle"] - result["closed_form"]
-    _emit(_envelope(result, seed, tolerances), args)
+    _emit(result, seed, {"oracle_tol": args.tol}, args)
     return 0
-
-
-def _base_moments(spec: DesignSpec) -> verify.MomentVector:
-    """mu_1..mu_MAX_T of the family at lambda = 1, with mu_0 = d."""
-    if spec.family == "uniform":
-        return verify.MomentVector((1.0,) * bounds.MAX_T, spec.dimension)
-    eset = catalog.build(DesignSpec(spec.family, 1.0, spec.fiducial_phase, spec.dim))
-    return verify.moments(eset, bounds.MAX_T)
 
 
 def cmd_bound(args) -> int:
     spec = _resolve_spec(args)
     seed = _seed(args)
     unit = LN2 if args.bits else 1.0
-    t_max = catalog.design_strength(spec.family)
-    ts = [args.t] if args.t is not None else list(range(2, min(t_max, bounds.MAX_T) + 1))
-    for t in ts:
-        if t > t_max:
-            raise ValueError(f"{spec.family} is only a {t_max}-design; C_{t} does not apply")
-    gammas = verify.gammas(catalog.moments_of_depolarized(_base_moments(spec), spec.lam))
-    reports = [bounds.bound_Ct(spec.dimension, gammas, t) for t in ts]
+    reports = _bounds(spec, _base(spec)[0], args.t)
     result = {"spec": catalog.spec_to_json_dict(spec),
               "units": "bits" if args.bits else "nats",
               "bounds": [{**r.to_json_dict(), "value": r.value / unit} for r in reports]}
-    _emit(_envelope(result, seed, {"cross_check": bounds.CROSS_CHECK_TOL}), args)
+    _emit(result, seed, {"cross_check": bounds.CROSS_CHECK_TOL}, args)
     return 0
-
-
-def _sweep_row(spec: DesignSpec, base: verify.MomentVector, oracle_inputs,
-               oracle_tol: float) -> dict:
-    row = {"family": _family_token(spec), "lambda": spec.lam}
-    row["closed_form"] = closedform.capacity_for(spec)
-    t_max = min(catalog.design_strength(spec.family), bounds.MAX_T)
-    gammas = verify.gammas(catalog.moments_of_depolarized(base, spec.lam))
-    for t in range(2, 6):  # the CSV's C2..C5 columns
-        if t <= t_max:
-            row[f"C{t}"] = bounds.bound_Ct(spec.dimension, gammas, t).value
-        else:
-            row[f"C{t}"] = None
-    row["oracle"] = (None if oracle_inputs is None
-                     else _run_oracle(oracle_inputs, spec.lam, oracle_tol).capacity_estimate)
-    return row
 
 
 def _family_token(spec: DesignSpec) -> str:
@@ -249,38 +240,31 @@ def cmd_sweep(args) -> int:
     specs = [catalog.spec_from_json_dict({**fields, "lambda": float(lam)})
              for fields in fams for lam in lams]
 
-    # per family token: base moments, and the oracle inputs under --with-oracle
-    base_moments: dict = {}
-    oracle_inputs: dict = {}
+    # one lambda = 1 base per family token; the i-th family's oracle runs at seed + 7919 i
+    bases: dict = {}
     for i, fields in enumerate(fams):
         spec1 = catalog.spec_from_json_dict({**fields, "lambda": 1.0})
         token = _family_token(spec1)
-        if token in base_moments:
-            continue
-        base_moments[token] = _base_moments(spec1)
-        if args.with_oracle:
-            oracle_inputs[token] = _oracle_inputs(spec1, seed + 7919 * i)
+        if token not in bases:
+            bases[token] = _base(spec1, seed + 7919 * i if args.with_oracle else None)
 
     rows = []
     for spec in specs:
         token = _family_token(spec)
-        rows.append(_sweep_row(spec, base_moments[token], oracle_inputs.get(token), args.tol))
-    rows.sort(key=lambda r: (r["family"], r["lambda"]))
+        mv, inputs = bases[token]
+        closed = closedform.capacity(spec.family, spec.lam, spec.dim)
+        cts = [r.value for r in _bounds(spec, mv)]
+        cts += [None] * (4 - len(cts))  # the CSV's C2..C5 columns
+        rate = None if inputs is None else _oracle(inputs, spec.lam, args.tol).capacity_estimate
+        rows.append((token, spec.lam, closed, *cts, rate))
+    rows.sort(key=lambda r: r[:2])
 
     def fmt(v):
         return "" if v is None else f"{v:.12g}"
 
     lines = ["family,lambda,closed_form,C2,C3,C4,C5,oracle"]
-    for r in rows:
-        lines.append(",".join([r["family"], f"{r['lambda']:.12g}", fmt(r["closed_form"]),
-                               fmt(r["C2"]), fmt(r["C3"]), fmt(r["C4"]), fmt(r["C5"]),
-                               fmt(r["oracle"])]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    lines += [",".join([r[0], *map(fmt, r[1:])]) for r in rows]
+    _write("\n".join(lines) + "\n", args)
     return 0
 
 

@@ -135,10 +135,6 @@ def capacity(family: str, lam: float, dim: int | None = None) -> float:
     return math.log(d) - sum(c * eta(lam * a + (1.0 - lam) / d) for c, a in spectrum)
 
 
-def capacity_for(spec: DesignSpec) -> float:
-    return capacity(spec.family, spec.lam, spec.dim)
-
-
 def optimal_ensemble(family: str, dim: int | None = None,
                      fiducial_phase: float = 0.0) -> WeightedElementSet:
     """The capacity-achieving pure ensemble of the (depolarized) family.

@@ -296,3 +296,80 @@ class TestParserReuse:
         results = [json.loads(out)["result"] for _, out in in_process]
         assert [r["units"] for r in results] == ["bits", "nats", "nats"]
         assert [r["spec"]["lambda"] for r in results] == [0.5, 0.3, 1.0]
+
+
+class TestAdmissibleLambda:
+    """Every family takes lambda only in its admissible interval, `bound` included."""
+
+    @pytest.mark.parametrize("family,lam", [
+        ("qutrit_sic", "-0.6"), ("qutrit_mub", "-0.9"), ("hoggar_sic", "-0.2"),
+        ("qubit_sic", "1.02"), ("qutrit_sic", "nan"), ("icosahedron", "inf")])
+    def test_bound_outside_the_interval_exits_one(self, capsys, family, lam):
+        # these printed a C_2 for elements that are not positive, or failed in the quadrature
+        code, out, err = run(capsys, "bound", "--family", family, "--lambda", lam)
+        assert (code, out) == (1, "")
+        assert "admissible interval" in err
+
+    def test_bound_refuses_with_the_message_of_build(self, capsys):
+        argv = ["--family", "hoggar_sic", "--lambda", "-0.2"]
+        assert run(capsys, "bound", *argv) == run(capsys, "build", *argv)
+
+    @pytest.mark.parametrize("family,lam,c2", [
+        ("qutrit_sic", "-0.5", 0.11778303565638293),
+        ("anti_sic:3", "-2", 0.4054651081081645),  # ln(3/2)
+        ("qubit_sic", "-1", 0.2876820724517808),  # ln(4/3)
+        ("hoggar_sic", repr(-1 / 7), 0.015748356968139365)])
+    def test_endpoints_stay_admitted(self, capsys, family, lam, c2):
+        code, out, _ = run(capsys, "bound", "--family", family, "--lambda", lam)
+        assert code == 0
+        assert json.loads(out)["result"]["bounds"][0]["value"] == pytest.approx(c2, rel=1e-12)
+
+
+class TestOneEvaluationPath:
+    """`capacity`, `bound` and `sweep` share the t rule, the oracle inputs and the builds."""
+
+    SWEEP = ["sweep", "--families", "qubit_sic,qutrit_mub", "--steps", "3", "--with-oracle",
+             "--tol", "1e-4", "--seed", "5"]
+
+    def test_t_above_the_design_strength(self, capsys):
+        code, out, err = run(capsys, "bound", "--family", "qubit_sic", "--t", "3")
+        assert (code, out) == (1, "")
+        assert "is only a 2-design" in err
+        code, out, _ = run(capsys, "bound", "--family", "uniform:3", "--t", "6")
+        assert (code, out) == (1, "")
+
+    def test_uniform_oracle_refused_above_d8(self, capsys):
+        code, out, err = run(capsys, "capacity", "--family", "uniform:9", "--method", "oracle")
+        assert (code, out) == (1, "")
+        assert "limited to d <= 8" in err
+
+    def test_sweep_rows_match_capacity_and_bound(self, capsys):
+        code, out, _ = run(capsys, *self.SWEEP)
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 6
+
+        def g12(v):
+            return f"{v:.12g}"
+
+        for i, family in enumerate(["qubit_sic", "qutrit_mub"]):
+            for row in (r for r in rows if r["family"] == family):
+                spec = ["--family", family, "--lambda", row["lambda"]]
+                _, out, _ = run(capsys, "capacity", *spec, "--method", "closed")
+                assert row["closed_form"] == g12(json.loads(out)["result"]["closed_form"])
+                _, out, _ = run(capsys, "bound", *spec)
+                for b in json.loads(out)["result"]["bounds"]:
+                    assert row[f"C{b['t']}"] == g12(b["value"])
+                _, out, _ = run(capsys, "capacity", *spec, "--method", "oracle", "--tol", "1e-4",
+                                "--seed", str(5 + 7919 * i))
+                assert row["oracle"] == g12(json.loads(out)["result"]["oracle"])
+
+    def test_sweep_builds_each_family_once(self, capsys, monkeypatch):
+        from tdesigncap import catalog
+
+        built = []
+        real_build = catalog.build
+        monkeypatch.setattr(catalog, "build", lambda spec: built.append(spec) or real_build(spec))
+        code, _, _ = run(capsys, *self.SWEEP)
+        assert code == 0
+        assert sorted(spec.family for spec in built) == ["qubit_sic", "qutrit_mub"]

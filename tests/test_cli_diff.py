@@ -1,0 +1,72 @@
+"""tools/cli_diff.py on synthetic records, and its in-process runner."""
+
+import importlib.util
+import json
+import pathlib
+import sys
+
+_TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
+if str(_TOOLS) not in sys.path:
+    sys.path.insert(0, str(_TOOLS))  # cli_diff imports bench_pairs as its sibling
+_SPEC = importlib.util.spec_from_file_location("cli_diff", _TOOLS / "cli_diff.py")
+cli_diff = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(cli_diff)
+
+ARGVS = [["build", "--family", "qubit_sic"], ["bound", "--family", "hoggar_sic"],
+         ["sweep", "--families", "qubit_sic"]]
+PARENT = [[0, '{\n  "a": 1\n}\n', ""], [0, '{\n  "c2": 0.03\n}\n', ""], [0, "family\n", ""]]
+
+
+class TestDifferences:
+    def test_identical_records_report_nothing(self):
+        assert cli_diff.differences(ARGVS, PARENT, [list(r) for r in PARENT]) == []
+
+    def test_an_exit_code_change_names_the_call_and_both_streams(self):
+        change = [PARENT[0], [1, "", "tdesigncap: error: outside admissible interval\n"],
+                  PARENT[2]]
+        (report,) = cli_diff.differences(ARGVS, PARENT, change)
+        lines = report.splitlines()
+        assert lines[0] == "tdesigncap bound --family hoggar_sic: exit 0 -> 1"
+        assert '  -  "c2": 0.03' in lines
+        assert "  +tdesigncap: error: outside admissible interval" in lines
+
+    def test_a_stdout_or_stderr_change_alone_is_reported(self):
+        change = [[0, '{\n  "a": 2\n}\n', ""], PARENT[1], [0, "family\n", "warning\n"]]
+        reports = cli_diff.differences(ARGVS, PARENT, change)
+        assert [r.splitlines()[0] for r in reports] == [
+            "tdesigncap build --family qubit_sic: exit 0 -> 0",
+            "tdesigncap sweep --families qubit_sic: exit 0 -> 0"]
+        assert '  +  "a": 2' in reports[0].splitlines()
+        assert "  +warning" in reports[1].splitlines()
+
+    def test_a_long_diff_is_cut(self):
+        long = [0, "".join(f"{i}\n" for i in range(40)), ""]
+        (report,) = cli_diff.differences(ARGVS[:1], [long], [[0, "", ""]])
+        lines = report.splitlines()
+        assert len(lines) == 1 + cli_diff.DIFF_LINES + 1
+        assert lines[-1] == f"  ... {40 + 3 - cli_diff.DIFF_LINES} more lines"
+
+
+class TestMatrix:
+    def test_no_d8_oracle_query(self):
+        d8 = ("hoggar_sic", "uniform:8", "anti_sic:8")
+        for argv in cli_diff.matrix():
+            if {"--with-oracle", "oracle", "both"} & set(argv):
+                assert not any(tok in arg for arg in argv for tok in d8), argv
+
+    def test_covers_every_subcommand_and_token(self):
+        argvs = cli_diff.matrix()
+        assert {a[0] for a in argvs} >= {"build", "verify", "bound", "capacity", "sweep"}
+        bound_tokens = {a[2] for a in argvs if a[0] == "bound" and "--lambda" in a}
+        assert bound_tokens == set(cli_diff.TOKENS)
+
+
+class TestRunMatrix:
+    def test_exit_codes_and_streams_of_the_importable_cli(self):
+        (ok, refused, usage) = cli_diff.run_matrix(
+            [["build", "--family", "qubit_sic"], ["bound", "--family", "qubit_sic", "--t", "3"],
+             ["sweep"]])
+        assert ok[0] == 0 and ok[2] == ""
+        assert json.loads(ok[1])["result"]["n_elements"] == 4
+        assert refused[:2] == [1, ""] and "is only a 2-design" in refused[2]
+        assert usage[:2] == [1, ""] and "--families" in usage[2]  # argparse's SystemExit

@@ -1,0 +1,140 @@
+"""Run one fixed matrix of CLI calls on two commits and print every call whose output differs.
+
+    python3 tools/cli_diff.py PARENT CHANGE --workdir DIR
+
+Run it from the root of a git checkout. Each commit is exported with
+``bench_pairs.export`` into DIR/<commit hash>. Per side, one child process
+with one BLAS thread and no ``TDESIGN_SEED`` imports that copy's
+``tdesigncap.cli`` and runs every argv of ``matrix()`` through ``cli.main``
+in order, keeping its exit code (a usage error's ``SystemExit`` included),
+stdout and stderr. Every argv whose exit code, stdout or stderr differs
+between the sides is printed with a diff of both, and the script exits 1 if
+any does, else 0.
+
+The matrix covers every subcommand: ``build``, ``verify --t 2``, ``bound``
+(in nats and bits) and the closed-form ``capacity`` of the 12 family tokens
+at lambda in {1, 0.5, 0, -0.2}; ``bound --t 1..6`` on four tokens;
+``capacity --method oracle|both`` on five tokens of d <= 3; sweeps of all 12
+tokens with and without ``--with-oracle`` (d <= 3 only with it); and the
+error cases. It runs no d = 8 oracle query.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import difflib
+import io
+import json
+import os
+import shlex
+import subprocess
+import sys
+
+from bench_pairs import export, rev
+
+TOOLS = os.path.dirname(os.path.abspath(__file__))
+TOKENS = ("qubit_sic", "qubit_mub", "icosahedron", "uniform:2", "anti_sic:2", "qutrit_sic",
+          "qutrit_mub", "uniform:3", "anti_sic:3", "hoggar_sic", "uniform:8", "anti_sic:8")
+LAMBDAS = ("1", "0.5", "0", "-0.2")
+ORACLE_TOKENS = ("qubit_sic", "qubit_mub", "icosahedron", "qutrit_mub", "anti_sic:3")
+DIFF_LINES = 12  # diff lines printed per stream of a differing call
+
+
+def matrix() -> list[list[str]]:
+    out = [["--version"], ["sweep"]]  # the version, and a usage error
+    for tok in TOKENS:
+        for lam in LAMBDAS:
+            spec = ["--family", tok, "--lambda", lam]
+            out += [["build", *spec], ["verify", *spec, "--t", "2"], ["bound", *spec],
+                    ["bound", *spec, "--bits"], ["capacity", *spec]]
+    for tok in ("qubit_sic", "icosahedron", "uniform:3", "hoggar_sic"):
+        out += [["bound", "--family", tok, "--t", str(t)] for t in range(1, 7)]
+    for tok in ORACLE_TOKENS:
+        out += [["capacity", "--family", tok, "--lambda", "0.5", "--method", method,
+                 "--tol", "1e-4"] for method in ("oracle", "both")]
+    every = ",".join(TOKENS)
+    out += [
+        ["sweep", "--families", every, "--steps", "5"],
+        ["sweep", "--families", every, "--steps", "3", "--lambda-start", "-0.2",
+         "--lambda-end", "0"],
+        ["sweep", "--families", "qubit_sic,qutrit_mub,uniform:2,qubit_sic", "--steps", "3",
+         "--with-oracle", "--tol", "1e-4", "--seed", "5"],
+        ["capacity", "--family", "uniform:9", "--method", "oracle"],
+        ["sweep", "--families", "qubit_sic,uniform:9", "--with-oracle"],
+        ["bound", "--family", "qubit_sic", "--dim", "3"],
+        ["capacity", "--family", "qubit_sic", "--method", "oracle", "--tol", "nan"],
+        ["sweep", "--families", ",", "--steps", "2"],
+        ["sweep", "--families", "qubit_sic", "--steps", "0"],
+        ["verify", "--family", "not_a_family", "--t", "2"],
+        ["verify", "--family", "qubit_sic", "--t", "2", "--spotchecks", "-3"],
+    ]
+    return out
+
+
+def run_matrix(argvs: list[list[str]]) -> list[list]:
+    """[exit code, stdout, stderr] of each argv run through the importable ``tdesigncap.cli``."""
+    from tdesigncap import cli
+
+    records = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse: usage errors, --version
+                code = exc.code
+        records.append([code, out.getvalue(), err.getvalue()])
+    return records
+
+
+def run_side(root: str, argvs: list[list[str]]) -> list[list]:
+    """``run_matrix`` in a child process on the ``tdesigncap`` under ``root``/src."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(root, "src"), TOOLS]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env.pop("TDESIGN_SEED", None)
+    child = ("import json, sys, cli_diff;"
+             " json.dump(cli_diff.run_matrix(json.load(sys.stdin)), sys.stdout)")
+    proc = subprocess.run([sys.executable, "-c", child], cwd=root, env=env, text=True,
+                          input=json.dumps(argvs), capture_output=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{root}: exit {proc.returncode}: {proc.stderr.strip()[-800:]}")
+    return json.loads(proc.stdout)
+
+
+def differences(argvs: list[list[str]], parent: list[list], change: list[list]) -> list[str]:
+    """One report per argv whose exit code, stdout or stderr differs between the sides."""
+    reports = []
+    for argv, p, c in zip(argvs, parent, change, strict=True):
+        if p == c:
+            continue
+        lines = [f"tdesigncap {shlex.join(argv)}: exit {p[0]} -> {c[0]}"]
+        for name, a, b in (("stdout", p[1], c[1]), ("stderr", p[2], c[2])):
+            diff = list(difflib.unified_diff(a.splitlines(), b.splitlines(), f"parent {name}",
+                                             f"change {name}", n=1, lineterm=""))
+            lines += ["  " + line for line in diff[:DIFF_LINES]]
+            if len(diff) > DIFF_LINES:
+                lines.append(f"  ... {len(diff) - DIFF_LINES} more lines")
+        reports.append("\n".join(lines))
+    return reports
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent")
+    p.add_argument("change")
+    p.add_argument("--workdir", required=True, help="directory for the exported copies")
+    args = p.parse_args(argv)
+    os.makedirs(args.workdir, exist_ok=True)
+    argvs = matrix()
+    records = [run_side(export(c, os.path.join(args.workdir, c)), argvs)
+               for c in (rev(args.parent), rev(args.change))]
+    reports = differences(argvs, *records)
+    for report in reports:
+        print(report)
+    print(f"{len(argvs)} calls, {len(reports)} differ")
+    return 1 if reports else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,8 +12,8 @@ sum_y p ln p per grid state, is one pass in cache-sized row blocks that floors p
 only in the rows holding a p <= 0. That pass and the first climb run once per
 (POVM, grid) pair for both searches: every pricing round of
 :func:`informational_power`, and :func:`kl_maximize`. Each round's starts are
-its top prices, picked by one partition. The stacked ascent evaluates its
-(K, m) overlaps in cache-sized row blocks too.
+its top prices, picked by one partition. The stacked ascent builds one evaluator
+per climb and makes 8 passes over its (K, m) overlaps, in cache-sized row blocks too.
 
 The oracle lower-bounds capacity by construction (it exhibits an achievable
 ensemble); the KL route upper-bounds it. Together they bracket the closed
@@ -156,7 +156,7 @@ class _GridPricing:
         """H_x = sum_y P_xy ln P_xy for every grid row, in cache-sized row blocks; only the
         rows whose sum is not finite are redone with P floored at the smallest normal float."""
         n, m = len(self.proj), len(self.a)
-        ops_t = self.ops.view(float).T * self.a  # P = proj @ ops_t, the weights folded in once
+        ops_t = np.ascontiguousarray(self.ops.view(float).T * self.a)  # P = proj @ ops_t
         rows = min(n, max(1, GRID_BLOCK // m))
         p_buf, lnp_buf = np.empty((rows, m)), np.empty((rows, m))
         row_terms = np.empty(n)
@@ -304,40 +304,48 @@ def _top_k(v: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # KL upper-bound objective and its maximizer search
 
-def _ascent_terms(z: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """F at each row of the (K, d) stack z and its gradient there; see :func:`_ascend`.
+class _AscentTerms:
+    """F and its gradient at each row of a (K, d) stack z, for one climb; see :func:`_ascend`.
 
-    x, ln x, F and g . x are formed in row blocks of about ``GRID_BLOCK / 2`` entries,
-    so their few temporaries stay in cache for any K; g fills one (K, m) array, and B
-    comes from one matmul over the whole stack. A block is a multiple of 4 rows (2 when
-    m > GRID_BLOCK / 8): OpenBLAS then splits each block as it splits the whole stack,
+    Built once per climb: the operators' (re, im) view and its C-contiguous transpose, S_a =
+    sum_y a_y chi_y, an x buffer of one row block and the (K, m) array g. A call folds
+    1 / |phi|^2 into the (K, 2 d^2) projector rows and makes 8 passes over the (K, m) block: x
+    by one matmul, its clamp, ln x, three in-place steps to g = a (ln x + 1) + b, g . x and B.
+    F = g . x - <phi|S_a|phi> / |phi|^2 takes no pass. g is kept, not folded into B = ln x @
+    (a chi) + (a + b) @ chi: the gradient nearly cancels, and that form moves it by up to
+    7e-13 of its size. Row blocks of about ``GRID_BLOCK / 2`` entries keep x and g in cache
+    for any K, and B comes from one matmul over the stack. A block is a multiple of 4 rows (2
+    when m > GRID_BLOCK / 8): OpenBLAS then splits each block as it splits the whole stack,
     and only a remainder block of 1 row rounds differently, by a few ulps.
     """
-    k, d = z.shape
-    m = len(a)
-    ops = np.ascontiguousarray(ops, dtype=complex).reshape(m, d * d).view(float)
-    proj = projector_view(z)  # x = proj @ ops^T, as in core.overlaps
-    norm2 = np.einsum("ki,ki->k", z, z.conj()).real
-    rows = min(k, max(2, GRID_BLOCK // (2 * m) // 4 * 4))
-    x_buf, xg_buf = np.empty((rows, m)), np.empty((rows, m))
-    g = np.empty((k, m))
-    vals, gx = np.empty(k), np.empty(k)
-    for lo in range(0, k, rows):
-        hi = min(lo + rows, k)
-        x = np.matmul(proj[lo:hi], ops.T, out=x_buf[:hi - lo])
-        x /= norm2[lo:hi, None]
-        np.maximum(x, np.finfo(float).tiny, out=x)
-        gb = np.log(x, out=g[lo:hi])
-        vals[lo:hi] = np.multiply(x, gb, out=xg_buf[:hi - lo]) @ a + x @ b
-        gb += 1.0
-        gb *= a
-        gb += b  # g = a (ln x + 1) + b
-        gx[lo:hi] = np.einsum("ky,ky->k", gb, x)
-    # B_k = sum_y g_ky chi_y from the (re, im) view of the operators
-    bk = (g @ ops).view(complex)
-    bz = np.einsum("kij,kj->ki", bk.reshape(k, d, d), z)
-    grad = (2.0 / norm2)[:, None] * (bz - gx[:, None] * z)
-    return vals, grad
+
+    def __init__(self, ops: np.ndarray, a: np.ndarray, b: np.ndarray, k: int):
+        m = len(a)
+        self.ops = np.ascontiguousarray(ops, dtype=complex).reshape(m, -1).view(float)
+        self.ops_t = np.ascontiguousarray(self.ops.T)  # x = proj @ ops_t, as in core.overlaps
+        self.a, self.b, self.s_a = a, b, a @ self.ops
+        self.rows = min(k, max(2, GRID_BLOCK // (2 * m) // 4 * 4))
+        self.x, self.g = np.empty((self.rows, m)), np.empty((k, m))
+
+    def __call__(self, z: np.ndarray):
+        k, d = z.shape
+        norm2 = np.einsum("ki,ki->k", z, z.conj()).real
+        proj = projector_view(z) / norm2[:, None]
+        gx = np.empty(k)
+        for lo in range(0, k, self.rows):
+            hi = min(lo + self.rows, k)
+            x = np.matmul(proj[lo:hi], self.ops_t, out=self.x[:hi - lo])
+            np.maximum(x, np.finfo(float).tiny, out=x)
+            gb = np.log(x, out=self.g[lo:hi])
+            gb += 1.0
+            gb *= self.a
+            gb += self.b  # g = a (ln x + 1) + b
+            np.einsum("ky,ky->k", gb, x, out=gx[lo:hi])
+        # B_k = sum_y g_ky chi_y from the (re, im) view of the operators
+        bk = (self.g @ self.ops).view(complex)
+        bz = np.einsum("kij,kj->ki", bk.reshape(k, d, d), z)
+        grad = (2.0 / norm2)[:, None] * (bz - gx[:, None] * z)
+        return gx - proj @ self.s_a, grad
 
 
 def _lbfgs(fun, x0: np.ndarray, max_iter: int, gtol: float, ftol: float):
@@ -354,8 +362,9 @@ def _lbfgs(fun, x0: np.ndarray, max_iter: int, gtol: float, ftol: float):
     """
     x, (f, g), nfev, pairs = x0, fun(x0), 1, []  # pairs (s, y, 1 / s . y), oldest first
     for it in range(max_iter + 1):
-        if np.abs(g).max() <= gtol or it == max_iter:
-            return x, nfev, bool(np.abs(g).max() > gtol)
+        g_max = np.abs(g).max()
+        if g_max <= gtol or it == max_iter:
+            return x, nfev, bool(g_max > gtol)
         p, alphas = -g, []
         for s, y, rho in reversed(pairs):
             alphas.append(rho * (s @ p))
@@ -386,36 +395,37 @@ def _ascend(ops: np.ndarray, a: np.ndarray, b: np.ndarray, phis: np.ndarray):
     """Maximize F(phi) = sum_y a_y x_y ln x_y + b_y x_y, x_y = <phi|chi_y|phi> / <phi|phi>,
     from every row of the (K, d) stack ``phis`` at once.
 
-    One L-BFGS solve (:func:`_lbfgs`) on the separable sum sum_k F(phi_k) over
-    (Re phi_k, Im phi_k) climbs all K starts, with the analytic gradient
-    2 / |phi|^2 (B phi - (g . x) phi), g = a (ln x + 1) + b and B = sum_y g_y chi_y, formed
-    in cache-sized row blocks (:func:`_ascent_terms`). x is clamped at the smallest normal
-    float before the log, since an optimal state may have zero overlaps. The stopping rules
-    are global: ftol = 1e-15 applies relative to |sum_k F|, and a failed line search ends
-    every start. So the oracle climbs D(p(.|phi) || out) - ln d, b = a (ln q - ln out), as
-    sum_y a_y x_y = 1: D itself, b = a (ln a - ln out), is two nearly cancelling O(1) sums
-    whose rounding the relative ftol test would chase. The stack stops at gtol = 1e-9 on its
-    largest gradient entry. The computed gradient has a rounding floor of about 2e-11, so a
-    gtol below it never fires: the ftol test or a failed line search then ends the stack,
-    after extra steps whose sum_k F moves by +-1 ulp. A gradient of size g
-    leaves F within about g^2 / (2 kappa) of its local maximum, kappa the curvature there;
-    for g = 1e-9 and kappa of order 1 that is 5e-19, far below F's last bit. Returns the
+    One L-BFGS solve (:func:`_lbfgs`) on the separable sum sum_k F(phi_k) over (Re phi_k,
+    Im phi_k) climbs all K starts, with the analytic gradient 2 / |phi|^2 (B phi - (g . x)
+    phi), g = a (ln x + 1) + b and B = sum_y g_y chi_y, formed by one evaluator per climb
+    (:class:`_AscentTerms`) in 8 passes over each cache-sized row block of the (K, m) overlaps.
+    x is clamped at the smallest normal float before the log, since an optimal state may have
+    zero overlaps. The stopping rules are global: ftol = 1e-15 applies relative to |sum_k F|,
+    and a failed line search ends every start. So the oracle climbs D(p(.|phi) || out) - ln d,
+    b = a (ln q - ln out), as sum_y a_y x_y = 1: D itself, b = a (ln a - ln out), is two nearly
+    cancelling O(1) sums whose rounding the relative ftol test would chase. The stack stops at
+    gtol = 1e-9 on its largest gradient entry. The computed gradient has a rounding floor of
+    about 2e-11, so a gtol below it never fires: the ftol test or a failed line search then
+    ends the stack, after extra steps whose sum_k F moves by +-1 ulp. A gradient of size g
+    leaves F within about g^2 / (2 kappa) of its local maximum, kappa the curvature there; for
+    g = 1e-9 and kappa of order 1 that is 5e-19, far below F's last bit. Returns the
     (K, d) normalized maximizers, F at each and whether the stack stopped at
     ``ASCENT_MAX_ITER``. F is the solver's last evaluation when that was at the returned
     point; the stack is evaluated once more after a failed line search.
     """
     shape, last = np.shape(phis), None  # last: (v, F at each row) of the last evaluation
+    terms = _AscentTerms(ops, a, b, shape[0])
 
     def objective(v):
         nonlocal last
-        vals, grad = _ascent_terms(v.view(complex).reshape(shape), ops, a, b)
+        vals, grad = terms(v.view(complex).reshape(shape))
         last = (v, vals)
         return -float(vals.sum()), -grad.view(float).ravel()
 
     v, _, capped = _lbfgs(objective, np.ascontiguousarray(phis, dtype=complex).view(float).ravel(),
                           ASCENT_MAX_ITER, gtol=1e-9, ftol=1e-15)
     z = v.view(complex).reshape(shape)
-    vals = last[1] if last[0] is v else _ascent_terms(z, ops, a, b)[0]
+    vals = last[1] if last[0] is v else terms(z)[0]
     return z / np.linalg.norm(z, axis=1, keepdims=True), vals, capped
 
 

@@ -81,7 +81,8 @@ def kl_maximize_reference(eset, grid) -> tuple[float, np.ndarray]:
 def ascent_objective(v: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):
     """-sum_k F(phi_k) and its gradient at the interleaved (re, im) view v of a (K, d) stack,
     as `oracle._ascend` hands them to its solver."""
-    vals, grad = oracle._ascent_terms(v.view(complex).reshape(-1, ops.shape[-1]), ops, a, b)
+    z = v.view(complex).reshape(-1, ops.shape[-1])
+    vals, grad = oracle._AscentTerms(ops, a, b, len(z))(z)
     return -float(vals.sum()), -grad.view(float).ravel()
 
 
@@ -108,7 +109,8 @@ def ascend_per_start(ops, a, b, phis):
 
 
 def ascent_terms_one_pass(z: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """`oracle._ascent_terms` with every (K, m) temporary of the stack formed whole."""
+    """`oracle._AscentTerms` as it was before it was built once per climb: every (K, m)
+    temporary of the stack formed whole, x divided by |phi|^2 and F summed from x ln x."""
     k, d = z.shape
     norm2 = np.einsum("ki,ki->k", z, z.conj()).real
     x = overlaps(z, ops)  # (K, m)

@@ -70,3 +70,33 @@ class TestRunMatrix:
         assert json.loads(ok[1])["result"]["n_elements"] == 4
         assert refused[:2] == [1, ""] and "is only a 2-design" in refused[2]
         assert usage[:2] == [1, ""] and "--families" in usage[2]  # argparse's SystemExit
+
+
+class TestNumericGap:
+    def test_json_of_one_shape_gives_the_largest_gap(self):
+        a = json.dumps({"x": [1.0, 2.5], "n": 3, "label": "s", "ok": True})
+        b = json.dumps({"x": [1.0 + 3e-15, 2.5], "n": 4, "label": "s", "ok": True})
+        assert cli_diff.numeric_gap(a, b) == 1.0
+        assert cli_diff.numeric_gap(a, a) == 0.0
+
+    def test_csv_of_one_shape_gives_the_largest_gap(self):
+        a = "family,lambda,C2,oracle\nqubit_sic,0.5,0.08,\nqubit_sic,1,0.28768,nan\n"
+        b = "family,lambda,C2,oracle\nqubit_sic,0.5,0.0800000001,\nqubit_sic,1,0.28768,nan\n"
+        assert cli_diff.numeric_gap(a, b) == abs(0.0800000001 - 0.08)
+        assert cli_diff.numeric_gap(a, b.replace(",nan", ",0.1")) == float("inf")
+
+    def test_another_shape_or_text_gives_none(self):
+        assert cli_diff.numeric_gap('{"a": 1}', '{"b": 1}') is None
+        assert cli_diff.numeric_gap('{"a": [1]}', '{"a": [1, 2]}') is None
+        assert cli_diff.numeric_gap('{"a": "x", "b": 1}', '{"a": "y", "b": 2}') is None
+        assert cli_diff.numeric_gap('{"ok": true}', '{"ok": false}') is None
+        assert cli_diff.numeric_gap("a,1\n", "a,1\nb,2\n") is None
+        assert cli_diff.numeric_gap("capacity is 0.1\n", "capacity is 0.2\n") is None
+
+    def test_a_report_states_the_gap_only_for_numbers_alone(self):
+        change = [[0, '{\n  "a": 1.5\n}\n', ""], [1, '{\n  "c2": 0.04\n}\n', ""],
+                  [0, "family\n", "warning\n"]]
+        reports = cli_diff.differences(ARGVS, PARENT, change)
+        assert reports[0].splitlines()[-1] == "  numbers only: largest absolute difference 0.5"
+        assert not any("numbers only" in r for r in reports[1:])  # exit code, then text
+        assert cli_diff.record_gap(PARENT[0], PARENT[0]) is None

@@ -22,7 +22,7 @@ from tdesigncap import (
 )
 from tdesigncap import oracle
 from tdesigncap.closedform import ConvergenceError, optimal_ensemble
-from tdesigncap.core import haar_random_states
+from tdesigncap.core import haar_random_states, overlaps
 from tdesigncap.oracle import StateGrid, fibonacci_bloch_states
 
 from reference_ascent import (ascend_per_start, ascent_objective, ascent_terms_one_pass,
@@ -35,6 +35,11 @@ def _seeded_d8_grid(family):
     """256 Haar states in d = 8 after the closed-form optimal ensemble's states."""
     duals = np.array([np.linalg.eigh(p)[1][:, -1] for p in optimal_ensemble(family).ops])
     return default_grid(8, seed=2016, extra_states=duals, resolution=256)
+
+
+def _terms(z, ops, a, b):
+    """F and its gradient at each row of the stack z, from one climb's evaluator."""
+    return oracle._AscentTerms(ops, a, b, len(z))(z)
 
 
 @pytest.fixture(scope="module")
@@ -273,7 +278,7 @@ class TestAscent:
         # KL, the pricing form, and the pricing form less ln d, which the oracle climbs
         shifted = a * (np.log(eset.weights) - np.log(out))
         for b in (kl_form, a * (np.log(a) - np.log(out)), shifted):
-            on_grid, _ = oracle._ascent_terms(grid.states, eset.ops, a, b)
+            on_grid, _ = _terms(grid.states, eset.ops, a, b)
             starts = grid.states[np.argsort(on_grid)[::-1][:max(32, d * d)]]
             states, vals, capped = oracle._ascend(eset.ops, a, b, starts)
             _, ref_vals, ref_capped = ascend_per_start(eset.ops, a, b, starts)
@@ -283,11 +288,10 @@ class TestAscent:
             assert vals.max() >= ref_vals.max() - 1e-12
             # every start ends at its local maximum: a short step up its own gradient gains
             # at most 1e-12 (a stack stopped at ftol = 1e-7 gains 2e-10 to 7e-7 here)
-            _, grad = oracle._ascent_terms(states, eset.ops, a, b)
+            _, grad = _terms(states, eset.ops, a, b)
             up = grad / np.maximum(np.linalg.norm(grad, axis=1, keepdims=True), 1e-300)
             for t in np.logspace(-9, -3, 13):
-                assert np.all(oracle._ascent_terms(states + t * up, eset.ops, a, b)[0]
-                              <= vals + 1e-12)
+                assert np.all(_terms(states + t * up, eset.ops, a, b)[0] <= vals + 1e-12)
             if b is kl_form:
                 assert np.all(vals >= ref_vals - 1e-12)
             # the pricing form has unequal local maxima, and a start of the stack may climb
@@ -304,6 +308,15 @@ def _generic_ascent_operators(d: int, m: int):
 class TestBlockedAscentTerms:
     """The row-blocked stack evaluation against the one-pass form of tests/reference_ascent.py."""
 
+    @staticmethod
+    def _check_one_pass(z, ops, a, b, tol=1e-13):
+        ref_vals, ref_grad = ascent_terms_one_pass(z, ops, a, b)
+        vals, grad = _terms(z, ops, a, b)
+        assert np.isfinite(vals).all() and np.isfinite(grad).all()
+        assert np.abs(vals - ref_vals).max() <= tol * np.abs(ref_vals).max()
+        assert np.abs(grad - ref_grad).max() <= tol * np.abs(ref_grad).max()
+        return vals, grad
+
     @pytest.mark.parametrize("block", [None, 512])  # the default, and 1-row remainders
     @pytest.mark.parametrize("m", [4, 64, 2048, 3000])
     @pytest.mark.parametrize("k", [1, 29, 33, 64])
@@ -314,14 +327,31 @@ class TestBlockedAscentTerms:
         ops, a = _generic_ascent_operators(d, m)
         z = 1.7 * haar_random_states(d, k, seed=k + m)  # off the unit sphere
         for b in (np.zeros_like(a), a * np.linspace(-1.0, 2.0, m)):  # KL and pricing forms
-            ref_vals, ref_grad = ascent_terms_one_pass(z, ops, a, b)
-            vals, grad = oracle._ascent_terms(z, ops, a, b)
-            assert np.abs(vals - ref_vals).max() <= 1e-13 * np.abs(ref_vals).max()
-            assert np.abs(grad - ref_grad).max() <= 1e-13 * np.abs(ref_grad).max()
+            vals, grad = self._check_one_pass(z, ops, a, b)
             if block is None and not (k == 33 and m >= 2048):
                 # one block, or blocks of a multiple of 4 rows: OpenBLAS rounds as for the
                 # whole stack; only a 1-row remainder (33 = 2 x 16 + 1 rows) rounds apart
-                assert np.array_equal(vals, ref_vals) and np.array_equal(grad, ref_grad)
+                with monkeypatch.context() as whole:
+                    whole.setattr(oracle, "GRID_BLOCK", 1 << 40)
+                    one_vals, one_grad = _terms(z, ops, a, b)
+                assert np.array_equal(vals, one_vals) and np.array_equal(grad, one_grad)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_zero_weight_element(self, d):
+        ops, a = _generic_ascent_operators(d, 64)
+        a[[0, 17]] = 0.0
+        z = 1.3 * haar_random_states(d, 5, seed=3)
+        for b in (np.zeros_like(a), a * np.linspace(-1.0, 2.0, 64)):
+            self._check_one_pass(z, ops, a, b)
+
+    def test_exact_zero_overlap(self, qubit_mub):
+        # qubit_mub at lambda = 1 holds |0><0|: the state |1> has an overlap of exactly 0
+        zero = np.flatnonzero(np.all(qubit_mub.ops == np.diag([1.0, 0.0]), axis=(1, 2)))
+        z = np.vstack([[[0.0, 1.3]], 1.3 * haar_random_states(2, 4, seed=3)]).astype(complex)
+        assert len(zero) == 1 and overlaps(z[:1], qubit_mub.ops)[0, zero[0]] == 0.0
+        a = 2 * qubit_mub.weights
+        for b in (np.zeros_like(a), a * np.linspace(-1.0, 2.0, len(a))):
+            self._check_one_pass(z, qubit_mub.ops, a, b)
 
     def test_remainder_block_occurs(self, monkeypatch):
         # the block sizes the parametrized test relies on
@@ -335,27 +365,33 @@ class TestBlockedAscentTerms:
 
         ops, a = _generic_ascent_operators(2, 64)
         monkeypatch.setattr(np, "matmul", recorded)
-        oracle._ascent_terms(haar_random_states(2, 33, seed=1), ops, a, np.zeros_like(a))
+        _terms(haar_random_states(2, 33, seed=1), ops, a, np.zeros_like(a))
         assert rows == [4] * 8 + [1]
 
 
 class TestAscendEvaluations:
-    """_ascend evaluates the stack once per solver evaluation, not once more at the end."""
+    """_ascend builds one evaluator per climb and evaluates the stack once per solver
+    evaluation, not once more at the end."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        real_terms, real_lbfgs = oracle._ascent_terms, oracle._lbfgs
-        seen = {"terms": 0, "results": [], "real_terms": real_terms}
+        real_lbfgs = oracle._lbfgs
+        seen = {"built": 0, "terms": 0, "results": []}
 
-        def terms(*args):
-            seen["terms"] += 1
-            return real_terms(*args)
+        class Counted(oracle._AscentTerms):
+            def __init__(self, *args):
+                seen["built"] += 1
+                super().__init__(*args)
+
+            def __call__(self, z):
+                seen["terms"] += 1
+                return super().__call__(z)
 
         def lbfgs(*args, **kwargs):
             seen["results"].append(real_lbfgs(*args, **kwargs))
             return seen["results"][-1]
 
-        monkeypatch.setattr(oracle, "_ascent_terms", terms)
+        monkeypatch.setattr(oracle, "_AscentTerms", Counted)
         monkeypatch.setattr(oracle, "_lbfgs", lbfgs)
         return seen
 
@@ -368,12 +404,12 @@ class TestAscendEvaluations:
         a = eset.dim * eset.weights
         starts = haar_random_states(eset.dim, 33, seed=5)
         for b in (np.zeros_like(a), a * np.linspace(-0.5, 0.5, len(a))):
-            counted["terms"] = 0
+            counted["built"] = counted["terms"] = 0
             states, vals, _ = oracle._ascend(eset.ops, a, b, starts)
             x, nfev, _ = counted["results"][-1]
-            assert counted["terms"] == nfev
+            assert counted["built"] == 1 and counted["terms"] == nfev
             z = x.view(complex).reshape(len(starts), -1)
-            assert np.array_equal(vals, counted["real_terms"](z, eset.ops, a, b)[0])
+            assert np.array_equal(vals, _terms(z, eset.ops, a, b)[0])
             assert np.array_equal(states, z / np.linalg.norm(z, axis=1, keepdims=True))
 
     def test_first_climb_stops_at_the_rounding_floor(self, counted):
@@ -405,19 +441,20 @@ class TestAscendEvaluations:
         counted["terms"] = 0
         _, vals, _ = oracle._ascend(eset.ops, a, b, starts)
         assert counted["terms"] == counted["results"][-1][1] + 1
-        assert np.array_equal(vals, counted["real_terms"](starts, eset.ops, a, b)[0])
+        assert np.array_equal(vals, _terms(starts, eset.ops, a, b)[0])
 
     def test_converged_start_is_returned_unchanged(self, counted):
         # the KL maximizers of the qubit SIC are the states orthogonal to its elements
         eset = depolarize(build(DesignSpec("qubit_sic", 1.0)), 0.5)
         a, b = 2 * eset.weights, np.zeros(len(eset))
         starts = np.array([np.linalg.eigh(op)[1][:, 0] for op in eset.ops])
-        _, grad = counted["real_terms"](starts, eset.ops, a, b)
+        _, grad = _terms(starts, eset.ops, a, b)
         assert np.abs(grad).max() <= 1e-9  # below the stack's gtol
+        counted["built"] = counted["terms"] = 0
         states, vals, capped = oracle._ascend(eset.ops, a, b, starts)
-        assert counted["terms"] == counted["results"][-1][1] == 1
+        assert counted["built"] == counted["terms"] == counted["results"][-1][1] == 1
         assert np.abs(states - starts).max() <= 1e-15 and not capped
-        assert np.array_equal(vals, counted["real_terms"](starts, eset.ops, a, b)[0])
+        assert np.array_equal(vals, _terms(starts, eset.ops, a, b)[0])
 
 
 def _fresh_pair(kind: str):
@@ -600,7 +637,7 @@ class TestRowTermPass:
             warnings.simplefilter("error")
             pricing = oracle._GridPricing(qubit_mub, grid)
             row_terms = pricing._row_term_pass()
-        raw = pricing.proj[:16] @ (pricing.ops.view(float).T * pricing.a)
+        raw = pricing.proj[:16] @ np.ascontiguousarray(pricing.ops.view(float).T * pricing.a)
         zero, negative = (raw == 0).any(axis=1), (raw < 0).any(axis=1)
         fallback = np.flatnonzero(zero | negative)
         assert zero.any() and negative.any() and len(fallback) < 16

@@ -9,7 +9,11 @@ with one BLAS thread and no ``TDESIGN_SEED`` imports that copy's
 in order, keeping its exit code (a usage error's ``SystemExit`` included),
 stdout and stderr. Every argv whose exit code, stdout or stderr differs
 between the sides is printed with a diff of both, and the script exits 1 if
-any does, else 0.
+any does, else 0. A call whose exit codes agree and whose differing streams
+parse as JSON, or else as CSV, equal but for their numbers also gets the
+largest absolute difference between those numbers, and the last line gives
+the largest over all such calls: a change that moves values only by rounding
+can state its bound.
 
 The matrix covers every subcommand: ``build``, ``verify --t 2``, ``bound``
 (in nats and bits) and the closed-form ``capacity`` of the 12 family tokens
@@ -23,9 +27,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import difflib
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -102,6 +108,62 @@ def run_side(root: str, argvs: list[list[str]]) -> list[list]:
     return json.loads(proc.stdout)
 
 
+def _number(value) -> float | None:
+    """``value`` as a float if it is a number, or a string that parses as one; else None."""
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            return None
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return float(value) if is_number else None
+
+
+def _leaf_gaps(a, b) -> list[float] | None:
+    """|a - b| of each pair of numeric leaves of two parsed outputs; None if the outputs
+    differ anywhere else: in keys, lengths or a non-numeric leaf."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return None
+        pairs = [(a[k], b[k]) for k in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return None
+        pairs = zip(a, b)
+    else:
+        x, y = _number(a), _number(b)
+        if x is None or y is None:
+            return [] if a == b else None
+        if x == y or math.isnan(x) and math.isnan(y):
+            return [0.0]
+        return [math.inf if math.isnan(x - y) else abs(x - y)]  # one side nan
+    gaps = []
+    for pair in pairs:
+        leaf = _leaf_gaps(*pair)
+        if leaf is None:
+            return None
+        gaps += leaf
+    return gaps
+
+
+def numeric_gap(a: str, b: str) -> float | None:
+    """The largest absolute difference between the numbers of two outputs that parse as
+    JSON, or else as CSV, equal but for those numbers; None if they do not."""
+    try:
+        parsed = json.loads(a), json.loads(b)
+    except ValueError:
+        parsed = [list(csv.reader(io.StringIO(text))) for text in (a, b)]
+    gaps = _leaf_gaps(*parsed)
+    return None if gaps is None else max(gaps, default=0.0)
+
+
+def record_gap(p: list, c: list) -> float | None:
+    """``numeric_gap`` over the differing streams of two records of one call, or None if
+    the records are equal, their exit codes differ or a differing stream has no gap."""
+    gaps = [numeric_gap(a, b) for a, b in zip(p[1:], c[1:]) if a != b]
+    return None if p[0] != c[0] or not gaps or None in gaps else max(gaps)
+
+
 def differences(argvs: list[list[str]], parent: list[list], change: list[list]) -> list[str]:
     """One report per argv whose exit code, stdout or stderr differs between the sides."""
     reports = []
@@ -115,6 +177,8 @@ def differences(argvs: list[list[str]], parent: list[list], change: list[list]) 
             lines += ["  " + line for line in diff[:DIFF_LINES]]
             if len(diff) > DIFF_LINES:
                 lines.append(f"  ... {len(diff) - DIFF_LINES} more lines")
+        if (gap := record_gap(p, c)) is not None:
+            lines.append(f"  numbers only: largest absolute difference {gap:.3g}")
         reports.append("\n".join(lines))
     return reports
 
@@ -132,7 +196,9 @@ def main(argv=None) -> int:
     reports = differences(argvs, *records)
     for report in reports:
         print(report)
-    print(f"{len(argvs)} calls, {len(reports)} differ")
+    gaps = [gap for p, c in zip(*records) if (gap := record_gap(p, c)) is not None]
+    print(f"{len(argvs)} calls, {len(reports)} differ" + (
+        f", {len(gaps)} only in numbers, by at most {max(gaps):.3g}" if gaps else ""))
     return 1 if reports else 0
 
 

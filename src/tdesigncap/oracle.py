@@ -312,8 +312,8 @@ class _AscentTerms:
     1 / |phi|^2 into the (K, 2 d^2) projector rows and makes 8 passes over the (K, m) block: x
     by one matmul, its clamp, ln x, three in-place steps to g = a (ln x + 1) + b, g . x and B.
     F = g . x - <phi|S_a|phi> / |phi|^2 takes no pass. g is kept, not folded into B = ln x @
-    (a chi) + (a + b) @ chi: the gradient nearly cancels, and that form moves it by up to
-    7e-13 of its size. Row blocks of about ``GRID_BLOCK / 2`` entries keep x and g in cache
+    (a chi) + (a + b) @ chi: the gradient nearly cancels, and that form rounds it up to 7e-13
+    of its size away from the one-pass form. Row blocks of about ``GRID_BLOCK / 2`` entries keep x and g in cache
     for any K, and B comes from one matmul over the stack. A block is a multiple of 4 rows (2
     when m > GRID_BLOCK / 8): OpenBLAS then splits each block as it splits the whole stack,
     and only a remainder block of 1 row rounds differently, by a few ulps.

@@ -309,12 +309,12 @@ class TestBlockedAscentTerms:
     """The row-blocked stack evaluation against the one-pass form of tests/reference_ascent.py."""
 
     @staticmethod
-    def _check_one_pass(z, ops, a, b, tol=1e-13):
+    def _check_one_pass(z, ops, a, b):
         ref_vals, ref_grad = ascent_terms_one_pass(z, ops, a, b)
         vals, grad = _terms(z, ops, a, b)
         assert np.isfinite(vals).all() and np.isfinite(grad).all()
-        assert np.abs(vals - ref_vals).max() <= tol * np.abs(ref_vals).max()
-        assert np.abs(grad - ref_grad).max() <= tol * np.abs(ref_grad).max()
+        assert np.abs(vals - ref_vals).max() <= 1e-13 * np.abs(ref_vals).max()
+        assert np.abs(grad - ref_grad).max() <= 1e-13 * np.abs(ref_grad).max()
         return vals, grad
 
     @pytest.mark.parametrize("block", [None, 512])  # the default, and 1-row remainders

@@ -332,14 +332,17 @@ def depolarize(eset: WeightedElementSet, lam: float,
 
     Weights (and POVM completeness) are unchanged; lam must lie in the
     admissible interval of the set or positivity fails. The output keeps the
-    input's label unless ``label`` is given. The interval comes from the
-    input's spectrum; the output is validated without being diagonalised, and
-    its own spectrum, if read, is measured from its ops, not derived from lam.
+    input's label unless ``label`` is given. Every unit-trace set admits
+    0 <= lam <= 1, a convex mix of positive operators, so only a lam outside
+    [0, 1] reads the interval, from the input's spectrum; the output is validated
+    without being diagonalised, and its own spectrum, if read, is measured from
+    its ops, not derived from lam.
     """
-    interval = admissible_lambda(eset)
-    if not interval.contains(lam):
-        raise LambdaRangeError(
-            f"lambda={lam} outside admissible interval [{interval.lo:.6g}, {interval.hi:.6g}]")
+    if not 0.0 <= lam <= 1.0:
+        interval = admissible_lambda(eset)
+        if not interval.contains(lam):
+            raise LambdaRangeError(f"lambda={lam} outside admissible interval"
+                                   f" [{interval.lo:.6g}, {interval.hi:.6g}]")
     d = eset.dim
     ops = lam * eset.ops + (1.0 - lam) * np.eye(d) / d
     return WeightedElementSet(d, eset.weights, ops, eset.role,

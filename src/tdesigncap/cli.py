@@ -227,6 +227,15 @@ def _family_token(spec: DesignSpec) -> str:
     return spec.family if one_dim else f"{spec.family}:{spec.dimension}"
 
 
+def _sweep_row(spec: DesignSpec, mv: verify.MomentVector, inputs, tol: float) -> tuple:
+    """One CSV row of a sweep: token, lambda, closed form, C_2..C_5 and the oracle's rate."""
+    closed = closedform.capacity(spec.family, spec.lam, spec.dim)
+    cts = [r.value for r in _bounds(spec, mv)]
+    cts += [None] * (4 - len(cts))  # the CSV's C2..C5 columns
+    rate = None if inputs is None else _oracle(inputs, spec.lam, tol).capacity_estimate
+    return (_family_token(spec), spec.lam, closed, *cts, rate)
+
+
 def cmd_sweep(args) -> int:
     seed = _seed(args)
     if args.steps < 1:
@@ -237,26 +246,23 @@ def cmd_sweep(args) -> int:
     fams = [_spec_fields(args, tok) for tok in args.families.split(",") if tok]
     if not fams:
         raise ValueError("no family given (use --families)")
-    specs = [catalog.spec_from_json_dict({**fields, "lambda": float(lam)})
-             for fields in fams for lam in lams]
+    specs = [[catalog.spec_from_json_dict({**fields, "lambda": float(lam)}) for lam in lams]
+             for fields in fams]
+    tokens = [_family_token(family[0]) for family in specs]
+    last = {token: i for i, token in enumerate(tokens)}
 
-    # one lambda = 1 base per family token; the i-th family's oracle runs at seed + 7919 i
+    # one lambda = 1 base per family token, built at its first row and dropped after its
+    # last, so its grid (and the grid's view) lives no longer; the i-th family's oracle runs
+    # at seed + 7919 i, i the index of the token's first occurrence
     bases: dict = {}
-    for i, fields in enumerate(fams):
-        spec1 = catalog.spec_from_json_dict({**fields, "lambda": 1.0})
-        token = _family_token(spec1)
-        if token not in bases:
-            bases[token] = _base(spec1, seed + 7919 * i if args.with_oracle else None)
-
     rows = []
-    for spec in specs:
-        token = _family_token(spec)
-        mv, inputs = bases[token]
-        closed = closedform.capacity(spec.family, spec.lam, spec.dim)
-        cts = [r.value for r in _bounds(spec, mv)]
-        cts += [None] * (4 - len(cts))  # the CSV's C2..C5 columns
-        rate = None if inputs is None else _oracle(inputs, spec.lam, args.tol).capacity_estimate
-        rows.append((token, spec.lam, closed, *cts, rate))
+    for i, (fields, token) in enumerate(zip(fams, tokens)):
+        if token not in bases:
+            spec1 = catalog.spec_from_json_dict({**fields, "lambda": 1.0})
+            bases[token] = _base(spec1, seed + 7919 * i if args.with_oracle else None)
+        rows += [_sweep_row(spec, *bases[token], args.tol) for spec in specs[i]]
+        if last[token] == i:
+            del bases[token]
     rows.sort(key=lambda r: r[:2])
 
     def fmt(v):

@@ -116,6 +116,48 @@ def projector_view(states: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(float)
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices i d + j of the entries i <= j of a d x d matrix, row by row, and each
+    entry's factor in the compact layout: 1 on the diagonal, 2 off it. Read-only."""
+    i, j = np.triu_indices(d)
+    flat, factor = i * d + j, np.where(i == j, 1.0, 2.0)
+    for arr in (flat, factor):
+        arr.setflags(write=False)
+    return flat, factor
+
+
+def compact_projector_view(states: np.ndarray) -> np.ndarray:
+    """The compact Hermitian layout of A = phi phi^dag per state row, (n, d (d + 1)) real.
+
+    Each row holds the interleaved (re, im) parts of A_ij = phi_i conj(phi_j) for i <= j,
+    row by row: a Hermitian A is fixed by its upper triangle. With the operators in
+    :func:`compact_operator_view`, view @ twin^T = <phi|chi|phi>, as :func:`overlaps`.
+    """
+    states = np.asarray(states, dtype=complex)
+    n, d = states.shape
+    conj = states.conj()
+    out = np.empty((n, d * (d + 1) // 2), dtype=complex)
+    lo = 0
+    for i in range(d):
+        np.multiply(states[:, i, None], conj[:, i:], out=out[:, lo:lo + d - i])
+        lo += d - i
+    return out.view(float)
+
+
+def compact_operator_view(ops: np.ndarray) -> np.ndarray:
+    """The twin of :func:`compact_projector_view` for Hermitian operators, (m, d (d + 1)) real.
+
+    Each row holds the (re, im) parts of chi_ij for i <= j with the off-diagonal entries
+    doubled: <phi|chi|phi> = sum_ij Re conj(A_ij) chi_ij, and the (i, j) and (j, i) terms
+    of a Hermitian pair are equal.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    m, d = ops.shape[0], ops.shape[-1]
+    flat, factor = _upper_triangle(d)
+    return (ops.reshape(m, d * d).take(flat, axis=1) * factor).view(float)
+
+
 def overlaps(states: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """<phi_x|chi_y|phi_x> for every state row and operator, (n, m) real.
 

@@ -11,7 +11,10 @@ d x d operator applied to the grid's projectors, and the one nonlinear term,
 sum_y p ln p per grid state, is one pass in cache-sized row blocks that floors p
 only in the rows holding a p <= 0. That pass and the first climb run once per
 (POVM, grid) pair for both searches: every pricing round of
-:func:`informational_power`, and :func:`kl_maximize`. Each round's starts are
+:func:`informational_power`, and :func:`kl_maximize`. The projectors are read from
+one view per grid (:attr:`StateGrid.compact_view`), in the compact Hermitian layout of
+d (d + 1) reals per state, built on its first read and shared by every pricing of the
+grid: each lambda of a sweep, and both searches. Each round's starts are
 its top prices, picked by one partition. The stacked ascent builds one evaluator
 per climb and makes 8 passes over its (K, m) overlaps, in cache-sized row blocks too.
 
@@ -30,7 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import WeightedElementSet, haar_random_states, overlaps, projector_view
+from .core import (WeightedElementSet, compact_operator_view, compact_projector_view,
+                   haar_random_states, overlaps, projector_view)
 
 DEFAULT_GRID_SIZES = {2: 4096, 3: 20000, 8: 60000}
 TIGHTNESS_RESIDUAL_TOL = 1e-6
@@ -54,6 +58,10 @@ class StateGrid:
     no write through its base reaches the grid; an array that owns its data is
     taken over as is (made read-only in place) and must not be changed, or made
     writable again, through any other reference.
+
+    ``compact_view`` is the grid's read-only projector view in the compact Hermitian
+    layout (:func:`core.compact_projector_view`), d (d + 1) reals per state, built on its
+    first read and kept: every pricing on the grid reads it, and none builds its own.
     """
 
     dim: int
@@ -72,6 +80,12 @@ class StateGrid:
             raise ValueError("states array shape mismatch")
         states.setflags(write=False)
         object.__setattr__(self, "states", states)
+
+    @functools.cached_property
+    def compact_view(self) -> np.ndarray:
+        view = compact_projector_view(self.states)
+        view.setflags(write=False)
+        return view
 
 
 def fibonacci_bloch_states(count: int) -> np.ndarray:
@@ -118,17 +132,18 @@ class _GridPricing:
 
     Every linear term of P is one d x d operator: P v = <phi_x|B_v|phi_x> with
     B_v = sum_y d q_y v_y chi_y (the clip only removes rounding below 0), so it costs one
-    (n, 2d^2) matvec over the grid's :func:`core.projector_view`, built on a pricing's first
-    use of it: one that finds its pair's row terms and first climb kept builds none. The one
-    nonlinear term, the row terms H_x = sum_y P ln P, is one pass in row blocks of
-    about ``GRID_BLOCK`` entries that stay in cache. A row holding an exact-zero or a
-    rounding-negative P sums to nan there and is summed again with P floored at the
-    smallest normal float, which adds at most m * 1.6e-305; the other rows skip that
-    floor. The pass runs once per (POVM, grid)
+    (n, d (d + 1)) matvec over the grid's compact projector view (:attr:`StateGrid.compact_view`,
+    built by the grid's first pricing and read by the others) and the element set's twin
+    (:func:`core.compact_operator_view`), built on a pricing's first use of it: one that finds
+    its pair's row terms and first climb kept builds none. The one nonlinear term, the row
+    terms H_x = sum_y P ln P, is one pass in row blocks of about ``GRID_BLOCK`` entries that
+    stay in cache. A row holding an exact-zero or a rounding-negative P sums to nan there and
+    is summed again with P floored at the smallest normal float, which adds at most
+    m * 1.6e-305; the other rows skip that floor. The pass runs once per (POVM, grid)
     pair, and so does the first pricing round's climb (:meth:`first_climb`): H and that
     climb of the last pair are kept, under weak references to the pair, so the KL search
-    after :func:`informational_power` (or the other way round) reuses both, and neither
-    the pair nor its projector view outlives its callers.
+    after :func:`informational_power` (or the other way round) reuses both, and the memo
+    keeps neither the pair nor the grid's view alive.
     """
 
     _last: tuple = (None, None, None)  # (weakref to eset, weakref to grid, [H, first climb])
@@ -138,7 +153,7 @@ class _GridPricing:
         self.a = grid.dim * eset.weights
         self.lnq = _masked_log(eset.weights)  # the maximally mixed input's output (unit trace)
         self.ops = np.ascontiguousarray(eset.ops).reshape(m, grid.dim ** 2)
-        self.states = grid.states
+        self.states, self.proj = grid.states, grid.compact_view
         eset_ref, grid_ref, self._shared = _GridPricing._last
         if eset_ref is None or eset_ref() is not eset or grid_ref() is not grid:
             row_terms = self._row_term_pass()
@@ -148,22 +163,23 @@ class _GridPricing:
         self.row_terms = self._shared[0]
 
     @functools.cached_property
-    def proj(self) -> np.ndarray:
-        """The grid's projector view, built only by a pricing that reads it."""
-        return projector_view(self.states)
+    def twin(self) -> np.ndarray:
+        """The element set's operators in the compact layout: P = a (proj @ twin^T)."""
+        d = self.states.shape[1]
+        return compact_operator_view(self.ops.reshape(-1, d, d))
 
     def _row_term_pass(self) -> np.ndarray:
         """H_x = sum_y P_xy ln P_xy for every grid row, in cache-sized row blocks; only the
         rows whose sum is not finite are redone with P floored at the smallest normal float."""
         n, m = len(self.proj), len(self.a)
-        ops_t = np.ascontiguousarray(self.ops.view(float).T * self.a)  # P = proj @ ops_t
+        twin_t = np.ascontiguousarray(self.twin.T * self.a)  # P = proj @ twin_t
         rows = min(n, max(1, GRID_BLOCK // m))
         p_buf, lnp_buf = np.empty((rows, m)), np.empty((rows, m))
         row_terms = np.empty(n)
         with np.errstate(divide="ignore", invalid="ignore"):
             for lo in range(0, n, rows):
                 block = self.proj[lo:lo + rows]
-                p = np.matmul(block, ops_t, out=p_buf[:len(block)])
+                p = np.matmul(block, twin_t, out=p_buf[:len(block)])
                 h = row_terms[lo:lo + len(block)]
                 np.einsum("xy,xy->x", p, np.log(p, out=lnp_buf[:len(block)]), out=h)
                 bad = np.flatnonzero(~np.isfinite(h))  # a P <= 0 gives nan: floor those rows
@@ -177,7 +193,7 @@ class _GridPricing:
         out = r P = d q_y <chi_y, mean_x |phi_x><phi_x|> is linear too: the mean projector
         is one matvec of the flat weights over the projector view."""
         mean_proj = np.full(len(self.proj), 1.0 / len(self.proj)) @ self.proj
-        out = np.maximum(self.a * (self.ops.view(float) @ mean_proj), 0.0)
+        out = np.maximum(self.a * (self.twin @ mean_proj), 0.0)
         return float(self.row_terms.mean() - out @ _masked_log(out))
 
     def prices(self, lnout: np.ndarray) -> np.ndarray:
@@ -186,7 +202,7 @@ class _GridPricing:
         Against ln q, the maximally mixed input's output, this is the KL objective
         ln d - d sum_y q_y eta(<phi_x|chi_y|phi_x>), because sum_y d q_y chi_y = 1.
         """
-        return self.row_terms - self.proj @ ((self.a * lnout) @ self.ops).view(float)
+        return self.row_terms - self.proj @ ((self.a * lnout) @ self.twin)
 
     def first_climb(self):
         """The first pricing round's climb, against q (b = 0), which is the KL search's, from
@@ -637,16 +653,20 @@ def _identity_hull_residual(states: np.ndarray, d: int) -> float:
 
     Solved as a nonnegative least squares in the real embedding of Hermitian
     matrices; the simplex constraint is implied because every projector has
-    unit trace. An evenly spaced subset of 8 d^2 states is solved first: its
+    unit trace. An evenly spaced subset of about 8 d^2 states is solved first: its
     residual bounds the full one and is returned if it meets the tolerance,
-    which spares the full solve on a grid-sized ensemble.
+    which spares the full solve, and the projectors of the other states, on a
+    grid-sized ensemble. A subset that is the whole set is solved once.
     """
-    projs = np.einsum("xi,xj->xij", states, states.conj()).reshape(len(states), -1)
-    a = np.concatenate([projs.real, projs.imag], axis=1).T
+    def columns(states):
+        projs = np.einsum("xi,xj->xij", states, states.conj()).reshape(len(states), -1)
+        return np.concatenate([projs.real, projs.imag], axis=1).T
+
     target = np.concatenate([(np.eye(d) / d).ravel(), np.zeros(d * d)])
-    _, resid = _nnls(a[:, ::max(1, len(states) // (8 * d * d))], target)
-    if resid > TIGHTNESS_RESIDUAL_TOL:
-        _, resid = _nnls(a, target)
+    stride = max(1, len(states) // (8 * d * d))
+    _, resid = _nnls(columns(states[::stride]), target)
+    if resid > TIGHTNESS_RESIDUAL_TOL and stride > 1:
+        _, resid = _nnls(columns(states), target)
     return float(resid)
 
 

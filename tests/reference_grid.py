@@ -45,9 +45,9 @@ def dense_grid_phase(eset, states: np.ndarray) -> DenseGridPhase:
 def floored_row_terms(pricing, rows: int) -> np.ndarray:
     """sum_y P ln P per grid row with every P floored at the smallest normal float, in the
     row blocks of ``rows`` rows that `oracle._GridPricing` uses, so it rounds the same."""
-    ops_t = np.ascontiguousarray(pricing.ops.view(float).T * pricing.a)
+    twin_t = np.ascontiguousarray(pricing.twin.T * pricing.a)
     terms = []
     for lo in range(0, len(pricing.proj), rows):
-        p = np.maximum(pricing.proj[lo:lo + rows] @ ops_t, np.finfo(float).tiny)
+        p = np.maximum(pricing.proj[lo:lo + rows] @ twin_t, np.finfo(float).tiny)
         terms.append(np.einsum("xy,xy->x", p, np.log(p)))
     return np.concatenate(terms)

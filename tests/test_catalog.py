@@ -16,6 +16,7 @@ from tdesigncap import (
     moments_of_depolarized,
 )
 from tdesigncap import verify
+from tdesigncap.core import WeightedElementSet
 from tdesigncap.catalog import (
     FAMILY,
     AnalyticFamilyError,
@@ -203,6 +204,33 @@ class TestDepolarize:
     def test_positivity_violation_outside_interval(self, qubit_sic):
         with pytest.raises(LambdaRangeError):
             depolarize(qubit_sic, -1.2)
+
+    @staticmethod
+    def _fresh(eset):
+        return WeightedElementSet(eset.dim, eset.weights, eset.ops, eset.role, eset.label)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_unit_interval_reads_no_spectrum(self, qutrit_sic, lam):
+        fresh = self._fresh(qutrit_sic)
+        out = depolarize(fresh, lam)
+        assert "spectrum" not in vars(fresh) and "spectrum" not in vars(out)
+        assert np.array_equal(out.ops, lam * fresh.ops + (1.0 - lam) * np.eye(3) / 3)
+
+    def test_negative_lambda_reads_the_interval(self, qutrit_sic):
+        fresh = self._fresh(qutrit_sic)
+        out = depolarize(fresh, -0.25)
+        assert "spectrum" in vars(fresh)
+        ops = -0.25 * qutrit_sic.ops + 1.25 * np.eye(3) / 3
+        assert out == WeightedElementSet(3, qutrit_sic.weights, ops, "povm")
+        assert out.label == qutrit_sic.label
+
+    @pytest.mark.parametrize("lam", [-0.6, 1.5, math.nan])
+    def test_refusal_names_the_interval(self, qutrit_sic, lam):
+        interval = admissible_lambda(qutrit_sic)
+        with pytest.raises(LambdaRangeError) as err:
+            depolarize(self._fresh(qutrit_sic), lam)
+        assert str(err.value) == (f"lambda={lam} outside admissible interval"
+                                  f" [{interval.lo:.6g}, {interval.hi:.6g}]")
 
 
 class TestAdmissibleLambda:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -363,6 +364,26 @@ class TestOneEvaluationPath:
                 _, out, _ = run(capsys, "capacity", *spec, "--method", "oracle", "--tol", "1e-4",
                                 "--seed", str(5 + 7919 * i))
                 assert row["oracle"] == g12(json.loads(out)["result"]["oracle"])
+
+    def test_sweep_drops_each_base_after_its_last_row(self, capsys, monkeypatch):
+        from tdesigncap import oracle
+
+        grids, alive = [], []
+        real = oracle.default_grid
+
+        def recorded(*args, **kwargs):
+            alive.append([ref() is not None for ref in grids])
+            grid = real(*args, **kwargs)
+            grids.append(weakref.ref(grid))
+            return grid
+
+        monkeypatch.setattr(oracle, "default_grid", recorded)
+        code, _, _ = run(capsys, "sweep", "--families", "qubit_sic,qutrit_mub,qubit_mub,qubit_sic",
+                         "--steps", "2", "--with-oracle", "--tol", "1e-4", "--seed", "5")
+        assert code == 0
+        # qubit_sic's grid is kept for its repeat; qutrit_mub's is gone before qubit_mub's
+        assert alive == [[], [True], [True, False]]
+        assert [ref() for ref in grids] == [None, None, None]
 
     def test_sweep_builds_each_family_once(self, capsys, monkeypatch):
         from tdesigncap import catalog

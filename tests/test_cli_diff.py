@@ -48,11 +48,11 @@ class TestDifferences:
 
 
 class TestMatrix:
-    def test_no_d8_oracle_query(self):
+    def test_d8_oracle_queries(self):
         d8 = ("hoggar_sic", "uniform:8", "anti_sic:8")
-        for argv in cli_diff.matrix():
-            if {"--with-oracle", "oracle", "both"} & set(argv):
-                assert not any(tok in arg for arg in argv for tok in d8), argv
+        queries = [argv for argv in cli_diff.matrix() if {"--with-oracle", "oracle", "both"}
+                   & set(argv) and any(tok in arg for arg in argv for tok in d8)]
+        assert queries == list(cli_diff.D8_ORACLE)
 
     def test_covers_every_subcommand_and_token(self):
         argvs = cli_diff.matrix()

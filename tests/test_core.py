@@ -19,7 +19,8 @@ from tdesigncap import (
     relative_entropy,
 )
 from tdesigncap.catalog import qutrit_sic_states
-from tdesigncap.core import (SupportViolationError, check_probability_vector, haar_random_states,
+from tdesigncap.core import (SupportViolationError, check_probability_vector,
+                             compact_operator_view, compact_projector_view, haar_random_states,
                              overlaps)
 from tdesigncap.verify import moments
 
@@ -390,3 +391,19 @@ class TestOverlaps:
         got = overlaps(states, eset.ops)
         assert got.shape == (200, len(eset))
         assert np.abs(got - expected).max() <= 1e-15
+
+
+class TestCompactLayout:
+    """The compact Hermitian layout against the full one of core.overlaps."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_view_times_twin_is_overlaps(self, dim):
+        rng = np.random.default_rng(dim)
+        states = 3.0 * (rng.standard_normal((200, dim)) + 1j * rng.standard_normal((200, dim)))
+        h = rng.standard_normal((17, dim, dim)) + 1j * rng.standard_normal((17, dim, dim))
+        ops = h + h.conj().transpose(0, 2, 1)  # Hermitian, with negative eigenvalues
+        assert (np.linalg.eigvalsh(ops)[:, 0] < 0).all()
+        view, twin = compact_projector_view(states), compact_operator_view(ops)
+        assert view.shape == (200, dim * (dim + 1)) and twin.shape == (17, dim * (dim + 1))
+        ref = overlaps(states, ops)
+        assert np.abs(view @ twin.T - ref).max() <= 1e-15 * np.abs(ref).max()

@@ -626,6 +626,28 @@ class TestGridPricing:
             assert peak < 16 * 2 ** 20, solve.__name__
 
 
+class TestGridView:
+    """One compact projector view per grid, shared by every pricing on it."""
+
+    def test_built_once_per_grid(self, qubit_sic, monkeypatch):
+        builds = []
+        real = oracle.compact_projector_view
+
+        def counted(states):
+            builds.append(len(states))
+            return real(states)
+
+        monkeypatch.setattr(oracle, "compact_projector_view", counted)
+        grid = default_grid(2, seed=2016, resolution=300)
+        for lam in (0.5, 0.7):
+            informational_power(depolarize(qubit_sic, lam), grid, tol=1e-6)
+        kl_maximize(depolarize(qubit_sic, 0.3), grid)
+        assert builds == [300]
+        assert grid.compact_view.shape == (300, 6)
+        with pytest.raises(ValueError):
+            grid.compact_view[0, 0] = 0.0
+
+
 class TestRowTermPass:
     def test_one_block_mixes_zero_negative_and_ordinary_rows(self, qubit_mub, monkeypatch):
         # qubit_mub's own states (from eigh) give rounding-negative P, the exact basis state
@@ -637,7 +659,7 @@ class TestRowTermPass:
             warnings.simplefilter("error")
             pricing = oracle._GridPricing(qubit_mub, grid)
             row_terms = pricing._row_term_pass()
-        raw = pricing.proj[:16] @ np.ascontiguousarray(pricing.ops.view(float).T * pricing.a)
+        raw = pricing.proj[:16] @ np.ascontiguousarray(pricing.twin.T * pricing.a)
         zero, negative = (raw == 0).any(axis=1), (raw < 0).any(axis=1)
         fallback = np.flatnonzero(zero | negative)
         assert zero.any() and negative.any() and len(fallback) < 16
@@ -699,13 +721,13 @@ class TestRowTermsMemo:
         povm, grid = _fresh_pair("qubit_sic")
         informational_power(povm, grid, tol=1e-6)
         rows = []
-        real = oracle.projector_view
+        real = oracle.compact_projector_view
 
         def recorded(states):
             rows.append(len(states))
             return real(states)
 
-        monkeypatch.setattr(oracle, "projector_view", recorded)
+        monkeypatch.setattr(oracle, "compact_projector_view", recorded)
         kl_maximize(povm, grid)
         assert len(grid.states) not in rows
 

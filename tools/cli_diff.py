@@ -19,8 +19,10 @@ The matrix covers every subcommand: ``build``, ``verify --t 2``, ``bound``
 (in nats and bits) and the closed-form ``capacity`` of the 12 family tokens
 at lambda in {1, 0.5, 0, -0.2}; ``bound --t 1..6`` on four tokens;
 ``capacity --method oracle|both`` on five tokens of d <= 3; sweeps of all 12
-tokens with and without ``--with-oracle`` (d <= 3 only with it); and the
-error cases. It runs no d = 8 oracle query.
+tokens with and without ``--with-oracle`` (d <= 3 only with it); the error
+cases; and two d = 8 oracle queries (``D8_ORACLE``): Hoggar's ``capacity
+--method both`` at lambda = 0.7, and an oracle sweep of hoggar_sic, anti_sic:8
+and hoggar_sic again, whose repeated token keeps its first base and seed.
 """
 
 from __future__ import annotations
@@ -45,6 +47,12 @@ TOKENS = ("qubit_sic", "qubit_mub", "icosahedron", "uniform:2", "anti_sic:2", "q
 LAMBDAS = ("1", "0.5", "0", "-0.2")
 ORACLE_TOKENS = ("qubit_sic", "qubit_mub", "icosahedron", "qutrit_mub", "anti_sic:3")
 DIFF_LINES = 12  # diff lines printed per stream of a differing call
+D8_ORACLE = (
+    ["capacity", "--family", "hoggar_sic", "--lambda", "0.7", "--method", "both",
+     "--tol", "1e-4"],
+    ["sweep", "--families", "hoggar_sic,anti_sic:8,hoggar_sic", "--steps", "2",
+     "--with-oracle", "--tol", "1e-4"],
+)
 
 
 def matrix() -> list[list[str]]:
@@ -66,6 +74,7 @@ def matrix() -> list[list[str]]:
          "--lambda-end", "0"],
         ["sweep", "--families", "qubit_sic,qutrit_mub,uniform:2,qubit_sic", "--steps", "3",
          "--with-oracle", "--tol", "1e-4", "--seed", "5"],
+        *D8_ORACLE,
         ["capacity", "--family", "uniform:9", "--method", "oracle"],
         ["sweep", "--families", "qubit_sic,uniform:9", "--with-oracle"],
         ["bound", "--family", "qubit_sic", "--dim", "3"],

@@ -143,6 +143,13 @@ def cmd_verify(args) -> int:
     return 0 if cert.passed else 2
 
 
+def _check_oracle(spec: DesignSpec) -> None:
+    """Refuse an oracle query on the uniform family above d = 8."""
+    if spec.family == "uniform" and spec.dimension > 8:
+        raise ValueError("oracle for the uniform family is limited to d <= 8"
+                         " (state-grid blowup)")
+
+
 def _base(spec: DesignSpec, seed: int | None = None):
     """The family's lambda = 1 moments mu_1..mu_MAX_T (mu_0 = d) and, given a seed, the
     oracle's inputs: the lambda = 1 element set it depolarizes and its state grid.
@@ -164,10 +171,8 @@ def _base(spec: DesignSpec, seed: int | None = None):
         mv = verify.moments(eset, bounds.MAX_T)
     if seed is None:
         return mv, None
+    _check_oracle(spec)
     if spec.family == "uniform":
-        if spec.dimension > 8:
-            raise ValueError("oracle for the uniform family is limited to d <= 8"
-                             " (state-grid blowup)")
         eset = oracle.discretized_uniform_povm(spec.dimension, seed=seed)
     optimal = catalog.FAMILY[spec.family].optimal
     extra = optimal[1](8, spec.fiducial_phase) if optimal and spec.dimension == 8 else None
@@ -250,6 +255,9 @@ def cmd_sweep(args) -> int:
              for fields in fams]
     tokens = [_family_token(family[0]) for family in specs]
     last = {token: i for i, token in enumerate(tokens)}
+    if args.with_oracle:  # refuse before any row is computed
+        for family in specs:
+            _check_oracle(family[0])
 
     # one lambda = 1 base per family token, built at its first row and dropped after its
     # last, so its grid (and the grid's view) lives no longer; the i-th family's oracle runs

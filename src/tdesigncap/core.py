@@ -149,8 +149,8 @@ def compact_operator_view(ops: np.ndarray) -> np.ndarray:
     """The twin of :func:`compact_projector_view` for Hermitian operators, (m, d (d + 1)) real.
 
     Each row holds the (re, im) parts of chi_ij for i <= j with the off-diagonal entries
-    doubled: <phi|chi|phi> = sum_ij Re conj(A_ij) chi_ij, and the (i, j) and (j, i) terms
-    of a Hermitian pair are equal.
+    doubled: <phi|chi|phi> = sum_ij Re conj(A_ij) chi_ij, whose (i, j) and (j, i) terms
+    are equal for Hermitian A and chi.
     """
     ops = np.asarray(ops, dtype=complex)
     m, d = ops.shape[0], ops.shape[-1]

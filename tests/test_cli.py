@@ -385,6 +385,19 @@ class TestOneEvaluationPath:
         assert alive == [[], [True], [True, False]]
         assert [ref() for ref in grids] == [None, None, None]
 
+    def test_sweep_refuses_before_any_oracle_row(self, capsys, monkeypatch):
+        from tdesigncap import oracle
+
+        solved = []
+        real = oracle.informational_power
+        monkeypatch.setattr(oracle, "informational_power",
+                            lambda *args, **kwargs: solved.append(1) or real(*args, **kwargs))
+        code, out, err = run(capsys, "sweep", "--families", "qubit_sic,uniform:9",
+                             "--with-oracle")
+        assert (code, out) == (1, "")
+        assert "limited to d <= 8" in err
+        assert solved == []
+
     def test_sweep_builds_each_family_once(self, capsys, monkeypatch):
         from tdesigncap import catalog
 

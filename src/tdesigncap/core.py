@@ -20,6 +20,7 @@ TRACE_TOL = 1e-10
 POVM_COMPLETENESS_TOL = 1e-10
 NORM_TOL = 1e-12
 ZERO_PROB = 1e-15
+VIEW_BLOCK = 1 << 15  # complex entries per row block of compact_projector_view (cache-sized)
 
 Role = Literal["ensemble", "povm", "design"]
 
@@ -98,14 +99,22 @@ def mutual_information(joint: np.ndarray) -> float:
 
 
 def haar_random_states(dim: int, count: int, seed: int) -> np.ndarray:
-    """(count, dim) array of independent Haar states from one seeded stream."""
+    """(count, dim) array of independent Haar states from one seeded stream.
+
+    A seed gives the same states across versions, bit for bit: ``TestGridKernels`` in
+    ``tests/test_core.py`` pins them against the former formula.
+    """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    return v / np.linalg.norm(v, axis=1)[:, None]
+    v = np.empty((count, dim), dtype=complex)
+    v.real = rng.standard_normal((count, dim))
+    v.imag = rng.standard_normal((count, dim))
+    flat = v.view(float)
+    flat *= (1.0 / np.linalg.norm(v, axis=1))[:, None]
+    return v
 
 
 def projector_view(states: np.ndarray) -> np.ndarray:
@@ -133,15 +142,18 @@ def compact_projector_view(states: np.ndarray) -> np.ndarray:
     Each row holds the interleaved (re, im) parts of A_ij = phi_i conj(phi_j) for i <= j,
     row by row: a Hermitian A is fixed by its upper triangle. With the operators in
     :func:`compact_operator_view`, view @ twin^T = <phi|chi|phi>, as :func:`overlaps`.
+    It is built one column pair at a time, in row blocks of about ``VIEW_BLOCK`` entries.
     """
     states = np.asarray(states, dtype=complex)
     n, d = states.shape
     conj = states.conj()
-    out = np.empty((n, d * (d + 1) // 2), dtype=complex)
-    lo = 0
-    for i in range(d):
-        np.multiply(states[:, i, None], conj[:, i:], out=out[:, lo:lo + d - i])
-        lo += d - i
+    pairs = list(zip(*np.triu_indices(d)))
+    out = np.empty((n, len(pairs)), dtype=complex)
+    rows = max(1, VIEW_BLOCK // len(pairs))
+    for lo in range(0, n, rows):
+        s, c, o = states[lo:lo + rows], conj[lo:lo + rows], out[lo:lo + rows]
+        for k, (i, j) in enumerate(pairs):
+            np.multiply(s[:, i], c[:, j], out=o[:, k])
     return out.view(float)
 
 

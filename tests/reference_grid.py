@@ -8,6 +8,10 @@ whole grid, its row terms sum_y P ln P, the flat grid prior's rate, the first
 prices against the maximally mixed input's output q, and the KL objective's grid
 values ln d - d sum_y q_y eta(<phi_x|chi_y|phi_x>). `floored_row_terms` is the row-term
 pass as it was before it floored only the rows holding a P <= 0.
+
+`former_haar_random_states` and `former_compact_projector_view` are the grid's two
+kernels as they were written before `tdesigncap.core` built them in whole-column passes:
+the sampled states and their compact projector view must stay bit for bit the same.
 """
 
 import math
@@ -51,3 +55,23 @@ def floored_row_terms(pricing, rows: int) -> np.ndarray:
         p = np.maximum(pricing.proj[lo:lo + rows] @ twin_t, np.finfo(float).tiny)
         terms.append(np.einsum("xy,xy->x", p, np.log(p)))
     return np.concatenate(terms)
+
+
+def former_haar_random_states(dim: int, count: int, seed: int) -> np.ndarray:
+    """`core.haar_random_states` as one complex sum divided by the row norms."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def former_compact_projector_view(states: np.ndarray) -> np.ndarray:
+    """`core.compact_projector_view` as one broadcast multiply per row index i of A_ij."""
+    states = np.asarray(states, dtype=complex)
+    n, d = states.shape
+    conj = states.conj()
+    out = np.empty((n, d * (d + 1) // 2), dtype=complex)
+    lo = 0
+    for i in range(d):
+        np.multiply(states[:, i, None], conj[:, i:], out=out[:, lo:lo + d - i])
+        lo += d - i
+    return out.view(float)

@@ -59,6 +59,7 @@ class TestMatrix:
         assert {a[0] for a in argvs} >= {"build", "verify", "bound", "capacity", "sweep"}
         bound_tokens = {a[2] for a in argvs if a[0] == "bound" and "--lambda" in a}
         assert bound_tokens == set(cli_diff.TOKENS)
+        assert cli_diff.UNIFORM3_ORACLE in argvs  # the d >= 3 uniform oracle
 
 
 class TestRunMatrix:

@@ -19,10 +19,12 @@ from tdesigncap import (
     relative_entropy,
 )
 from tdesigncap.catalog import qutrit_sic_states
-from tdesigncap.core import (SupportViolationError, check_probability_vector,
+from tdesigncap.core import (VIEW_BLOCK, SupportViolationError, check_probability_vector,
                              compact_operator_view, compact_projector_view, haar_random_states,
                              overlaps)
 from tdesigncap.verify import moments
+
+from reference_grid import former_compact_projector_view, former_haar_random_states
 
 
 class TestEta:
@@ -179,6 +181,26 @@ class TestHaarRandomState:
         for count in (0, -1):
             with pytest.raises(ValueError, match="count"):
                 haar_random_states(2, count, seed=0)
+
+
+class TestGridKernels:
+    """The Haar sampler and the compact projector view, bit for bit their former formulas."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 2016])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+    def test_match_former_formulas(self, d, seed):
+        block = VIEW_BLOCK // (d * (d + 1) // 2)  # rows per block of the view
+        for n in (1, 7, block - 1, block, block + 1, 20_001):
+            states = haar_random_states(d, n, seed)
+            assert states.base is None and states.flags.c_contiguous
+            assert np.array_equal(states, former_haar_random_states(d, n, seed))
+            assert np.array_equal(compact_projector_view(states),
+                                  former_compact_projector_view(states))
+
+    def test_view_of_a_strided_real_input(self):
+        states = np.random.default_rng(3).standard_normal((2 * VIEW_BLOCK // 6 + 5, 3))
+        for arr in (states, states[::3], states.T.copy().T):
+            assert np.array_equal(compact_projector_view(arr), former_compact_projector_view(arr))
 
 
 class TestWeightedElementSet:
@@ -359,10 +381,14 @@ class TestSpectrum:
         moments(eset, 5)
         certify(eset, 2)
         assert eigvalsh_calls == [(len(eset), eset.dim, eset.dim)]
-        for derive in (lambda s: depolarize(s, 0.5), anti_design):
+        fresh = WeightedElementSet(eset.dim, eset.weights, eset.ops, eset.role, eset.label)
+        # depolarize on [0, 1] reads neither spectrum; anti_design reads its input's only
+        for derive, source in ((lambda s: depolarize(s, 0.5), fresh), (anti_design, eset)):
             eigvalsh_calls.clear()
-            derive(eset)  # the input's spectrum is read, the output's is not
+            derived = derive(source)
             assert eigvalsh_calls == []
+            assert "spectrum" not in vars(derived)
+        assert "spectrum" not in vars(fresh) and "spectrum" in vars(eset)
 
     def test_derived_sets_diagonalise_their_own_ops(self, qutrit_sic, eigvalsh_calls):
         eset = depolarize(qutrit_sic, 0.5)

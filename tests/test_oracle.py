@@ -28,7 +28,8 @@ from tdesigncap.oracle import StateGrid, fibonacci_bloch_states
 from reference_ascent import (ascend_per_start, ascent_objective, ascent_terms_one_pass,
                               kl_maximize_reference, kl_objective)
 from reference_blahut_arimoto import blahut_arimoto
-from reference_grid import dense_grid_phase, floored_row_terms
+from reference_grid import (dense_grid_phase, floored_row_terms,
+                            former_compact_projector_view, former_haar_random_states)
 
 
 def _seeded_d8_grid(family):
@@ -124,6 +125,18 @@ class TestStateGrid:
         g = default_grid(3, seed=1, resolution=100)
         with pytest.raises(ValueError):
             g.states[0, 0] = 1.0
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_sampled_states_are_taken_over(self, dim):
+        # the sampler's array becomes the grid's, uncopied; it and its view stay read-only
+        g = default_grid(dim, seed=7, resolution=300)
+        assert g.states.base is None
+        assert np.array_equal(g.states, former_haar_random_states(dim, 300, 7))
+        assert np.array_equal(g.compact_view, former_compact_projector_view(g.states))
+        for arr in (g.states, g.compact_view):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
 
     def test_view_is_copied(self):
         # a write through the base of a view must not change the grid

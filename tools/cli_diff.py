@@ -18,11 +18,13 @@ can state its bound.
 The matrix covers every subcommand: ``build``, ``verify --t 2``, ``bound``
 (in nats and bits) and the closed-form ``capacity`` of the 12 family tokens
 at lambda in {1, 0.5, 0, -0.2}; ``bound --t 1..6`` on four tokens;
-``capacity --method oracle|both`` on five tokens of d <= 3; sweeps of all 12
-tokens with and without ``--with-oracle`` (d <= 3 only with it); the error
-cases; and two d = 8 oracle queries (``D8_ORACLE``): Hoggar's ``capacity
---method both`` at lambda = 0.7, and an oracle sweep of hoggar_sic, anti_sic:8
-and hoggar_sic again, whose repeated token keeps its first base and seed.
+``capacity --method oracle|both`` on five tokens of d <= 3; ``capacity --method
+oracle`` of uniform:3 (``UNIFORM3_ORACLE``), which samples Haar states twice, for
+its discretized POVM and for its state grid; sweeps of all 12 tokens with and
+without ``--with-oracle`` (d <= 3 only with it); the error cases; and two d = 8
+oracle queries (``D8_ORACLE``): Hoggar's ``capacity --method both`` at lambda =
+0.7, and an oracle sweep of hoggar_sic, anti_sic:8 and hoggar_sic again, whose
+repeated token keeps its first base and seed.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ TOKENS = ("qubit_sic", "qubit_mub", "icosahedron", "uniform:2", "anti_sic:2", "q
           "qutrit_mub", "uniform:3", "anti_sic:3", "hoggar_sic", "uniform:8", "anti_sic:8")
 LAMBDAS = ("1", "0.5", "0", "-0.2")
 ORACLE_TOKENS = ("qubit_sic", "qubit_mub", "icosahedron", "qutrit_mub", "anti_sic:3")
+UNIFORM3_ORACLE = ["capacity", "--family", "uniform:3", "--lambda", "0.5", "--method", "oracle",
+                   "--tol", "1e-4"]
 DIFF_LINES = 12  # diff lines printed per stream of a differing call
 D8_ORACLE = (
     ["capacity", "--family", "hoggar_sic", "--lambda", "0.7", "--method", "both",
@@ -67,6 +71,7 @@ def matrix() -> list[list[str]]:
     for tok in ORACLE_TOKENS:
         out += [["capacity", "--family", tok, "--lambda", "0.5", "--method", method,
                  "--tol", "1e-4"] for method in ("oracle", "both")]
+    out.append(UNIFORM3_ORACLE)
     every = ",".join(TOKENS)
     out += [
         ["sweep", "--families", every, "--steps", "5"],

@@ -7,14 +7,7 @@ bounds from Hermite interpolation, closed-form capacities, and an
 independent column-generation oracle.
 """
 
-from .core import (
-    WeightedElementSet,
-    eta,
-    mutual_information,
-    pair_probability,
-    pure_ensemble,
-    relative_entropy,
-)
+from .core import WeightedElementSet, eta, pure_ensemble
 from .catalog import (
     AdmissibleInterval,
     DesignSpec,
@@ -59,6 +52,5 @@ __all__ = [
     "bound_from_set", "build", "capacity", "certify", "default_grid", "depolarize",
     "design_strength", "discretized_uniform_povm", "eta", "gammas", "hermite_interpolate",
     "hyp2f1_11", "informational_power", "kl_maximize", "moments", "moments_of_depolarized",
-    "mutual_information", "optimal_ensemble", "pair_probability", "pure_ensemble",
-    "relative_entropy", "uniform_capacity",
+    "optimal_ensemble", "pure_ensemble", "uniform_capacity",
 ]

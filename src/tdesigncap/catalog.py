@@ -70,10 +70,7 @@ class DesignSpec:
         elif self.dim < 2:
             raise UnsupportedFamilyError(f"{self.family} requires dim >= 2")
         if row.povm is None:
-            interval = AdmissibleInterval(1.0 / (1 - self.dim), 1.0)
-            if not interval.contains(self.lam):
-                raise LambdaRangeError(f"lambda={self.lam} outside admissible interval"
-                                       f" [{interval.lo:.6g}, 1] for {self.family}")
+            AdmissibleInterval(1.0 / (1 - self.dim), 1.0).require(self.lam, self.family)
 
     @property
     def dimension(self) -> int:
@@ -92,8 +89,15 @@ class AdmissibleInterval:
     hi: float
     clamped: bool = False
 
-    def contains(self, lam: float, tol: float = 1e-12) -> bool:
-        return self.lo - tol <= lam <= self.hi + tol
+    def contains(self, lam: float) -> bool:
+        return self.lo - 1e-12 <= lam <= self.hi + 1e-12
+
+    def require(self, lam: float, family: str = "") -> None:
+        """Refuse ``lam`` outside the interval, naming ``family`` if one is given."""
+        if not self.contains(lam):
+            raise LambdaRangeError(f"lambda={lam} outside admissible interval"
+                                   f" [{self.lo:.6g}, {self.hi:.6g}]"
+                                   + (f" for {family}" if family else ""))
 
 
 def _family(name: str) -> Family:
@@ -267,7 +271,7 @@ def _sic(d: int, phase: float) -> np.ndarray:
 
 
 def _anti_sic(d: int, phase: float) -> WeightedElementSet:
-    return anti_design(pure_ensemble(d, _sic(d, phase), role="povm"), label=f"anti_sic_{d}")
+    return anti_design(pure_ensemble(d, _sic(d, phase), role="povm", label=f"anti_sic_{d}"))
 
 
 # Each finite family's closed form is the KL bound of its capacity-achieving
@@ -316,37 +320,28 @@ def build(spec: DesignSpec) -> WeightedElementSet:
         raise AnalyticFamilyError(
             f"the {spec.family} POVM is handled analytically; no element list exists")
     base = povm(spec.dimension, spec.fiducial_phase)
-    interval = admissible_lambda(base)
-    if not interval.contains(spec.lam):
-        raise LambdaRangeError(
-            f"lambda={spec.lam} outside admissible interval [{interval.lo:.6g}, {interval.hi:.6g}]"
-            f" for {spec.family}")
-    if spec.lam == 1.0:
-        return base
+    admissible_lambda(base).require(spec.lam, spec.family)
     return depolarize(base, spec.lam)
 
 
-def depolarize(eset: WeightedElementSet, lam: float,
-               label: str | None = None) -> WeightedElementSet:
+def depolarize(eset: WeightedElementSet, lam: float) -> WeightedElementSet:
     """Apply chi -> lam chi + (1 - lam) 1/d to every unit-trace element.
 
     Weights (and POVM completeness) are unchanged; lam must lie in the
     admissible interval of the set or positivity fails. The output keeps the
-    input's label unless ``label`` is given. Every unit-trace set admits
+    input's label, and lam = 1 returns the input itself. Every unit-trace set admits
     0 <= lam <= 1, a convex mix of positive operators, so only a lam outside
     [0, 1] reads the interval, from the input's spectrum; the output is validated
     without being diagonalised, and its own spectrum, if read, is measured from
     its ops, not derived from lam.
     """
+    if lam == 1.0:
+        return eset
     if not 0.0 <= lam <= 1.0:
-        interval = admissible_lambda(eset)
-        if not interval.contains(lam):
-            raise LambdaRangeError(f"lambda={lam} outside admissible interval"
-                                   f" [{interval.lo:.6g}, {interval.hi:.6g}]")
+        admissible_lambda(eset).require(lam)
     d = eset.dim
     ops = lam * eset.ops + (1.0 - lam) * np.eye(d) / d
-    return WeightedElementSet(d, eset.weights, ops, eset.role,
-                              eset.label if label is None else label)
+    return WeightedElementSet(d, eset.weights, ops, eset.role, eset.label)
 
 
 def admissible_lambda(eset: WeightedElementSet) -> AdmissibleInterval:
@@ -373,20 +368,19 @@ def admissible_lambda(eset: WeightedElementSet) -> AdmissibleInterval:
     return AdmissibleInterval(lo=lo, hi=hi, clamped=clamped)
 
 
-def anti_design(eset: WeightedElementSet, label: str | None = None) -> WeightedElementSet:
+def anti_design(eset: WeightedElementSet) -> WeightedElementSet:
     """Depolarize at the extreme negative endpoint 1/(1 - d a_max).
 
     a_max is read from the set's spectrum (shared with the interval check of
-    :func:`depolarize`); the output is not diagonalised. For rank-one input every
-    output element is (1 - chi)/(d - 1). ``label`` names the output (default:
-    the input's), so relabelling needs no second validation.
+    :func:`depolarize`); the output is not diagonalised and keeps the input's label.
+    For rank-one input every output element is (1 - chi)/(d - 1).
     """
     d = eset.dim
     a_max = float(eset.spectrum[:, -1].max())
     if 1.0 - d * a_max > -1e-12:
         raise LambdaRangeError(
             f"anti-design undefined: max element eigenvalue {a_max:.6g} <= 1/d")
-    return depolarize(eset, 1.0 / (1.0 - d * a_max), label)
+    return depolarize(eset, 1.0 / (1.0 - d * a_max))
 
 
 def moments_of_depolarized(mv: MomentVector, lam: float) -> MomentVector:

@@ -163,11 +163,7 @@ def _base(spec: DesignSpec, seed: int | None = None):
         mv = verify.MomentVector((1.0,) * bounds.MAX_T, spec.dimension)
     else:
         eset = catalog.build(DesignSpec(spec.family, 1.0, spec.fiducial_phase, spec.dim))
-        interval = catalog.admissible_lambda(eset)
-        if not interval.contains(spec.lam):
-            raise catalog.LambdaRangeError(
-                f"lambda={spec.lam} outside admissible interval [{interval.lo:.6g},"
-                f" {interval.hi:.6g}] for {spec.family}")
+        catalog.admissible_lambda(eset).require(spec.lam, spec.family)
         mv = verify.moments(eset, bounds.MAX_T)
     if seed is None:
         return mv, None
@@ -192,8 +188,7 @@ def _bounds(spec: DesignSpec, mv: verify.MomentVector, t: int | None = None) -> 
 
 def _oracle(inputs, lam: float, tol: float) -> oracle.OracleResult:
     eset, grid = inputs
-    target = catalog.depolarize(eset, lam) if lam != 1.0 else eset
-    return oracle.informational_power(target, grid, tol=tol)
+    return oracle.informational_power(catalog.depolarize(eset, lam), grid, tol=tol)
 
 
 def cmd_capacity(args) -> int:

@@ -19,25 +19,20 @@ WEIGHT_TOL = 1e-10
 TRACE_TOL = 1e-10
 POVM_COMPLETENESS_TOL = 1e-10
 NORM_TOL = 1e-12
-ZERO_PROB = 1e-15
-VIEW_BLOCK = 1 << 15  # complex entries per row block of compact_projector_view (cache-sized)
+GRID_BLOCK = 1 << 16  # float entries per row block of the grid kernels (512 KiB, cache-sized)
 
-Role = Literal["ensemble", "povm", "design"]
-
-
-class SupportViolationError(ValueError):
-    """p puts mass where q vanishes, so D(p||q) is infinite."""
+Role = Literal["ensemble", "povm"]
 
 
-def check_probability_vector(p: np.ndarray, tol: float = WEIGHT_TOL) -> np.ndarray:
+def check_probability_vector(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     bad = np.flatnonzero(~np.isfinite(p))
     if bad.size:
         raise ValueError(f"non-finite probability entry {float(p[bad[0]])!r} at index {bad[0]}")
-    if p.min() < -tol:
+    if p.min() < -WEIGHT_TOL:
         raise ValueError(f"negative probability entry {p.min():.3e}")
     s = float(p.sum())
-    if abs(s - 1.0) > tol:
+    if abs(s - 1.0) > WEIGHT_TOL:
         raise ValueError(f"probabilities sum to {s!r}, not 1")
     return np.clip(p, 0.0, None)
 
@@ -62,40 +57,6 @@ def eta_array(x: np.ndarray) -> np.ndarray:
     out = np.log(x, out=np.zeros_like(x), where=x > 0.0)
     out *= x
     return np.negative(out, out=out)
-
-
-def relative_entropy(p: np.ndarray, q: np.ndarray) -> float:
-    """Kullback-Leibler divergence D(p||q) = sum p ln(p/q) in nats.
-
-    Entries of p below 1e-15 are treated as exact zeros (0 ln 0 := 0).
-    Raises SupportViolationError if p has mass where q vanishes.
-    """
-    p = check_probability_vector(np.asarray(p, dtype=float).ravel())
-    q = check_probability_vector(np.asarray(q, dtype=float).ravel())
-    if p.shape != q.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    bad = (p > 1e-12) & (q < ZERO_PROB)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise SupportViolationError(f"p[{i}]={p[i]:.3e} but q[{i}]={q[i]:.3e}")
-    mask = p > ZERO_PROB
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
-
-
-def mutual_information(joint: np.ndarray) -> float:
-    """I(X;Y) = D(p_XY || p_X p_Y) in nats for a joint probability matrix."""
-    joint = np.asarray(joint, dtype=float)
-    if joint.ndim != 2:
-        raise ValueError("joint distribution must be a matrix")
-    if joint.min() < -WEIGHT_TOL:
-        raise ValueError(f"negative joint entry {joint.min():.3e}")
-    total = float(joint.sum())
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise ValueError(f"joint distribution sums to {total!r}, not 1")
-    joint = np.clip(joint, 0.0, None)
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    return relative_entropy(joint.ravel(), np.outer(px, py).ravel())
 
 
 def haar_random_states(dim: int, count: int, seed: int) -> np.ndarray:
@@ -142,14 +103,14 @@ def compact_projector_view(states: np.ndarray) -> np.ndarray:
     Each row holds the interleaved (re, im) parts of A_ij = phi_i conj(phi_j) for i <= j,
     row by row: a Hermitian A is fixed by its upper triangle. With the operators in
     :func:`compact_operator_view`, view @ twin^T = <phi|chi|phi>, as :func:`overlaps`.
-    It is built one column pair at a time, in row blocks of about ``VIEW_BLOCK`` entries.
+    It is built one column pair at a time, in row blocks of about ``GRID_BLOCK`` floats.
     """
     states = np.asarray(states, dtype=complex)
     n, d = states.shape
     conj = states.conj()
     pairs = list(zip(*np.triu_indices(d)))
     out = np.empty((n, len(pairs)), dtype=complex)
-    rows = max(1, VIEW_BLOCK // len(pairs))
+    rows = max(1, GRID_BLOCK // (2 * len(pairs)))
     for lo in range(0, n, rows):
         s, c, o = states[lo:lo + rows], conj[lo:lo + rows], out[lo:lo + rows]
         for k, (i, j) in enumerate(pairs):
@@ -195,10 +156,10 @@ class WeightedElementSet:
     ``spectrum`` is the read-only (n, d) array of each element's eigenvalues
     in ascending order, the batched ``eigvalsh`` of ``ops`` made on its first
     read and kept. It is measured, never passed: every construction, including
-    :meth:`transposed` and ``dataclasses.replace``, diagonalises its own ops
-    at most once, and a set whose spectrum is never read (a depolarized set
-    that only the oracle uses) is not diagonalised at all. The moments and
-    admissible interval read it from here.
+    ``dataclasses.replace``, diagonalises its own ops at most once, and a set
+    whose spectrum is never read (a depolarized set that only the oracle uses)
+    is not diagonalised at all. The moments and admissible interval read it
+    from here.
 
     Two sets are equal when their ``dim``, ``role``, ``weights`` and ``ops``
     are; the label is left out. A set is not hashable.
@@ -207,7 +168,7 @@ class WeightedElementSet:
     dim: int
     weights: np.ndarray
     ops: np.ndarray
-    role: Role = "design"
+    role: Role = "ensemble"
     label: str = ""
 
     def __post_init__(self):
@@ -217,7 +178,7 @@ class WeightedElementSet:
             raise ValueError(f"ops must have shape (n, {self.dim}, {self.dim}), got {ops.shape}")
         if ops.shape[0] != weights.shape[0]:
             raise ValueError("weights and ops length mismatch")
-        if self.role not in ("ensemble", "povm", "design"):
+        if self.role not in ("ensemble", "povm"):
             raise ValueError(f"unknown role {self.role!r}")
         finite = np.isfinite(ops).all(axis=(1, 2))
         if not finite.all():
@@ -268,17 +229,8 @@ class WeightedElementSet:
         spectrum.setflags(write=False)
         return spectrum
 
-    @property
-    def effects(self) -> np.ndarray:
-        """POVM effects d * p_x * chi_x (only meaningful for role='povm')."""
-        return self.dim * self.weights[:, None, None] * self.ops
-
     def average(self) -> np.ndarray:
         return np.einsum("x,xij->ij", self.weights, self.ops)
-
-    def transposed(self) -> "WeightedElementSet":
-        return WeightedElementSet(self.dim, self.weights, np.transpose(self.ops, (0, 2, 1)),
-                                  self.role, self.label)
 
 
 def pure_ensemble(dim: int, amplitudes: np.ndarray, weights: np.ndarray | None = None,
@@ -293,17 +245,3 @@ def pure_ensemble(dim: int, amplitudes: np.ndarray, weights: np.ndarray | None =
     if weights is None:
         weights = np.full(n, 1.0 / n)
     return WeightedElementSet(dim, weights, ops, role, label)
-
-
-def pair_probability(ensemble: WeightedElementSet, povm: WeightedElementSet) -> np.ndarray:
-    """Joint outcome distribution p[x, y] = p_x * d q_y Tr[rho_x pi_y].
-
-    Rows sum to the ensemble prior p_x; the total is 1 for any valid pair.
-    """
-    if ensemble.dim != povm.dim:
-        raise ValueError(f"dimension mismatch: {ensemble.dim} vs {povm.dim}")
-    if povm.role != "povm":
-        raise ValueError("second argument must have role 'povm'")
-    d = povm.dim
-    cond = d * np.einsum("y,xij,yji->xy", povm.weights, ensemble.ops, povm.ops).real
-    return ensemble.weights[:, None] * cond

@@ -33,8 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (WeightedElementSet, compact_operator_view, compact_projector_view,
-                   haar_random_states, overlaps, projector_view)
+from .core import (GRID_BLOCK, WeightedElementSet, compact_operator_view,
+                   compact_projector_view, haar_random_states, overlaps, projector_view,
+                   pure_ensemble)
 
 DEFAULT_GRID_SIZES = {2: 4096, 3: 20000, 8: 60000}
 TIGHTNESS_RESIDUAL_TOL = 1e-6
@@ -43,7 +44,6 @@ REFINE_BARRIER_STEPS = 100  # barrier Newton step cap of each refinement solve
 REFINE_NEWTON_STEPS = 8  # KKT Newton step cap of each refinement solve after the barrier path
 PRICING_MAX_ROUNDS = 32  # column-generation round cap of informational_power
 ASCENT_MAX_ITER = 500  # L-BFGS iteration cap of each local ascent over pure states
-GRID_BLOCK = 1 << 16  # channel entries per row block of the grid's entropy pass (cache-sized)
 
 
 @dataclass(frozen=True)
@@ -143,12 +143,17 @@ class _GridPricing:
     pair, and so does the first pricing round's climb (:meth:`first_climb`): H and that
     climb of the last pair are kept, under weak references to the pair, so the KL search
     after :func:`informational_power` (or the other way round) reuses both, and the memo
-    keeps neither the pair nor the grid's view alive.
+    keeps neither the pair nor the grid's view alive. It checks both searches' inputs: a
+    POVM-role set of the grid's dimension.
     """
 
     _last: tuple = (None, None, None)  # (weakref to eset, weakref to grid, [H, first climb])
 
     def __init__(self, eset: WeightedElementSet, grid: StateGrid):
+        if eset.role != "povm":
+            raise ValueError("the oracle expects a POVM-role set")
+        if eset.dim != grid.dim:
+            raise ValueError("grid and element set dimensions differ")
         m = len(eset.weights)
         self.a = grid.dim * eset.weights
         self.lnq = _masked_log(eset.weights)  # the maximally mixed input's output (unit trace)
@@ -453,13 +458,10 @@ def kl_maximize(eset: WeightedElementSet, grid: StateGrid) -> tuple[float, np.nd
     round's prices, and the refinement is its climb (:meth:`_GridPricing.first_climb`) from
     the top max(32, d^2) of them, run once per (POVM, grid) pair by whichever search comes
     first. Every climb is scored, ln d + F at its end, so the value is the best of them.
-    Returns it and every climb within 1e-8 of it (deduplicated by projector overlap); those
-    states feed the convex tightness check of the oracle.
+    Returns it and every climb within 1e-8 of it (deduplicated by projector overlap): the
+    KL maximisers, for the tests and callers that want them. Nothing in the package reads
+    them; :func:`informational_power` checks tightness on its own support.
     """
-    if eset.role != "povm":
-        raise ValueError("kl_maximize expects a POVM-role set")
-    if eset.dim != grid.dim:
-        raise ValueError("grid and element set dimensions differ")
     climbed, vals, _ = _GridPricing(eset, grid).first_climb()
     scores = math.log(eset.dim) + vals
     best_val = float(scores.max())
@@ -523,10 +525,6 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
     ``"ascent_capped"`` the ascents that stopped at ``ASCENT_MAX_ITER``: every
     start of a round whose stacked solve hit the cap.
     """
-    if eset.role != "povm":
-        raise ValueError("informational_power expects a POVM-role set")
-    if eset.dim != grid.dim:
-        raise ValueError("grid and element set dimensions differ")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"oracle tolerance must be finite and positive, got {tol!r}")
     d = eset.dim
@@ -690,8 +688,5 @@ def discretized_uniform_povm(dim: int, n_effects: int | None = None,
     s_inv_half = (v * (w ** -0.5)) @ v.conj().T
     tightened = raw @ s_inv_half.T
     norms2 = np.einsum("mi,mi->m", tightened, tightened.conj()).real
-    weights = norms2 / m
     states = tightened / np.sqrt(norms2)[:, None]
-    ops = np.einsum("xi,xj->xij", states, states.conj())
-    return WeightedElementSet(dim, weights, ops, role="povm",
-                              label=f"uniform_d{dim}_M{m}")
+    return pure_ensemble(dim, states, norms2 / m, role="povm", label=f"uniform_d{dim}_M{m}")

@@ -7,6 +7,7 @@ import pytest
 
 from tdesigncap import (
     FAMILIES,
+    AdmissibleInterval,
     DesignSpec,
     MomentVector,
     admissible_lambda,
@@ -181,6 +182,10 @@ class TestDepolarize:
         out = depolarize(qubit_mub, 1.0)
         assert np.array_equal(out.ops, qubit_mub.ops)
 
+    def test_lambda_one_returns_its_input(self, qubit_mub):
+        # build and the CLI's oracle call depolarize at every lambda, 1 included
+        assert depolarize(qubit_mub, 1.0) is qubit_mub
+
     def test_flat_at_lambda_zero(self, qutrit_sic):
         out = depolarize(qutrit_sic, 0.0)
         assert np.abs(out.ops - np.eye(3) / 3).max() < 1e-15
@@ -231,6 +236,28 @@ class TestDepolarize:
             depolarize(self._fresh(qutrit_sic), lam)
         assert str(err.value) == (f"lambda={lam} outside admissible interval"
                                   f" [{interval.lo:.6g}, {interval.hi:.6g}]")
+
+
+class TestLambdaRefusal:
+    def test_build_depolarize_and_the_interval_give_one_message(self, qutrit_sic):
+        # one AdmissibleInterval.require writes every refusal; a family, if given, is named
+        text = "lambda=-0.6 outside admissible interval [-0.5, 1]"
+        for refuse, expected in (
+                (lambda: AdmissibleInterval(-0.5, 1).require(-0.6, "qutrit_sic"),
+                 text + " for qutrit_sic"),
+                (lambda: build(DesignSpec("qutrit_sic", -0.6)), text + " for qutrit_sic"),
+                (lambda: depolarize(qutrit_sic, -0.6), text)):
+            with pytest.raises(LambdaRangeError) as err:
+                refuse()
+            assert str(err.value) == expected
+
+    def test_require_admits_the_closed_interval(self):
+        interval = AdmissibleInterval(-0.5, 1.0)
+        for lam in (-0.5 - 1e-12, -0.5, 0.0, 1.0, 1.0 + 1e-12):
+            interval.require(lam)
+        for lam in (-0.5 - 1e-11, 1.0 + 1e-11, math.nan):
+            with pytest.raises(LambdaRangeError):
+                interval.require(lam)
 
 
 class TestAdmissibleLambda:

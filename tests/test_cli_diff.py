@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import re
 import sys
 
 _TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
@@ -60,6 +61,22 @@ class TestMatrix:
         bound_tokens = {a[2] for a in argvs if a[0] == "bound" and "--lambda" in a}
         assert bound_tokens == set(cli_diff.TOKENS)
         assert cli_diff.UNIFORM3_ORACLE in argvs  # the d >= 3 uniform oracle
+
+    def test_pins_every_admissible_interval_refusal(self):
+        # catalog.build (qubit_sic, anti_sic:3), DesignSpec (uniform:3) and the CLI's
+        # lambda = 1 base (qutrit_sic) each refuse a lambda outside the interval
+        refusals = [["build", "--family", "qubit_sic", "--lambda", "1.5"],
+                    ["build", "--family", "anti_sic:3", "--lambda", "1.5"],
+                    ["build", "--family", "uniform:3", "--lambda", "1.5"],
+                    ["bound", "--family", "qutrit_sic", "--lambda", "-0.6"],
+                    ["bound", "--family", "uniform:3", "--lambda", "-0.6"]]
+        argvs = cli_diff.matrix()
+        assert all(argv in argvs for argv in refusals)
+        for argv, (code, out, err) in zip(refusals, cli_diff.run_matrix(refusals)):
+            family = {"anti_sic:3": "anti_sic", "uniform:3": "uniform"}.get(argv[2], argv[2])
+            assert (code, out) == (1, "")
+            assert re.fullmatch(rf"tdesigncap: error: lambda={argv[4]} outside admissible"
+                                rf" interval \[[-0-9.e]+, [-0-9.e]+\] for {family}\n", err)
 
 
 class TestRunMatrix:

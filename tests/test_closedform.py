@@ -5,15 +5,14 @@ import pytest
 
 from reference_ascent import kl_objective
 from reference_closedform import capacity_reference, hyp2f1_11_series
+from reference_information import mutual_information, pair_probability
 from tdesigncap import (
     DesignSpec,
     build,
     capacity,
     depolarize,
     hyp2f1_11,
-    mutual_information,
     optimal_ensemble,
-    pair_probability,
     uniform_capacity,
 )
 from tdesigncap import catalog, closedform

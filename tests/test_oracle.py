@@ -30,6 +30,7 @@ from reference_ascent import (ascend_per_start, ascent_objective, ascent_terms_o
 from reference_blahut_arimoto import blahut_arimoto
 from reference_grid import (dense_grid_phase, floored_row_terms,
                             former_compact_projector_view, former_haar_random_states)
+from reference_information import effects
 
 
 def _seeded_d8_grid(family):
@@ -1202,7 +1203,7 @@ class TestDiscretizedUniform:
     def test_is_exact_povm(self):
         for d in (2, 3):
             eset = discretized_uniform_povm(d, n_effects=512, seed=5)
-            total = eset.effects.sum(axis=0)
+            total = effects(eset).sum(axis=0)
             assert np.abs(total - np.eye(d)).max() < 1e-12
 
     def test_channel_rows_sum_to_one(self, qubit_grid):

@@ -14,6 +14,7 @@ from dense_reference import (
     symmetric_projector,
 )
 from reference_gamma import gamma_empirical, gamma_explicit
+from reference_information import transposed
 from tdesigncap import (
     DesignSpec,
     MomentVector,
@@ -243,7 +244,7 @@ class TestCertify:
         assert np.abs(m - p).max() < 1e-8
 
     def test_transpose_closure(self, qutrit_sic):
-        assert certify(qutrit_sic.transposed(), 2, n_spotchecks=0).passed
+        assert certify(transposed(qutrit_sic), 2, n_spotchecks=0).passed
 
     def test_depolarization_preserves_verdicts(self, qubit_mub):
         for lam in (0.25, 0.6):

@@ -21,7 +21,11 @@ at lambda in {1, 0.5, 0, -0.2}; ``bound --t 1..6`` on four tokens;
 ``capacity --method oracle|both`` on five tokens of d <= 3; ``capacity --method
 oracle`` of uniform:3 (``UNIFORM3_ORACLE``), which samples Haar states twice, for
 its discretized POVM and for its state grid; sweeps of all 12 tokens with and
-without ``--with-oracle`` (d <= 3 only with it); the error cases; and two d = 8
+without ``--with-oracle`` (d <= 3 only with it); the error cases, among them
+one lambda outside the admissible interval at each site that refuses it
+(``build --lambda 1.5`` of qubit_sic and anti_sic:3 in ``catalog.build``, of
+uniform:3 in ``DesignSpec``; ``bound --lambda -0.6`` of qutrit_sic in the
+CLI's shared lambda = 1 base, of uniform:3 in ``DesignSpec``); and two d = 8
 oracle queries (``D8_ORACLE``): Hoggar's ``capacity --method both`` at lambda =
 0.7, and an oracle sweep of hoggar_sic, anti_sic:8 and hoggar_sic again, whose
 repeated token keeps its first base and seed.
@@ -83,6 +87,9 @@ def matrix() -> list[list[str]]:
         ["capacity", "--family", "uniform:9", "--method", "oracle"],
         ["sweep", "--families", "qubit_sic,uniform:9", "--with-oracle"],
         ["bound", "--family", "qubit_sic", "--dim", "3"],
+        *[["build", "--family", tok, "--lambda", "1.5"]
+          for tok in ("qubit_sic", "anti_sic:3", "uniform:3")],
+        *[["bound", "--family", tok, "--lambda", "-0.6"] for tok in ("qutrit_sic", "uniform:3")],
         ["capacity", "--family", "qubit_sic", "--method", "oracle", "--tol", "nan"],
         ["sweep", "--families", ",", "--steps", "2"],
         ["sweep", "--families", "qubit_sic", "--steps", "0"],

@@ -229,9 +229,6 @@ class WeightedElementSet:
         spectrum.setflags(write=False)
         return spectrum
 
-    def average(self) -> np.ndarray:
-        return np.einsum("x,xij->ij", self.weights, self.ops)
-
 
 def pure_ensemble(dim: int, amplitudes: np.ndarray, weights: np.ndarray | None = None,
                   role: Role = "ensemble", label: str = "") -> WeightedElementSet:

@@ -1,12 +1,12 @@
-"""Reference information quantities of a finite ensemble-POVM pair, and two set helpers.
+"""Reference information quantities of a finite ensemble-POVM pair, and three set helpers.
 
 `tdesigncap` evaluates capacity from its closed forms, its bounds and its
 oracle, and none of them reads a joint distribution. The tests keep the
 direct quantities, so that a capacity-achieving ensemble's rate can be
 checked from its joint outcome distribution: the relative entropy, the
 mutual information of a joint probability matrix and the joint distribution
-of an ensemble measured by a POVM. They also keep the POVM effects of an
-element set and its elementwise transpose.
+of an ensemble measured by a POVM. They also keep three views of an element
+set: its POVM effects, its average element and its elementwise transpose.
 """
 
 import numpy as np
@@ -71,6 +71,11 @@ def pair_probability(ensemble: WeightedElementSet, povm: WeightedElementSet) -> 
 def effects(eset: WeightedElementSet) -> np.ndarray:
     """POVM effects d * p_x * chi_x (only meaningful for role='povm')."""
     return eset.dim * eset.weights[:, None, None] * eset.ops
+
+
+def average(eset: WeightedElementSet) -> np.ndarray:
+    """The weighted average sum_x p_x chi_x of the elements."""
+    return np.einsum("x,xij->ij", eset.weights, eset.ops)
 
 
 def transposed(eset: WeightedElementSet) -> WeightedElementSet:

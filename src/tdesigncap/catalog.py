@@ -1,16 +1,14 @@
 """Construction of the named measurement families and the depolarizing map.
 
-Everything the package knows about a family is one ``Family`` row of
-``FAMILY``: its cataloged dimensions, design strength, lambda = 1 POVM,
-capacity-achieving states and closed-form overlap spectrum. Rows hold
-constructors, so nothing is built at import; a new family costs its state
-constructor and one row.
+Everything the package knows about a family is one ``Family`` row of ``FAMILY``: its
+cataloged dimensions, design strength, lambda = 1 POVM, capacity-achieving states and
+closed-form overlap spectrum. Rows hold constructors, so nothing is built at import; a new
+family costs its state constructor and one row.
 
-Every finite family is built as a POVM-role WeightedElementSet whose stored
-operators are the unit-trace elements chi_x (effects are d * p_x * chi_x).
-The uniform rank-one POVM is an analytic marker: it has no finite element
-list and build() refuses it; capacity and verification for it are handled
-by closed-form code paths.
+Every finite family is built as a POVM-role WeightedElementSet whose stored operators are
+the unit-trace elements chi_x (effects are d * p_x * chi_x). The uniform rank-one POVM is an
+analytic marker: it has no finite element list and build() refuses it; capacity and
+verification for it are handled by closed-form code paths.
 """
 
 from __future__ import annotations
@@ -327,21 +325,22 @@ def build(spec: DesignSpec) -> WeightedElementSet:
 def depolarize(eset: WeightedElementSet, lam: float) -> WeightedElementSet:
     """Apply chi -> lam chi + (1 - lam) 1/d to every unit-trace element.
 
-    Weights (and POVM completeness) are unchanged; lam must lie in the
-    admissible interval of the set or positivity fails. The output keeps the
-    input's label, and lam = 1 returns the input itself. Every unit-trace set admits
-    0 <= lam <= 1, a convex mix of positive operators, so only a lam outside
-    [0, 1] reads the interval, from the input's spectrum; the output is validated
-    without being diagonalised, and its own spectrum, if read, is measured from
-    its ops, not derived from lam.
+    Weights (and POVM completeness) are unchanged; lam must lie in the admissible interval
+    of the set or positivity fails. The output keeps the input's label; lam = 1 returns the
+    input. At 0 <= lam <= 1 the mix keeps every property the input was validated for, so the
+    output is built unchecked (``WeightedElementSet._derived``); any other lam (nan too)
+    reads the interval from the input's spectrum and is validated in full. A spectrum, if
+    read, is measured from the output's ops.
     """
     if lam == 1.0:
         return eset
-    if not 0.0 <= lam <= 1.0:
+    convex = 0.0 <= lam <= 1.0
+    if not convex:
         admissible_lambda(eset).require(lam)
-    d = eset.dim
-    ops = lam * eset.ops + (1.0 - lam) * np.eye(d) / d
-    return WeightedElementSet(d, eset.weights, ops, eset.role, eset.label)
+    ops = lam * eset.ops + (1.0 - lam) * np.eye(eset.dim) / eset.dim
+    if convex:
+        return WeightedElementSet._derived(eset, ops)
+    return WeightedElementSet(eset.dim, eset.weights, ops, eset.role, eset.label)
 
 
 def admissible_lambda(eset: WeightedElementSet) -> AdmissibleInterval:

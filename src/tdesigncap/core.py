@@ -8,7 +8,7 @@ an exact value (0 or 1) are clamped rather than rejected.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Literal
 
 import numpy as np
@@ -146,20 +146,20 @@ def overlaps(states: np.ndarray, ops: np.ndarray) -> np.ndarray:
 class WeightedElementSet:
     """A finite weighted family of unit-trace positive operators.
 
-    ``ops[x]`` is the unit-trace operator chi_x and ``weights[x]`` the
-    probability p_x; a POVM-role set additionally satisfies
-    d * sum_x p_x chi_x = identity, i.e. the effects are d * p_x * chi_x.
-    Validation is batched over the elements and names the first offender;
-    positivity is one batched Cholesky factorisation of chi_x + tol * 1, and
-    only a set it refuses is diagonalised, to name the element.
+    ``ops[x]`` is the unit-trace operator chi_x and ``weights[x]`` the probability p_x; a
+    POVM-role set additionally satisfies d * sum_x p_x chi_x = identity, i.e. the effects
+    are d * p_x * chi_x. Validation is batched over the elements and names the first
+    offender; positivity is one batched Cholesky factorisation of chi_x + tol * 1, and only
+    a set it refuses is diagonalised, to name the element. Only ``_derived`` skips it, for
+    ``catalog.depolarize`` at 0 <= lam <= 1, whose ops (valid elements mixed with 1/d) pass
+    every check.
 
-    ``spectrum`` is the read-only (n, d) array of each element's eigenvalues
-    in ascending order, the batched ``eigvalsh`` of ``ops`` made on its first
-    read and kept. It is measured, never passed: every construction, including
-    ``dataclasses.replace``, diagonalises its own ops at most once, and a set
-    whose spectrum is never read (a depolarized set that only the oracle uses)
-    is not diagonalised at all. The moments and admissible interval read it
-    from here.
+    ``spectrum`` is the read-only (n, d) array of each element's eigenvalues in ascending
+    order, the batched ``eigvalsh`` of ``ops`` made on its first read and kept. It is
+    measured, never passed: every construction, including ``dataclasses.replace``,
+    diagonalises its own ops at most once, and a set whose spectrum is never read (a
+    depolarized set that only the oracle uses) is not diagonalised at all. The moments and
+    admissible interval read it from here.
 
     Two sets are equal when their ``dim``, ``role``, ``weights`` and ``ops``
     are; the label is left out. A set is not hashable.
@@ -210,6 +210,14 @@ class WeightedElementSet:
         ops.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "ops", ops)
+
+    @classmethod
+    def _derived(cls, source: WeightedElementSet, ops: np.ndarray) -> WeightedElementSet:
+        """``source`` with the complex ``ops`` in place of its own, made read-only, unchecked."""
+        ops.setflags(write=False)
+        out = object.__new__(cls)
+        vars(out).update({f.name: getattr(source, f.name) for f in fields(cls)}, ops=ops)
+        return out
 
     __hash__ = None
 

@@ -1,22 +1,20 @@
-"""Brute-force capacity route: column generation over pure-state ensembles,
-priced on a state grid and refined off it by an L-BFGS ascent with analytic
-gradients, plus the KL upper-bound objective (maximized by the same ascent) and
-its tightness certificate. Each pricing round climbs from the grid states of its
-top max(32, d^2) prices in one stacked L-BFGS solve, in the KL form, stopped at the
-rounding floor of its gradient. The first round's climb is the KL search's, and
-the KL value is the best of its climbs.
+"""Brute-force capacity route: column generation over pure-state ensembles, priced on a
+state grid and refined off it by an L-BFGS ascent with analytic gradients, plus the KL
+upper-bound objective (maximized by the same ascent) and its tightness certificate. Each
+pricing round climbs from the grid states of its top max(32, d^2) prices in one stacked
+L-BFGS solve, in the KL form, stopped at the rounding floor of its gradient. The first
+round's climb is the KL search's, and the KL value is the best of its climbs.
 
-The grid is priced without forming its (n, m) channel: each linear term is one
-d x d operator applied to the grid's projectors, and the one nonlinear term,
-sum_y p ln p per grid state, is one pass in cache-sized row blocks that floors p
-only in the rows holding a p <= 0. That pass and the first climb run once per
-(POVM, grid) pair for both searches: every pricing round of
-:func:`informational_power`, and :func:`kl_maximize`. The projectors are read from
-one view per grid (:attr:`StateGrid.compact_view`), in the compact Hermitian layout of
-d (d + 1) reals per state, built on its first read and shared by every pricing of the
-grid: each lambda of a sweep, and both searches. Each round's starts are
-its top prices, picked by one partition. The stacked ascent builds one evaluator
-per climb and makes 8 passes over its (K, m) overlaps, in cache-sized row blocks too.
+The grid is priced without forming its (n, m) channel: each linear term is one d x d operator
+applied to the grid's projectors, and the one nonlinear term, sum_y p ln p per grid state, is
+one pass in cache-sized row blocks that floors p only in the rows holding a p <= 0. That pass
+and the first climb run once per (POVM, grid) pair for both searches: every pricing round of
+:func:`informational_power`, and :func:`kl_maximize`. The projectors are read from one view
+per grid (:attr:`StateGrid.compact_view`), in the compact Hermitian layout of d (d + 1) reals
+per state, built on its first read and shared by every pricing of the grid: each lambda of a
+sweep, and both searches. Each round's starts are its top prices, picked by one partition.
+The stacked ascent builds one evaluator per climb and makes 8 passes over its (K, m)
+overlaps (7 in the KL form), in cache-sized row blocks too.
 
 The oracle lower-bounds capacity by construction (it exhibits an achievable
 ensemble); the KL route upper-bounds it. Together they bracket the closed
@@ -44,19 +42,19 @@ REFINE_BARRIER_STEPS = 100  # barrier Newton step cap of each refinement solve
 REFINE_NEWTON_STEPS = 8  # KKT Newton step cap of each refinement solve after the barrier path
 PRICING_MAX_ROUNDS = 32  # column-generation round cap of informational_power
 ASCENT_MAX_ITER = 500  # L-BFGS iteration cap of each local ascent over pure states
+_TINY = np.finfo(float).tiny  # the smallest normal float: the floor of a value before its log
 
 
 @dataclass(frozen=True)
 class StateGrid:
     """A finite set of pure probe states standing in for the continuum.
 
-    ``seeded`` counts candidate-optimizer states prepended to the sampled
-    grid (used in d = 8, where blind sampling is too coarse to find the
-    optimizers on its own). ``states`` is read-only, as an element set's arrays
-    are, so a grid keeps its content: the grid pricing's row terms are reused
-    for the same (element set, grid) pair on that promise. A view is copied, so
-    no write through its base reaches the grid; an array that owns its data is
-    taken over as is (made read-only in place) and must not be changed, or made
+    ``seeded`` counts candidate-optimizer states prepended to the sampled grid (used in d =
+    8, where blind sampling is too coarse to find the optimizers on its own). ``states`` is
+    read-only, as an element set's arrays are, so a grid keeps its content: the grid
+    pricing's row terms are reused for the same (element set, grid) pair on that promise. A
+    view is copied, so no write through its base reaches the grid; an array that owns its
+    data is taken over as is (made read-only in place) and must not be changed, or made
     writable again, through any other reference.
 
     ``compact_view`` is the grid's read-only projector view in the compact Hermitian
@@ -189,7 +187,7 @@ class _GridPricing:
                 np.einsum("xy,xy->x", p, np.log(p, out=lnp_buf[:len(block)]), out=h)
                 bad = np.flatnonzero(~np.isfinite(h))  # a P <= 0 gives nan: floor those rows
                 if len(bad):
-                    p = np.maximum(p[bad], np.finfo(float).tiny)
+                    p = np.maximum(p[bad], _TINY)
                     h[bad] = np.einsum("xy,xy->x", p, np.log(p))
         return row_terms
 
@@ -254,7 +252,7 @@ def _refine_solve(channel: np.ndarray, tol: float, prior: np.ndarray | None = No
     H = np.einsum("xy,xy->x", P, _masked_log(P))
 
     def divergences(r):
-        out = np.maximum(r @ P, np.finfo(float).tiny)  # an unreached output makes D huge
+        out = np.maximum(r @ P, _TINY)  # an unreached output makes D huge
         return H - np.einsum("xy,y->x", P, np.log(out)), out
 
     def iterate(r):  # r clipped to a valid prior, with D(P_x || rP), rP, I(r) and the bracket
@@ -329,22 +327,23 @@ class _AscentTerms:
     """F and its gradient at each row of a (K, d) stack z, for one climb; see :func:`_ascend`.
 
     Built once per climb: the operators' (re, im) view and its C-contiguous transpose, S_a =
-    sum_y a_y chi_y, an x buffer of one row block and the (K, m) array g. A call folds
-    1 / |phi|^2 into the (K, 2 d^2) projector rows and makes 8 passes over the (K, m) block: x
-    by one matmul, its clamp, ln x, three in-place steps to g = a (ln x + 1) + b, g . x and B.
-    F = g . x - <phi|S_a|phi> / |phi|^2 takes no pass. g is kept, not folded into B = ln x @
-    (a chi) + (a + b) @ chi: the gradient nearly cancels, and that form rounds it up to 7e-13
-    of its size away from the one-pass form. Row blocks of about ``GRID_BLOCK / 2`` entries keep x and g in cache
-    for any K, and B comes from one matmul over the stack. A block is a multiple of 4 rows (2
-    when m > GRID_BLOCK / 8): OpenBLAS then splits each block as it splits the whole stack,
-    and only a remainder block of 1 row rounds differently, by a few ulps.
+    sum_y a_y chi_y, an x buffer of one row block and the (K, m) array g. A call folds 1 /
+    |phi|^2 into the (K, 2 d^2) projector rows and makes 8 passes over the (K, m) block: x by
+    one matmul, its clamp, ln x, three in-place steps to g = a (ln x + 1) + b (two when b = 0,
+    the KL form), g . x and B. F = g . x - <phi|S_a|phi> / |phi|^2 takes no pass. g is kept,
+    not folded into B = ln x @ (a chi) + (a + b) @ chi: the gradient nearly cancels, and that
+    form rounds it up to 7e-13 of its size away from the one-pass form. Row blocks of about
+    ``GRID_BLOCK / 2`` entries keep x and g in cache for any K, and B comes from one matmul
+    over the stack. A block is a multiple of 4 rows (2 when m > GRID_BLOCK / 8): OpenBLAS then
+    splits each block as it splits the whole stack, and only a remainder block of 1 row rounds
+    differently, by a few ulps.
     """
 
     def __init__(self, ops: np.ndarray, a: np.ndarray, b: np.ndarray, k: int):
         m = len(a)
         self.ops = np.ascontiguousarray(ops, dtype=complex).reshape(m, -1).view(float)
         self.ops_t = np.ascontiguousarray(self.ops.T)  # x = proj @ ops_t, as in core.overlaps
-        self.a, self.b, self.s_a = a, b, a @ self.ops
+        self.a, self.b, self.s_a, self.add_b = a, b, a @ self.ops, bool(b.any())
         self.rows = min(k, max(2, GRID_BLOCK // (2 * m) // 4 * 4))
         self.x, self.g = np.empty((self.rows, m)), np.empty((k, m))
 
@@ -356,11 +355,12 @@ class _AscentTerms:
         for lo in range(0, k, self.rows):
             hi = min(lo + self.rows, k)
             x = np.matmul(proj[lo:hi], self.ops_t, out=self.x[:hi - lo])
-            np.maximum(x, np.finfo(float).tiny, out=x)
+            np.maximum(x, _TINY, out=x)
             gb = np.log(x, out=self.g[lo:hi])
             gb += 1.0
             gb *= self.a
-            gb += self.b  # g = a (ln x + 1) + b
+            if self.add_b:
+                gb += self.b  # g = a (ln x + 1) + b
             np.einsum("ky,ky->k", gb, x, out=gx[lo:hi])
         # B_k = sum_y g_ky chi_y from the (re, im) view of the operators
         bk = (self.g @ self.ops).view(complex)
@@ -460,7 +460,7 @@ def kl_maximize(eset: WeightedElementSet, grid: StateGrid) -> tuple[float, np.nd
     first. Every climb is scored, ln d + F at its end, so the value is the best of them.
     Returns it and every climb within 1e-8 of it (deduplicated by projector overlap): the
     KL maximisers, for the tests and callers that want them. Nothing in the package reads
-    them; :func:`informational_power` checks tightness on its own support.
+    them; an :class:`OracleResult` certifies tightness on its own support.
     """
     climbed, vals, _ = _GridPricing(eset, grid).first_climb()
     scores = math.log(eset.dim) + vals
@@ -473,57 +473,67 @@ def kl_maximize(eset: WeightedElementSet, grid: StateGrid) -> tuple[float, np.nd
 
 @dataclass(frozen=True)
 class OracleResult:
+    """The estimate and its read-only ensemble; the properties below are computed on first read."""
+
     capacity_estimate: float
     optimizer_states: np.ndarray
     optimizer_weights: np.ndarray
-    average_state: np.ndarray
-    tightness: bool
-    tightness_residual: float
     refinement_rounds: int
     bracket_width: float
     diagnostics: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def average_state(self) -> np.ndarray:
+        states = self.optimizer_states
+        return np.einsum("x,xi,xj->ij", self.optimizer_weights, states, states.conj())
+
+    @functools.cached_property
+    def tightness_residual(self) -> float:
+        return _identity_hull_residual(self.optimizer_states, self.optimizer_states.shape[1])
+
+    @property
+    def tightness(self) -> bool:
+        return self.tightness_residual <= TIGHTNESS_RESIDUAL_TOL
 
 
 def informational_power(eset: WeightedElementSet, grid: StateGrid,
                         tol: float = 1e-6) -> OracleResult:
     """Maximize mutual information by column generation, with the grid as the pricing set.
 
-    Capacity is max_r I(r) = min_q max_phi D(p(.|phi) || q) (Csiszar-Korner), so
-    the largest price of a grid state against an output q bounds the grid's
-    capacity. :class:`_GridPricing` prices every grid state with one d x d
-    operator per q, after one blocked pass for the row terms sum_y p ln p (shared
-    with :func:`kl_maximize` on the same pair); the (n, m) grid channel is never
-    formed. The value starts as the flat grid prior's rate, and the first q is
-    the maximally mixed input's output. Each round climbs from the top max(32, d^2)
-    grid states by one stacked L-BFGS ascent of D(p(.|phi) || q) in the KL form
-    ln d + F (:func:`_ascend`); the first round's is the KL search's climb, shared
-    with :func:`kl_maximize` on the same pair. Climbs that end above value + tol
-    join the support, whose capacity a small convex solve, warm-started from the
-    last prior, gives as the new value, its output as the next q; states of zero
-    weight leave. No round runs if no grid state beats the flat rate by more than
-    ``tol`` (finite and > 0). By the minimax, the max of D(p(.|phi) || out) over
-    the states bounds the capacity above for every out, so each climb's best end
-    estimates such a bound; ``upper`` is the least of them, the KL value first.
-    The loop stops at a climb that ends nothing above value + tol, at a solve
-    whose value comes within tol of ``upper`` (before the next climb), or after
-    ``PRICING_MAX_ROUNDS`` rounds. The solve's bracket is certified: I(r) of a
-    valid prior r below, max_x D(p(.|x) || rP) above. The estimate is the rate of
-    the returned ensemble (the flat grid if no round ran), a lower bound.
+    Capacity is max_r I(r) = min_q max_phi D(p(.|phi) || q) (Csiszar-Korner), so the largest
+    price of a grid state against an output q bounds the grid's capacity.
+    :class:`_GridPricing` prices every grid state with one d x d operator per q, after one
+    blocked pass for the row terms sum_y p ln p (shared with :func:`kl_maximize` on the same
+    pair); the (n, m) grid channel is never formed. The value starts as the flat grid
+    prior's rate, and the first q is the maximally mixed input's output. Each round climbs
+    from the top max(32, d^2) grid states by one stacked L-BFGS ascent of D(p(.|phi) || q)
+    in the KL form ln d + F (:func:`_ascend`); the first round's is the KL search's climb,
+    shared with :func:`kl_maximize` on the same pair. Climbs that end above value + tol join
+    the support, whose capacity a small convex solve, warm-started from the last prior,
+    gives as the new value, its output as the next q; states of zero weight leave. No round
+    runs if no grid state beats the flat rate by more than ``tol`` (finite and > 0). By the
+    minimax, the max of D(p(.|phi) || out) over the states bounds the capacity above for
+    every out, so each climb's best end estimates such a bound; ``upper`` is the least of
+    them, the KL value first. The loop stops at a climb that ends nothing above value + tol,
+    at a solve whose value comes within tol of ``upper`` (before the next climb), or after
+    ``PRICING_MAX_ROUNDS`` rounds. The solve's bracket is certified: I(r) of a valid prior r
+    below, max_x D(p(.|x) || rP) above. The estimate is the rate of the returned ensemble
+    (the flat grid if no round ran), a lower bound. :class:`OracleResult` computes its
+    tightness certificate on first read.
 
-    ``diagnostics["grid_gap"]`` is the last largest price minus the value
-    (negative when the support beats every grid state); ``"upper"`` is the
-    least climbed estimate, or None when no round climbed: a numerical
-    estimate, an upper bound only where the climbs reach the global maximum;
-    ``"stop"`` says why the loop ended: ``"flat"`` (no round ran), ``"climb"``
-    (the last climb ended nothing above value + tol), ``"upper"`` (the value came
-    within tol of ``upper``) or ``"cap"`` (``PRICING_MAX_ROUNDS`` rounds ran). Each
-    test runs as soon as its step ends and the first that holds names the stop,
-    so a last round whose solve meets ``upper`` reads ``"upper"``, not ``"cap"``;
-    ``"pricing_capped"`` says the round cap stopped the loop (``stop == "cap"``); ``"bracket_met"`` says the reported bracket
-    is within ``tol``; ``"refine_capped"`` counts the solves that ended at their
-    step cap without closing their bracket to min(tol, ``REFINE_TOL``), and
-    ``"ascent_capped"`` the ascents that stopped at ``ASCENT_MAX_ITER``: every
-    start of a round whose stacked solve hit the cap.
+    ``diagnostics["grid_gap"]`` is the last largest price minus the value (negative when the
+    support beats every grid state); ``"upper"`` is the least climbed estimate, or None when
+    no round climbed: a numerical estimate, an upper bound only where the climbs reach the
+    global maximum; ``"stop"`` says why the loop ended: ``"flat"`` (no round ran),
+    ``"climb"`` (the last climb ended nothing above value + tol), ``"upper"`` (the value
+    came within tol of ``upper``) or ``"cap"`` (``PRICING_MAX_ROUNDS`` rounds ran). Each
+    test runs as soon as its step ends and the first that holds names the stop, so a last
+    round whose solve meets ``upper`` reads ``"upper"``, not ``"cap"``; ``"pricing_capped"``
+    says the round cap stopped the loop (``stop == "cap"``); ``"bracket_met"`` says the
+    reported bracket is within ``tol``; ``"refine_capped"`` counts the solves that ended at
+    their step cap without closing their bracket to min(tol, ``REFINE_TOL``), and
+    ``"ascent_capped"`` the ascents that stopped at ``ASCENT_MAX_ITER``: every start of a
+    round whose stacked solve hit the cap.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"oracle tolerance must be finite and positive, got {tol!r}")
@@ -562,7 +572,7 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
         states, prior = states[keep], res.prior[keep]
         value, bracket = res.capacity, res.bracket_width
         # floored: an outcome the support never reaches prices the states reaching it high
-        lnout = np.log(np.maximum(prior @ sub[keep], np.finfo(float).tiny))
+        lnout = np.log(np.maximum(prior @ sub[keep], _TINY))
         priced = pricing.prices(lnout)
         if value + tol >= upper:  # a climb already paid for bounds C within tol of the value
             stop = "upper"
@@ -571,14 +581,12 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
         if rounds:
             stop = "cap"
 
-    sigma = np.einsum("x,xi,xj->ij", prior, states, states.conj())
-    tight_res = _identity_hull_residual(states, d)
     if value > math.log(d) + 1e-9:
         raise ArithmeticError(f"oracle capacity {value!r} exceeds ln d = {math.log(d)!r}")
+    for arr in (states, prior):
+        arr.setflags(write=False)
     return OracleResult(capacity_estimate=float(value), optimizer_states=states,
-                        optimizer_weights=prior, average_state=sigma,
-                        tightness=tight_res <= TIGHTNESS_RESIDUAL_TOL,
-                        tightness_residual=float(tight_res), refinement_rounds=rounds,
+                        optimizer_weights=prior, refinement_rounds=rounds,
                         bracket_width=float(bracket),
                         diagnostics={"grid": grid.provenance, "grid_points": grid.resolution,
                                      "seeded": grid.seeded, "bracket_met": bool(bracket <= tol),

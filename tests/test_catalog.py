@@ -238,6 +238,60 @@ class TestDepolarize:
                                   f" [{interval.lo:.6g}, {interval.hi:.6g}]")
 
 
+class TestDerivedDepolarize:
+    """At 0 <= lam <= 1 depolarize builds its output from the validated input unchecked; the
+    output equals the validated construction, and anything else still validates in full."""
+
+    @pytest.fixture
+    def linalg_calls(self, monkeypatch):
+        calls = []
+        for name in ("cholesky", "eigvalsh"):
+            def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _real(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    @staticmethod
+    def _validated(eset, lam):
+        ops = lam * eset.ops + (1.0 - lam) * np.eye(eset.dim) / eset.dim
+        return WeightedElementSet(eset.dim, eset.weights, ops, eset.role, eset.label)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 0.99])
+    @pytest.mark.parametrize("family,dim", [("qubit_sic", None), ("qutrit_sic", None),
+                                            ("hoggar_sic", None), ("anti_sic", 3)])
+    def test_equals_the_validated_set(self, family, dim, lam, linalg_calls):
+        eset = build(DesignSpec(family, dim=dim))
+        linalg_calls.clear()
+        out = depolarize(eset, lam)
+        assert linalg_calls == []  # neither validated nor diagonalised
+        ref = self._validated(eset, lam)
+        assert out == ref and (out.label, out.role) == (ref.label, ref.role) == (
+            eset.label, eset.role)
+        for arr in (out.weights, out.ops):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            out.ops[0, 0, 0] = 0.0
+        assert "spectrum" not in vars(out)
+        assert np.array_equal(out.spectrum, np.linalg.eigvalsh(out.ops))  # measured on read
+        assert out.spectrum is not eset.spectrum
+        assert admissible_lambda(out) == admissible_lambda(ref)
+        assert verify.certify(out, 2, n_spotchecks=3) == verify.certify(ref, 2, n_spotchecks=3)
+
+    def test_negative_lambda_validates_in_full(self, qutrit_sic, linalg_calls):
+        out = depolarize(qutrit_sic, -0.2)
+        assert "cholesky" in linalg_calls
+        assert out == self._validated(qutrit_sic, -0.2)
+
+    @pytest.mark.parametrize("lam", [1.5, math.nan])
+    def test_outside_the_interval_is_refused_before_any_set(self, qutrit_sic, lam,
+                                                            linalg_calls, monkeypatch):
+        monkeypatch.setattr(WeightedElementSet, "_derived", None)  # a call would fail
+        with pytest.raises(LambdaRangeError, match="outside admissible interval"):
+            depolarize(qutrit_sic, lam)
+        assert "cholesky" not in linalg_calls
+
+
 class TestLambdaRefusal:
     def test_build_depolarize_and_the_interval_give_one_message(self, qutrit_sic):
         # one AdmissibleInterval.require writes every refusal; a family, if given, is named

@@ -61,6 +61,7 @@ class TestMatrix:
         bound_tokens = {a[2] for a in argvs if a[0] == "bound" and "--lambda" in a}
         assert bound_tokens == set(cli_diff.TOKENS)
         assert cli_diff.UNIFORM3_ORACLE in argvs  # the d >= 3 uniform oracle
+        assert cli_diff.UNIFORM2_ORACLE in argvs  # the flat grid's tightness check
 
     def test_pins_every_admissible_interval_refusal(self):
         # catalog.build (qubit_sic, anti_sic:3), DesignSpec (uniform:3) and the CLI's

@@ -358,6 +358,20 @@ class TestBlockedAscentTerms:
         for b in (np.zeros_like(a), a * np.linspace(-1.0, 2.0, 64)):
             self._check_one_pass(z, ops, a, b)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_zero_b_skips_its_pass_bit_for_bit(self, d):
+        # b = 0 (the KL form) is found once per climb and its g += b pass skipped
+        ops, a = _generic_ascent_operators(d, 64)
+        a[[0, 17]] = 0.0
+        z = 1.3 * haar_random_states(d, 9, seed=4)
+        terms = oracle._AscentTerms(ops, a, np.zeros_like(a), len(z))
+        assert not terms.add_b
+        skipped = terms(z)
+        terms.add_b = True
+        added = terms(z)
+        assert all(np.array_equal(s, t) for s, t in zip(skipped, added))
+        assert oracle._AscentTerms(ops, a, a * np.linspace(-1.0, 2.0, 64), len(z)).add_b
+
     def test_exact_zero_overlap(self, qubit_mub):
         # qubit_mub at lambda = 1 holds |0><0|: the state |1> has an overlap of exactly 0
         zero = np.flatnonzero(np.all(qubit_mub.ops == np.diag([1.0, 0.0]), axis=(1, 2)))
@@ -561,8 +575,10 @@ class TestSharedFirstClimb:
             res = informational_power(povm, grid, tol=1e-6)
             kl = kl if kl_first else kl_maximize(povm, grid)
             assert kl[0] == fresh_kl[0] and np.array_equal(kl[1], fresh_kl[1])
-            for f in dataclasses.fields(res):
-                got, want = getattr(res, f.name), getattr(fresh_res, f.name)
+            # the fields, then the names computed on first read, which the walk does not reach
+            names = [f.name for f in dataclasses.fields(res)]
+            for name in names + ["average_state", "tightness_residual", "tightness"]:
+                got, want = getattr(res, name), getattr(fresh_res, name)
                 assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
 
 
@@ -831,6 +847,48 @@ class TestDedupeStates:
     def test_empty(self):
         got, ref = oracle._dedupe_states([]), dedupe_states_pairwise([])
         assert got.shape == ref.shape and got.dtype == ref.dtype
+
+
+class TestLazyCertificate:
+    """The tightness certificate and the average state are computed on first read."""
+
+    @pytest.mark.parametrize("kind", ["qubit_sic", "non_design"])
+    def test_unread_result_runs_no_nnls(self, kind, monkeypatch):
+        calls = []
+        real = oracle._nnls
+
+        def counted(a, b):
+            calls.append(a.shape)
+            return real(a, b)
+
+        monkeypatch.setattr(oracle, "_nnls", counted)
+        povm, grid = _fresh_pair(kind)
+        res = informational_power(povm, grid, tol=1e-6)
+        assert calls == []
+        assert not {"average_state", "tightness_residual"} & set(vars(res))
+        states, weights, d = res.optimizer_states, res.optimizer_weights, povm.dim
+        assert res.tightness_residual == oracle._identity_hull_residual(states, d)
+        assert len(calls) >= 2  # the read solved once, the reference once more
+        n = len(calls)
+        assert res.tightness == (res.tightness_residual <= oracle.TIGHTNESS_RESIDUAL_TOL)
+        assert len(calls) == n  # kept: tightness reads the stored residual
+        sigma = np.einsum("x,xi,xj->ij", weights, states, states.conj())
+        assert np.array_equal(res.average_state, sigma)
+        assert res.average_state is res.average_state
+
+    def test_support_is_read_only(self):
+        res = informational_power(*_fresh_pair("non_design"), tol=1e-6)
+        for arr in (res.optimizer_states, res.optimizer_weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_flat_result_keeps_the_grid_read_only(self, qubit_grid):
+        # no round runs for a flat POVM: the support is the grid itself, still read-only
+        flat = depolarize(build(DesignSpec("qubit_sic", 1.0)), 0.0)
+        res = informational_power(flat, qubit_grid, tol=1e-6)
+        assert res.diagnostics["stop"] == "flat"
+        assert res.optimizer_states is qubit_grid.states
+        assert not res.optimizer_weights.flags.writeable
 
 
 class TestInformationalPower:

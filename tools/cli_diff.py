@@ -20,7 +20,9 @@ The matrix covers every subcommand: ``build``, ``verify --t 2``, ``bound``
 at lambda in {1, 0.5, 0, -0.2}; ``bound --t 1..6`` on four tokens;
 ``capacity --method oracle|both`` on five tokens of d <= 3; ``capacity --method
 oracle`` of uniform:3 (``UNIFORM3_ORACLE``), which samples Haar states twice, for
-its discretized POVM and for its state grid; sweeps of all 12 tokens with and
+its discretized POVM and for its state grid; ``capacity --method both`` of uniform:2
+(``UNIFORM2_ORACLE``), the one call whose ``oracle_tightness`` is that of the flat grid
+(no pricing round runs), so its hull check solves an evenly spaced subset; sweeps of all 12 tokens with and
 without ``--with-oracle`` (d <= 3 only with it); the error cases, among them
 one lambda outside the admissible interval at each site that refuses it
 (``build --lambda 1.5`` of qubit_sic and anti_sic:3 in ``catalog.build``, of
@@ -54,6 +56,8 @@ LAMBDAS = ("1", "0.5", "0", "-0.2")
 ORACLE_TOKENS = ("qubit_sic", "qubit_mub", "icosahedron", "qutrit_mub", "anti_sic:3")
 UNIFORM3_ORACLE = ["capacity", "--family", "uniform:3", "--lambda", "0.5", "--method", "oracle",
                    "--tol", "1e-4"]
+UNIFORM2_ORACLE = ["capacity", "--family", "uniform:2", "--lambda", "0.4", "--method", "both",
+                   "--tol", "1e-5"]
 DIFF_LINES = 12  # diff lines printed per stream of a differing call
 D8_ORACLE = (
     ["capacity", "--family", "hoggar_sic", "--lambda", "0.7", "--method", "both",
@@ -75,7 +79,7 @@ def matrix() -> list[list[str]]:
     for tok in ORACLE_TOKENS:
         out += [["capacity", "--family", tok, "--lambda", "0.5", "--method", method,
                  "--tol", "1e-4"] for method in ("oracle", "both")]
-    out.append(UNIFORM3_ORACLE)
+    out += [UNIFORM3_ORACLE, UNIFORM2_ORACLE]
     every = ",".join(TOKENS)
     out += [
         ["sweep", "--families", every, "--steps", "5"],

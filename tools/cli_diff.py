@@ -15,22 +15,22 @@ largest absolute difference between those numbers, and the last line gives
 the largest over all such calls: a change that moves values only by rounding
 can state its bound.
 
-The matrix covers every subcommand: ``build``, ``verify --t 2``, ``bound``
-(in nats and bits) and the closed-form ``capacity`` of the 12 family tokens
-at lambda in {1, 0.5, 0, -0.2}; ``bound --t 1..6`` on four tokens;
-``capacity --method oracle|both`` on five tokens of d <= 3; ``capacity --method
-oracle`` of uniform:3 (``UNIFORM3_ORACLE``), which samples Haar states twice, for
-its discretized POVM and for its state grid; ``capacity --method both`` of uniform:2
-(``UNIFORM2_ORACLE``), the one call whose ``oracle_tightness`` is that of the flat grid
-(no pricing round runs), so its hull check solves an evenly spaced subset; sweeps of all 12 tokens with and
-without ``--with-oracle`` (d <= 3 only with it); the error cases, among them
-one lambda outside the admissible interval at each site that refuses it
+The matrix covers every subcommand: ``build``, ``verify --t 2``, ``bound`` (in nats
+and bits) and the closed-form ``capacity`` of the 12 family tokens at lambda in {1,
+0.5, 0, -0.2}; ``bound --t 1..6`` on four tokens; ``capacity --method oracle|both``
+on five tokens of d <= 3; ``capacity --method oracle`` of uniform:3
+(``UNIFORM3_ORACLE``), which samples Haar states twice, for its discretized POVM and
+for its state grid; ``capacity --method both`` of uniform:2 (``UNIFORM2_ORACLE``),
+the one call whose ``oracle_tightness`` is that of the flat grid (no pricing round
+runs), so its hull check solves an evenly spaced subset; sweeps of all 12 tokens
+with and without ``--with-oracle`` (d <= 3 only with it); the error cases, among
+them one lambda outside the admissible interval at each site that refuses it
 (``build --lambda 1.5`` of qubit_sic and anti_sic:3 in ``catalog.build``, of
-uniform:3 in ``DesignSpec``; ``bound --lambda -0.6`` of qutrit_sic in the
-CLI's shared lambda = 1 base, of uniform:3 in ``DesignSpec``); and two d = 8
-oracle queries (``D8_ORACLE``): Hoggar's ``capacity --method both`` at lambda =
-0.7, and an oracle sweep of hoggar_sic, anti_sic:8 and hoggar_sic again, whose
-repeated token keeps its first base and seed.
+uniform:3 in ``DesignSpec``; ``bound --lambda -0.6`` of qutrit_sic in the CLI's
+shared lambda = 1 base, of uniform:3 in ``DesignSpec``); and two d = 8 oracle
+queries (``D8_ORACLE``): Hoggar's ``capacity --method both`` at lambda = 0.7, and an
+oracle sweep of hoggar_sic, anti_sic:8 and hoggar_sic again, whose repeated token
+keeps its first base and seed.
 """
 
 from __future__ import annotations

@@ -84,10 +84,6 @@ class InterpolationSpec:
     multiplicities: tuple[int, ...]
     interval: tuple[float, float] = (0.0, 1.0)
 
-    @property
-    def degree(self) -> int:
-        return sum(self.multiplicities) - 1
-
     def validate_pattern(self) -> None:
         """Check the invariants that make interpolation-from-below provable.
 

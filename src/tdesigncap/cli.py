@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__, bounds, catalog, closedform, oracle, verify
-from .catalog import AnalyticFamilyError, DesignSpec
+from .catalog import DesignSpec
 
 DEFAULT_SEED = 2016
 LN2 = math.log(2)
@@ -86,25 +86,73 @@ def _emit(result: dict, seed: int, tolerances: dict, args) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _check_oracle(spec: DesignSpec) -> None:
+    """Refuse an oracle query on the uniform family above d = 2, where its discretized POVM
+    is another measurement, with a rate above the uniform capacity."""
+    if spec.family == "uniform" and spec.dimension > 2:
+        raise ValueError("oracle for the uniform family is limited to d = 2 (at d >= 3 its"
+                         " discretized POVM is a different measurement)")
+
+
+class _Base:
+    """One family token's lambda = 1 inputs, built once and read, never changed, by every
+    subcommand.
+
+    ``eset`` is the lambda = 1 element set (None for the analytic uniform family), ``mv`` its
+    moments mu_1..mu_MAX_T (mu_0 = d; all 1 for uniform) and, given a seed, ``route3`` the
+    oracle's element set and state grid. The constructor checks spec.lam against the
+    admissible interval of the lambda = 1 set (a uniform spec checks its own). The uniform
+    oracle runs on a discretized POVM (d = 2 only). In d = 8 the grid is seeded with the
+    family's capacity-achieving states.
+    """
+
+    def __init__(self, spec: DesignSpec, seed: int | None = None):
+        self.family, self.dim = spec.family, spec.dimension
+        if spec.family == "uniform":
+            self.eset = None
+            self.mv = verify.MomentVector((1.0,) * bounds.MAX_T, self.dim)
+        else:
+            self.eset = catalog.build(DesignSpec(spec.family, 1.0, spec.fiducial_phase, spec.dim))
+            catalog.admissible_lambda(self.eset).require(spec.lam, spec.family)
+            self.mv = verify.moments(self.eset, bounds.MAX_T)
+        self.route3 = None
+        if seed is not None:
+            _check_oracle(spec)
+            eset = (oracle.discretized_uniform_povm(self.dim, seed=seed) if self.eset is None
+                    else self.eset)
+            optimal = catalog.FAMILY[spec.family].optimal
+            extra = optimal[1](8, spec.fiducial_phase) if optimal and self.dim == 8 else None
+            self.route3 = (eset, oracle.default_grid(self.dim, seed, extra_states=extra))
+
+    def bounds_at(self, lam: float, t: int | None = None) -> list:
+        """C_t of the family depolarized at ``lam``: at ``t``, or at every
+        t = 2..min(design strength, bounds.MAX_T)."""
+        strength = catalog.design_strength(self.family)
+        if t is not None and t > strength:
+            raise ValueError(f"{self.family} is only a {strength}-design; C_{t} does not apply")
+        ts = [t] if t is not None else range(2, min(strength, bounds.MAX_T) + 1)
+        gammas = verify.gammas(catalog.moments_of_depolarized(self.mv, lam))
+        return [bounds.bound_Ct(self.dim, gammas, k) for k in ts]
+
+    def oracle_at(self, lam: float, tol: float) -> oracle.OracleResult:
+        eset, grid = self.route3
+        return oracle.informational_power(catalog.depolarize(eset, lam), grid, tol=tol)
+
+
 def cmd_build(args) -> int:
     spec = _resolve_spec(args)
     seed = _seed(args)
-    if spec.family == "uniform":
-        result = {"spec": catalog.spec_to_json_dict(spec), "analytic": True,
-                  "dim": spec.dimension, "n_elements": None}
-        _emit(result, seed, {}, args)
-        return 0
-    eset = catalog.build(spec)
-    interval = catalog.admissible_lambda(eset)
-    mv = verify.moments(eset, 5)
-    result = {
-        "spec": catalog.spec_to_json_dict(spec),
-        "dim": eset.dim,
-        "n_elements": len(eset),
-        "admissible_lambda": {"lo": interval.lo, "hi": interval.hi, "clamped": interval.clamped},
-        "moments": list(mv.values),
-        "design_strength": catalog.design_strength(spec.family),
-    }
+    base = _Base(spec)
+    result = {"spec": catalog.spec_to_json_dict(spec), "dim": spec.dimension}
+    if base.eset is None:
+        result.update(analytic=True, n_elements=None)
+    else:
+        eset = catalog.depolarize(base.eset, spec.lam)
+        interval = catalog.admissible_lambda(eset)
+        result.update(n_elements=len(eset), moments=list(verify.moments(eset, 5).values),
+                      admissible_lambda={"lo": interval.lo, "hi": interval.hi,
+                                         "clamped": interval.clamped},
+                      design_strength=catalog.design_strength(spec.family))
     _emit(result, seed, {}, args)
     return 0
 
@@ -121,74 +169,26 @@ def cmd_verify(args) -> int:
         if not 0.0 <= lam <= 1.0:
             raise catalog.LambdaRangeError(
                 f"lambda={lam} outside [0, 1]; give --dim for [1/(1-d), 1]")
-        spec_dict = {"family": "uniform", "lambda": lam, "fiducial_phase": None}
+        spec_dict, eset = {"family": "uniform", "lambda": lam, "fiducial_phase": None}, None
     else:
         spec = catalog.spec_from_json_dict(fields)
         spec_dict = catalog.spec_to_json_dict(spec)
-    if spec_dict["family"] == "uniform":
+        eset = _Base(spec).eset
+    if eset is None:
         # analytic route, valid at every t and dimension; --dim is optional here
         if args.t < 1:
             raise ValueError(f"t must be >= 1, got {args.t}")
         if args.spotchecks < 0:
             raise ValueError(f"n_spotchecks must be >= 0, got {args.spotchecks}")
-        result = {"spec": spec_dict,
-                  "certificate": {"strength_tested": args.t, "verdict": "pass",
-                                  "notes": "analytic: the Haar-uniform POVM is a t design"
-                                           " for every t"}}
-        _emit(result, seed, tolerances, args)
-        return 0
-    cert = verify.certify(catalog.build(spec), args.t, n_spotchecks=args.spotchecks, seed=seed)
-    result = {"spec": spec_dict, "certificate": cert.to_json_dict()}
-    _emit(result, seed, tolerances, args)
-    return 0 if cert.passed else 2
-
-
-def _check_oracle(spec: DesignSpec) -> None:
-    """Refuse an oracle query on the uniform family above d = 8."""
-    if spec.family == "uniform" and spec.dimension > 8:
-        raise ValueError("oracle for the uniform family is limited to d <= 8"
-                         " (state-grid blowup)")
-
-
-def _base(spec: DesignSpec, seed: int | None = None):
-    """The family's lambda = 1 moments mu_1..mu_MAX_T (mu_0 = d) and, given a seed, the
-    oracle's inputs: the lambda = 1 element set it depolarizes and its state grid.
-
-    spec.lam is checked against the admissible interval of the lambda = 1 set (a uniform
-    spec checks its own). The uniform POVM has every moment 1, and its oracle runs on a
-    discretized POVM (d <= 8 only). In d = 8 the grid is seeded with the family's
-    capacity-achieving states.
-    """
-    if spec.family == "uniform":
-        mv = verify.MomentVector((1.0,) * bounds.MAX_T, spec.dimension)
+        certificate, code = {"strength_tested": args.t, "verdict": "pass",
+                             "notes": "analytic: the Haar-uniform POVM is a t design"
+                                      " for every t"}, 0
     else:
-        eset = catalog.build(DesignSpec(spec.family, 1.0, spec.fiducial_phase, spec.dim))
-        catalog.admissible_lambda(eset).require(spec.lam, spec.family)
-        mv = verify.moments(eset, bounds.MAX_T)
-    if seed is None:
-        return mv, None
-    _check_oracle(spec)
-    if spec.family == "uniform":
-        eset = oracle.discretized_uniform_povm(spec.dimension, seed=seed)
-    optimal = catalog.FAMILY[spec.family].optimal
-    extra = optimal[1](8, spec.fiducial_phase) if optimal and spec.dimension == 8 else None
-    return mv, (eset, oracle.default_grid(spec.dimension, seed, extra_states=extra))
-
-
-def _bounds(spec: DesignSpec, mv: verify.MomentVector, t: int | None = None) -> list:
-    """C_t of the depolarized family from its lambda = 1 moments ``mv``: at ``t``, or at
-    every t = 2..min(design strength, bounds.MAX_T)."""
-    strength = catalog.design_strength(spec.family)
-    if t is not None and t > strength:
-        raise ValueError(f"{spec.family} is only a {strength}-design; C_{t} does not apply")
-    ts = [t] if t is not None else range(2, min(strength, bounds.MAX_T) + 1)
-    gammas = verify.gammas(catalog.moments_of_depolarized(mv, spec.lam))
-    return [bounds.bound_Ct(spec.dimension, gammas, k) for k in ts]
-
-
-def _oracle(inputs, lam: float, tol: float) -> oracle.OracleResult:
-    eset, grid = inputs
-    return oracle.informational_power(catalog.depolarize(eset, lam), grid, tol=tol)
+        cert = verify.certify(catalog.depolarize(eset, spec.lam), args.t,
+                              n_spotchecks=args.spotchecks, seed=seed)
+        certificate, code = cert.to_json_dict(), 0 if cert.passed else 2
+    _emit({"spec": spec_dict, "certificate": certificate}, seed, tolerances, args)
+    return code
 
 
 def cmd_capacity(args) -> int:
@@ -201,7 +201,7 @@ def cmd_capacity(args) -> int:
     if args.method != "oracle":
         result["closed_form"] = closedform.capacity(spec.family, spec.lam, spec.dim) / unit
     if args.method != "closed":
-        res = _oracle(_base(spec, seed)[1], spec.lam, args.tol)
+        res = _Base(spec, seed).oracle_at(spec.lam, args.tol)
         result.update(oracle=res.capacity_estimate / unit, oracle_tightness=res.tightness,
                       oracle_bracket=res.bracket_width)
     if args.method == "both":
@@ -214,7 +214,7 @@ def cmd_bound(args) -> int:
     spec = _resolve_spec(args)
     seed = _seed(args)
     unit = LN2 if args.bits else 1.0
-    reports = _bounds(spec, _base(spec)[0], args.t)
+    reports = _Base(spec).bounds_at(spec.lam, args.t)
     result = {"spec": catalog.spec_to_json_dict(spec),
               "units": "bits" if args.bits else "nats",
               "bounds": [{**r.to_json_dict(), "value": r.value / unit} for r in reports]}
@@ -227,13 +227,19 @@ def _family_token(spec: DesignSpec) -> str:
     return spec.family if one_dim else f"{spec.family}:{spec.dimension}"
 
 
-def _sweep_row(spec: DesignSpec, mv: verify.MomentVector, inputs, tol: float) -> tuple:
-    """One CSV row of a sweep: token, lambda, closed form, C_2..C_5 and the oracle's rate."""
-    closed = closedform.capacity(spec.family, spec.lam, spec.dim)
-    cts = [r.value for r in _bounds(spec, mv)]
-    cts += [None] * (4 - len(cts))  # the CSV's C2..C5 columns
-    rate = None if inputs is None else _oracle(inputs, spec.lam, tol).capacity_estimate
-    return (_family_token(spec), spec.lam, closed, *cts, rate)
+def _sweep_rows(token: str, specs: list, seed: int | None, tol: float) -> list:
+    """The CSV rows of one family token, one per spec: token, lambda, closed form, C_2..C_5
+    and, given a seed, the oracle's rate. They read one lambda = 1 base, dropped on return."""
+    first = specs[0]
+    base = _Base(DesignSpec(first.family, 1.0, first.fiducial_phase, first.dim), seed)
+    rows = []
+    for spec in specs:
+        closed = closedform.capacity(spec.family, spec.lam, spec.dim)
+        cts = [r.value for r in base.bounds_at(spec.lam)]
+        cts += [None] * (4 - len(cts))  # the CSV's C2..C5 columns
+        rate = None if seed is None else base.oracle_at(spec.lam, tol).capacity_estimate
+        rows.append((token, spec.lam, closed, *cts, rate))
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -249,23 +255,18 @@ def cmd_sweep(args) -> int:
     specs = [[catalog.spec_from_json_dict({**fields, "lambda": float(lam)}) for lam in lams]
              for fields in fams]
     tokens = [_family_token(family[0]) for family in specs]
-    last = {token: i for i, token in enumerate(tokens)}
     if args.with_oracle:  # refuse before any row is computed
         for family in specs:
             _check_oracle(family[0])
 
-    # one lambda = 1 base per family token, built at its first row and dropped after its
-    # last, so its grid (and the grid's view) lives no longer; the i-th family's oracle runs
-    # at seed + 7919 i, i the index of the token's first occurrence
-    bases: dict = {}
+    # each distinct token's rows are computed once, so a sweep holds one grid at a time, and
+    # repeated for each occurrence; the i-th family's oracle runs at seed + 7919 i, i the
+    # index of the token's first occurrence
     rows = []
-    for i, (fields, token) in enumerate(zip(fams, tokens)):
-        if token not in bases:
-            spec1 = catalog.spec_from_json_dict({**fields, "lambda": 1.0})
-            bases[token] = _base(spec1, seed + 7919 * i if args.with_oracle else None)
-        rows += [_sweep_row(spec, *bases[token], args.tol) for spec in specs[i]]
-        if last[token] == i:
-            del bases[token]
+    for token in dict.fromkeys(tokens):
+        i = tokens.index(token)
+        family_seed = seed + 7919 * i if args.with_oracle else None
+        rows += _sweep_rows(token, specs[i], family_seed, args.tol) * tokens.count(token)
     rows.sort(key=lambda r: r[:2])
 
     def fmt(v):
@@ -346,9 +347,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AnalyticFamilyError as exc:
-        print(f"tdesigncap: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # CLI boundary: anything unexpected is exit 1
         print(f"tdesigncap: error: {exc}", file=sys.stderr)
         return 1

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -9,6 +10,10 @@ import weakref
 import pytest
 
 from tdesigncap.cli import main, make_parser
+
+
+UNIFORM_ORACLE_REFUSAL = ("tdesigncap: error: oracle for the uniform family is limited to d = 2"
+                          " (at d >= 3 its discretized POVM is a different measurement)\n")
 
 
 def run(capsys, *argv):
@@ -127,12 +132,6 @@ class TestCapacityCommand:
                            "--lambda", "0.5", "--method", "closed")
         assert code == 0
         assert json.loads(out)["result"]["closed_form"] > 0
-
-    def test_uniform_oracle_refused_above_d8(self, capsys):
-        code, _, err = run(capsys, "capacity", "--family", "uniform", "--dim", "9",
-                           "--lambda", "0.5", "--method", "oracle")
-        assert code == 1
-        assert "d <= 8" in err
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
     def test_bad_oracle_tolerance_exits_one(self, capsys, tol):
@@ -339,10 +338,20 @@ class TestOneEvaluationPath:
         code, out, _ = run(capsys, "bound", "--family", "uniform:3", "--t", "6")
         assert (code, out) == (1, "")
 
-    def test_uniform_oracle_refused_above_d8(self, capsys):
-        code, out, err = run(capsys, "capacity", "--family", "uniform:9", "--method", "oracle")
-        assert (code, out) == (1, "")
-        assert "limited to d <= 8" in err
+    @pytest.mark.parametrize("token", ["uniform:3", "uniform:8", "uniform:9"])
+    @pytest.mark.parametrize("argv", [["capacity", "--lambda", "0.5", "--method", "oracle"],
+                                      ["capacity", "--lambda", "0.5", "--method", "both"],
+                                      ["sweep", "--steps", "2", "--with-oracle"]],
+                             ids=["oracle", "both", "sweep"])
+    def test_uniform_oracle_refused_above_d2(self, capsys, monkeypatch, argv, token):
+        # at d >= 3 the discretized POVM is another measurement: uniform:3 once printed a
+        # rate 0.0126 above the uniform capacity, with exit 0
+        from tdesigncap import oracle
+
+        monkeypatch.setattr(oracle, "informational_power", lambda *a, **k: pytest.fail("ran"))
+        flag = "--families" if argv[0] == "sweep" else "--family"
+        code, out, err = run(capsys, *argv, flag, token)
+        assert (code, out, err) == (1, "", UNIFORM_ORACLE_REFUSAL)
 
     def test_sweep_rows_match_capacity_and_bound(self, capsys):
         code, out, _ = run(capsys, *self.SWEEP)
@@ -381,8 +390,8 @@ class TestOneEvaluationPath:
         code, _, _ = run(capsys, "sweep", "--families", "qubit_sic,qutrit_mub,qubit_mub,qubit_sic",
                          "--steps", "2", "--with-oracle", "--tol", "1e-4", "--seed", "5")
         assert code == 0
-        # qubit_sic's grid is kept for its repeat; qutrit_mub's is gone before qubit_mub's
-        assert alive == [[], [True], [True, False]]
+        # the repeated qubit_sic reuses its rows: each grid is gone before the next is built
+        assert alive == [[], [False], [False, False]]
         assert [ref() for ref in grids] == [None, None, None]
 
     def test_sweep_refuses_before_any_oracle_row(self, capsys, monkeypatch):
@@ -394,8 +403,7 @@ class TestOneEvaluationPath:
                             lambda *args, **kwargs: solved.append(1) or real(*args, **kwargs))
         code, out, err = run(capsys, "sweep", "--families", "qubit_sic,uniform:9",
                              "--with-oracle")
-        assert (code, out) == (1, "")
-        assert "limited to d <= 8" in err
+        assert (code, out, err) == (1, "", UNIFORM_ORACLE_REFUSAL)
         assert solved == []
 
     def test_sweep_builds_each_family_once(self, capsys, monkeypatch):
@@ -407,3 +415,39 @@ class TestOneEvaluationPath:
         code, _, _ = run(capsys, *self.SWEEP)
         assert code == 0
         assert sorted(spec.family for spec in built) == ["qubit_sic", "qutrit_mub"]
+
+
+class TestBase:
+    """The lambda = 1 base of each of the 12 sweep tokens, which every subcommand reads."""
+
+    TOKENS = ["qubit_sic", "qubit_mub", "icosahedron", "uniform:2", "anti_sic:2", "qutrit_sic",
+              "qutrit_mub", "uniform:3", "anti_sic:3", "hoggar_sic", "uniform:8", "anti_sic:8"]
+
+    @staticmethod
+    def _spec(token, lam):
+        from tdesigncap import catalog
+
+        family, _, dim = token.partition(":")
+        fields = {"family": family, "lambda": lam, **({"dim": int(dim)} if dim else {})}
+        return catalog.spec_from_json_dict(fields)
+
+    @pytest.mark.parametrize("token", TOKENS)
+    def test_moments_set_and_refusals(self, token):
+        from tdesigncap import bounds, catalog, verify
+        from tdesigncap.cli import _Base
+
+        base = _Base(self._spec(token, 1.0))
+        family = token.partition(":")[0]
+        if family == "uniform":
+            assert base.eset is None
+            assert base.mv.values == (1.0,) * bounds.MAX_T
+        else:
+            assert base.mv == verify.moments(catalog.build(self._spec(token, 1.0)), bounds.MAX_T)
+            half = self._spec(token, 0.5)
+            assert catalog.depolarize(_Base(half).eset, 0.5) == catalog.build(half)
+        d = base.dim
+        lo = 1.0 - d if family == "anti_sic" else 1.0 / (1.0 - d)
+        for lam in (lo - 0.25, 1.25):
+            message = f"lambda={lam} outside admissible interval [{lo:.6g}, 1] for {family}"
+            with pytest.raises(catalog.LambdaRangeError, match=f"^{re.escape(message)}$"):
+                _Base(self._spec(token, lam))

@@ -62,6 +62,19 @@ class TestMatrix:
         assert bound_tokens == set(cli_diff.TOKENS)
         assert cli_diff.UNIFORM3_ORACLE in argvs  # the d >= 3 uniform oracle
         assert cli_diff.UNIFORM2_ORACLE in argvs  # the flat grid's tightness check
+        assert all(argv in argvs for argv in cli_diff.UNIFORM_CALLS)
+
+    def test_pins_the_uniform_calls(self):
+        # verify of uniform without a dimension admits lambda in [0, 1] only, and the CLI
+        # refuses the uniform oracle at d >= 3, in capacity and in a sweep alike
+        records = cli_diff.run_matrix([*cli_diff.UNIFORM_CALLS, cli_diff.UNIFORM3_ORACLE])
+        admitted, refused, *oracle = records
+        assert admitted[0] == 0 and admitted[2] == ""
+        assert json.loads(admitted[1])["result"]["certificate"]["verdict"] == "pass"
+        assert refused == [1, "", "tdesigncap: error: lambda=1.5 outside [0, 1];"
+                                  " give --dim for [1/(1-d), 1]\n"]
+        assert [code for code, _, _ in oracle] == [1, 1]
+        assert all(out == "" and "limited to d = 2" in err for _, out, err in oracle)
 
     def test_pins_every_admissible_interval_refusal(self):
         # catalog.build (qubit_sic, anti_sic:3), DesignSpec (uniform:3) and the CLI's

@@ -19,11 +19,13 @@ The matrix covers every subcommand: ``build``, ``verify --t 2``, ``bound`` (in n
 and bits) and the closed-form ``capacity`` of the 12 family tokens at lambda in {1,
 0.5, 0, -0.2}; ``bound --t 1..6`` on four tokens; ``capacity --method oracle|both``
 on five tokens of d <= 3; ``capacity --method oracle`` of uniform:3
-(``UNIFORM3_ORACLE``), which samples Haar states twice, for its discretized POVM and
-for its state grid; ``capacity --method both`` of uniform:2 (``UNIFORM2_ORACLE``),
-the one call whose ``oracle_tightness`` is that of the flat grid (no pricing round
-runs), so its hull check solves an evenly spaced subset; sweeps of all 12 tokens
-with and without ``--with-oracle`` (d <= 3 only with it); the error cases, among
+(``UNIFORM3_ORACLE``), which the CLI refuses, as it refuses the uniform oracle at every
+d >= 3; ``capacity --method both`` of uniform:2 (``UNIFORM2_ORACLE``), the one call
+whose ``oracle_tightness`` is that of the flat grid (no pricing round runs), so its
+hull check solves an evenly spaced subset; ``UNIFORM_CALLS``: ``verify`` of uniform
+without a dimension, at an admitted and a refused lambda, and an oracle sweep that
+names uniform:3; sweeps of all 12 tokens with and without ``--with-oracle`` (d <= 3
+only with it); the error cases, among
 them one lambda outside the admissible interval at each site that refuses it
 (``build --lambda 1.5`` of qubit_sic and anti_sic:3 in ``catalog.build``, of
 uniform:3 in ``DesignSpec``; ``bound --lambda -0.6`` of qutrit_sic in the CLI's
@@ -58,6 +60,12 @@ UNIFORM3_ORACLE = ["capacity", "--family", "uniform:3", "--lambda", "0.5", "--me
                    "--tol", "1e-4"]
 UNIFORM2_ORACLE = ["capacity", "--family", "uniform:2", "--lambda", "0.4", "--method", "both",
                    "--tol", "1e-5"]
+UNIFORM_CALLS = (
+    ["verify", "--family", "uniform", "--lambda", "0.5", "--t", "3"],
+    ["verify", "--family", "uniform", "--lambda", "1.5", "--t", "2"],
+    ["sweep", "--families", "qubit_sic,uniform:3", "--steps", "2", "--with-oracle",
+     "--tol", "1e-4"],
+)
 DIFF_LINES = 12  # diff lines printed per stream of a differing call
 D8_ORACLE = (
     ["capacity", "--family", "hoggar_sic", "--lambda", "0.7", "--method", "both",
@@ -79,7 +87,7 @@ def matrix() -> list[list[str]]:
     for tok in ORACLE_TOKENS:
         out += [["capacity", "--family", tok, "--lambda", "0.5", "--method", method,
                  "--tol", "1e-4"] for method in ("oracle", "both")]
-    out += [UNIFORM3_ORACLE, UNIFORM2_ORACLE]
+    out += [UNIFORM3_ORACLE, UNIFORM2_ORACLE, *UNIFORM_CALLS]
     every = ",".join(TOKENS)
     out += [
         ["sweep", "--families", every, "--steps", "5"],

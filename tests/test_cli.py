@@ -133,6 +133,11 @@ class TestCapacityCommand:
         assert code == 0
         assert json.loads(out)["result"]["closed_form"] > 0
 
+    def test_uniform_oracle_refused_above_d8(self, capsys):
+        code, out, err = run(capsys, "capacity", "--family", "uniform", "--dim", "9",
+                             "--lambda", "0.5", "--method", "oracle")
+        assert (code, out, err) == (1, "", UNIFORM_ORACLE_REFUSAL)
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
     def test_bad_oracle_tolerance_exits_one(self, capsys, tol):
         # tol = nan once printed the flat grid's rate, 5.4e-3 below the closed form, with exit 0
@@ -337,6 +342,10 @@ class TestOneEvaluationPath:
         assert "is only a 2-design" in err
         code, out, _ = run(capsys, "bound", "--family", "uniform:3", "--t", "6")
         assert (code, out) == (1, "")
+
+    def test_uniform_oracle_refused_above_d8(self, capsys):
+        code, out, err = run(capsys, "capacity", "--family", "uniform:9", "--method", "oracle")
+        assert (code, out, err) == (1, "", UNIFORM_ORACLE_REFUSAL)
 
     @pytest.mark.parametrize("token", ["uniform:3", "uniform:8", "uniform:9"])
     @pytest.mark.parametrize("argv", [["capacity", "--lambda", "0.5", "--method", "oracle"],

@@ -241,8 +241,10 @@ def bound_Ct(d: int, gammas, t: int) -> BoundReport:
     A numerically singular Hankel matrix (a one-point coincidence vector,
     e.g. full depolarization) drops the rule to fewer free nodes and marks
     the report degenerate; the value is then the exact limit (0 at full
-    depolarization). For t = 4, when gamma_5 is supplied the dimensionally
-    inhomogeneous gamma_5 variant of Delta_4 is evaluated into diagnostics.
+    depolarization, up to rounding and never below it). For t = 4, when gamma_5
+    is supplied the dimensionally inhomogeneous gamma_5 variant of Delta_4 is
+    evaluated into diagnostics. A capacity is nonnegative, so a value that rounds
+    below 0 is reported as 0, after the cross-check; "assembled" stays raw.
     """
     gam = np.asarray(gammas, dtype=float)
     if not 1 <= t <= MAX_T:
@@ -270,6 +272,8 @@ def bound_Ct(d: int, gammas, t: int) -> BoundReport:
     if abs(assembled - value) > CROSS_CHECK_TOL:
         raise ArithmeticError(
             f"C_{t} quadrature {value!r} and Hermite assembly {assembled!r} disagree")
+    if value <= 0.0:  # rounding below 0 (and -0.0) reads 0; nan stays nan
+        value = 0.0
     delta = None
     if n >= 2:  # det(H)^2 prod (x_i - x_j)^2, the discriminant of the node polynomial
         delta = float(np.linalg.det(H) ** 2

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import WeightedElementSet, pure_ensemble
+from .core import WeightedElementSet, bloch_states, dedupe_states, pure_ensemble
 from .verify import MomentVector
 
 
@@ -124,25 +124,20 @@ _ICOSAHEDRON = np.array(
     dtype=float) / math.sqrt(1 + _GOLDEN ** 2)
 
 
-def _weyl_heisenberg_orbit(fiducial: np.ndarray) -> np.ndarray:
-    """Orbit X^a Z^b |f> over a, b in Z_d for the shift/clock pair in dim d."""
-    d = fiducial.shape[0]
-    omega = np.exp(2j * np.pi / d)
-    shift = np.zeros((d, d), dtype=complex)
-    shift[np.arange(d), (np.arange(d) - 1) % d] = 1.0
-    clock = np.diag(omega ** np.arange(d))
-    orbit = []
-    xa = np.eye(d, dtype=complex)
-    for _ in range(d):
-        zb = np.eye(d, dtype=complex)
-        for _ in range(d):
-            orbit.append(xa @ zb @ fiducial)
-            zb = clock @ zb
-        xa = shift @ xa
-    return np.array(orbit)
+def _weyl_heisenberg(d: int) -> np.ndarray:
+    """The d^2 displacements X^a Z^b of the shift/clock pair in dim d, (d^2, d, d), a slowest.
+
+    X|j> = |j + 1 mod d>, so X^a Z^b is Z^b with its rows rolled down by a. Each is a
+    monomial matrix, so each entry of an orbit ``group @ fiducial`` is one product.
+    """
+    clock = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
+    zs = np.array([np.linalg.matrix_power(clock, b) for b in range(d)])
+    return np.array([np.roll(zs, a, axis=1) for a in range(d)]).reshape(d * d, d, d)
 
 
-def _check_sic_orbit(states: np.ndarray, what: str) -> None:
+def _sic_orbit(group: np.ndarray, fiducial: np.ndarray, what: str) -> np.ndarray:
+    """The orbit ``group @ fiducial``, checked for the SIC overlaps 1/(d + 1)."""
+    states = group @ fiducial
     d = states.shape[1]
     gram = np.abs(states @ states.conj().T) ** 2
     target = np.full_like(gram, 1.0 / (d + 1))
@@ -151,13 +146,12 @@ def _check_sic_orbit(states: np.ndarray, what: str) -> None:
     if dev > 1e-10:
         raise FiducialVerificationError(
             f"{what}: SIC overlap condition violated, max deviation {dev:.3e}")
+    return states
 
 
 def qutrit_sic_states(fiducial_phase: float = 0.0) -> np.ndarray:
     f = np.array([0.0, 1.0, -np.exp(1j * fiducial_phase)], dtype=complex) / math.sqrt(2)
-    states = _weyl_heisenberg_orbit(f)
-    _check_sic_orbit(states, f"qutrit SIC (phase {fiducial_phase})")
-    return states
+    return _sic_orbit(_weyl_heisenberg(3), f, f"qutrit SIC (phase {fiducial_phase})")
 
 
 def _qutrit_sic_optimal(fiducial_phase: float) -> np.ndarray:
@@ -167,16 +161,13 @@ def _qutrit_sic_optimal(fiducial_phase: float) -> np.ndarray:
     any other fiducial admits one orthonormal basis of them.
     """
     from itertools import combinations
-    found: list[np.ndarray] = []
-    for triple in combinations(qutrit_sic_states(fiducial_phase).conj(), 3):
-        _, s, vh = np.linalg.svd(np.array(triple))
-        phi = vh[-1].conj()
-        if s[-1] < 1e-8 * s[0] and all(abs(np.vdot(phi, f)) ** 2 < 1 - 1e-8 for f in found):
-            found.append(phi)
+    svds = [np.linalg.svd(np.array(triple))
+            for triple in combinations(qutrit_sic_states(fiducial_phase).conj(), 3)]
+    found = dedupe_states([vh[-1].conj() for _, s, vh in svds if s[-1] < 1e-8 * s[0]])
     if len(found) not in (3, 12):
         raise RuntimeError(f"{len(found)} states are orthogonal to 3 SIC elements;"
                            " expected 3 or 12")
-    return np.array(found)
+    return found
 
 
 def qutrit_mub_states() -> np.ndarray:
@@ -207,9 +198,7 @@ def _three_qubit_displacements() -> np.ndarray:
 
 
 def hoggar_states(fiducial: np.ndarray = HOGGAR_FIDUCIAL) -> np.ndarray:
-    states = _three_qubit_displacements() @ fiducial
-    _check_sic_orbit(states, "Hoggar SIC")
-    return states
+    return _sic_orbit(_three_qubit_displacements(), fiducial, "Hoggar SIC")
 
 
 def hoggar_dual_states() -> np.ndarray:
@@ -229,9 +218,8 @@ def hoggar_dual_states() -> np.ndarray:
 
 
 def _bloch_amplitudes(vectors: np.ndarray) -> np.ndarray:
-    theta = np.arccos(np.clip(vectors[:, 2], -1.0, 1.0))
-    phi = np.arctan2(vectors[:, 1], vectors[:, 0])
-    return np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=1)
+    return bloch_states(np.arccos(np.clip(vectors[:, 2], -1.0, 1.0)),
+                        np.arctan2(vectors[:, 1], vectors[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +344,11 @@ def admissible_lambda(eset: WeightedElementSet) -> AdmissibleInterval:
     a_min = float(eset.spectrum[:, 0].min())
     if a_min < 1e-12:
         a_min = 0.0
-    big = 1e12
-    den_lo = 1.0 - d * a_max
-    den_hi = 1.0 - d * a_min
-    clamped = abs(den_lo) < 1e-12 or abs(den_hi) < 1e-12
-    lo = -big if abs(den_lo) < 1e-12 else 1.0 / den_lo
-    hi = big if abs(den_hi) < 1e-12 else 1.0 / den_hi
-    if clamped:
-        lo, hi = max(lo, -big), min(hi, big)
-    return AdmissibleInterval(lo=lo, hi=hi, clamped=clamped)
+    den_lo, den_hi = 1.0 - d * a_max, 1.0 - d * a_min
+    flat_lo, flat_hi = abs(den_lo) < 1e-12, abs(den_hi) < 1e-12
+    lo = -1e12 if flat_lo else 1.0 / den_lo
+    hi = 1e12 if flat_hi else 1.0 / den_hi
+    return AdmissibleInterval(lo=lo, hi=hi, clamped=flat_lo or flat_hi)
 
 
 def anti_design(eset: WeightedElementSet) -> WeightedElementSet:

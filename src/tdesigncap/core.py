@@ -78,6 +78,30 @@ def haar_random_states(dim: int, count: int, seed: int) -> np.ndarray:
     return v
 
 
+def bloch_states(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Qubit amplitudes (cos theta/2, e^{i phi} sin theta/2) of Bloch angles, (n, 2)."""
+    return np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=1)
+
+
+def dedupe_states(states, tol: float = 1e-8) -> np.ndarray:
+    """The states in order, each dropped if |<kept|phi>|^2 > 1 - tol for an earlier kept one.
+
+    One Gram matrix of the (a few hundred) inputs decides every pair; the walk
+    keeps the first of each cluster and retires the rest of its row.
+    """
+    states = np.asarray(states)
+    if len(states) == 0:
+        return np.array([])
+    close = np.abs(states @ states.conj().T) ** 2 > 1 - tol
+    alive = np.ones(len(states), dtype=bool)
+    keep = np.zeros(len(states), dtype=bool)
+    for i in range(len(states)):
+        if alive[i]:
+            keep[i] = True
+            alive &= ~close[i]
+    return states[keep]
+
+
 def projector_view(states: np.ndarray) -> np.ndarray:
     """The interleaved (re, im) view of A_ij = phi_i conj(phi_j) per state row, (n, 2 d^2)."""
     states = np.asarray(states, dtype=complex)

@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (GRID_BLOCK, WeightedElementSet, compact_operator_view,
-                   compact_projector_view, haar_random_states, overlaps, projector_view,
-                   pure_ensemble)
+from .core import (GRID_BLOCK, WeightedElementSet, bloch_states, compact_operator_view,
+                   compact_projector_view, dedupe_states, haar_random_states, overlaps,
+                   projector_view, pure_ensemble)
 
 DEFAULT_GRID_SIZES = {2: 4096, 3: 20000, 8: 60000}
 TIGHTNESS_RESIDUAL_TOL = 1e-6
@@ -91,9 +91,14 @@ def fibonacci_bloch_states(count: int) -> np.ndarray:
     i = np.arange(count) + 0.5
     golden = math.pi * (1 + math.sqrt(5))
     z = 1 - 2 * i / count
-    theta = np.arccos(np.clip(z, -1, 1))
-    phi = golden * i
-    return np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=1)
+    return bloch_states(np.arccos(np.clip(z, -1, 1)), golden * i)
+
+
+def _sampled_states(dim: int, count: int, seed: int) -> tuple[np.ndarray, str]:
+    """``count`` Fibonacci points in d = 2, Haar samples otherwise, and their provenance."""
+    if dim == 2:
+        return fibonacci_bloch_states(count), "fibonacci-sphere"
+    return haar_random_states(dim, count, seed), "haar-sample"
 
 
 def default_grid(dim: int, seed: int, extra_states: np.ndarray | None = None,
@@ -101,12 +106,7 @@ def default_grid(dim: int, seed: int, extra_states: np.ndarray | None = None,
     """The grid sizes the package is calibrated for: 4096 Fibonacci points in
     d=2, 20000 Haar samples in d=3, 60000 in d=8 (plus seeded candidates)."""
     n = resolution if resolution is not None else DEFAULT_GRID_SIZES.get(dim, 20000)
-    if dim == 2:
-        sampled = fibonacci_bloch_states(n)
-        provenance = "fibonacci-sphere"
-    else:
-        sampled = haar_random_states(dim, n, seed)
-        provenance = "haar-sample"
+    sampled, provenance = _sampled_states(dim, n, seed)
     if extra_states is not None and len(extra_states):
         extra = np.asarray(extra_states, dtype=complex)
         states = np.vstack([extra, sampled])
@@ -465,7 +465,7 @@ def kl_maximize(eset: WeightedElementSet, grid: StateGrid) -> tuple[float, np.nd
     climbed, vals, _ = _GridPricing(eset, grid).first_climb()
     scores = math.log(eset.dim) + vals
     best_val = float(scores.max())
-    return best_val, _dedupe_states(climbed[scores >= best_val - 1e-8], 1e-6)
+    return best_val, dedupe_states(climbed[scores >= best_val - 1e-8], 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +562,7 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
             stop = "climb"
             break
         kept = len(states) if rounds else 0  # before round 1, states is the flat grid
-        states = _dedupe_states([*states[:kept], *climbed[prices > value + tol]])
+        states = dedupe_states([*states[:kept], *climbed[prices > value + tol]])
         sub = povm_channel(eset, states)
         res = _refine_solve(sub, refine_tol, np.append(prior, np.zeros(len(states) - kept))
                             if kept else None)
@@ -594,25 +594,6 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
                                      "grid_gap": float(priced.max()) - value,
                                      "pricing_capped": stop == "cap", "stop": stop,
                                      "upper": None if upper == math.inf else upper})
-
-
-def _dedupe_states(states, tol: float = 1e-8) -> np.ndarray:
-    """The states in order, each dropped if |<kept|phi>|^2 > 1 - tol for an earlier kept one.
-
-    One Gram matrix of the (a few hundred) inputs decides every pair; the walk
-    keeps the first of each cluster and retires the rest of its row.
-    """
-    states = np.asarray(states)
-    if len(states) == 0:
-        return np.array([])
-    close = np.abs(states @ states.conj().T) ** 2 > 1 - tol
-    alive = np.ones(len(states), dtype=bool)
-    keep = np.zeros(len(states), dtype=bool)
-    for i in range(len(states)):
-        if alive[i]:
-            keep[i] = True
-            alive &= ~close[i]
-    return states[keep]
 
 
 def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -664,15 +645,11 @@ def _identity_hull_residual(states: np.ndarray, d: int) -> float:
     which spares the full solve, and the projectors of the other states, on a
     grid-sized ensemble. A subset that is the whole set is solved once.
     """
-    def columns(states):
-        projs = np.einsum("xi,xj->xij", states, states.conj()).reshape(len(states), -1)
-        return np.concatenate([projs.real, projs.imag], axis=1).T
-
-    target = np.concatenate([(np.eye(d) / d).ravel(), np.zeros(d * d)])
+    target = (np.eye(d, dtype=complex) / d).reshape(-1).view(float)  # in projector_view's layout
     stride = max(1, len(states) // (8 * d * d))
-    _, resid = _nnls(columns(states[::stride]), target)
+    _, resid = _nnls(projector_view(states[::stride]).T, target)
     if resid > TIGHTNESS_RESIDUAL_TOL and stride > 1:
-        _, resid = _nnls(columns(states), target)
+        _, resid = _nnls(projector_view(states).T, target)
     return float(resid)
 
 
@@ -690,7 +667,7 @@ def discretized_uniform_povm(dim: int, n_effects: int | None = None,
     m = n_effects if n_effects is not None else max(2048, 32 * dim * dim)
     if m < dim:
         raise ValueError(f"n_effects must be >= dim = {dim} to resolve the identity, got {m}")
-    raw = fibonacci_bloch_states(m) if dim == 2 else haar_random_states(dim, m, seed)
+    raw, _ = _sampled_states(dim, m, seed)
     s = (dim / m) * np.einsum("mi,mj->ij", raw, raw.conj())
     w, v = np.linalg.eigh(s)
     s_inv_half = (v * (w ** -0.5)) @ v.conj().T

@@ -16,8 +16,7 @@ import math
 import numpy as np
 
 from tdesigncap import oracle
-from tdesigncap.core import eta_array, overlaps
-from tdesigncap.oracle import _dedupe_states
+from tdesigncap.core import dedupe_states, eta_array, overlaps
 
 
 def kl_objective(eset, phi: np.ndarray) -> float:
@@ -75,7 +74,7 @@ def kl_maximize_reference(eset, grid) -> tuple[float, np.ndarray]:
                                   max_iter=10_000)[:2][::-1] for i in starts]
     best_val = max(v for v, _ in refined)
     near = [phi for val, phi in refined if val >= best_val - 1e-8]
-    return float(best_val), _dedupe_states(near, 1e-6)
+    return float(best_val), dedupe_states(near, 1e-6)
 
 
 def ascent_objective(v: np.ndarray, ops: np.ndarray, a: np.ndarray, b: np.ndarray):

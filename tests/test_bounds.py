@@ -160,6 +160,14 @@ class TestVerifyBelow:
 
 
 class TestBoundCt:
+    @pytest.mark.parametrize("token", SWEEP_TOKENS)
+    def test_nonnegative_at_full_depolarization(self, token):
+        # at lambda = 0 the d = 2 tokens gave C_2 = -1.1e-16 (and C_4 for icosahedron, uniform:2)
+        d, g = next((d, g) for tok, d, lam, g in sweep_gammas() if tok == token and lam == 0.0)
+        for t in range(1, min(design_strength(token.partition(":")[0]), 5) + 1):
+            value = bound_Ct(d, g, t).value
+            assert value >= 0.0 and math.copysign(1.0, value) == 1.0, (t, value)
+
     def test_c1_is_ln_d(self):
         for d in (2, 3, 8):
             assert bound_Ct(d, [1.0 / d], 1).value == pytest.approx(math.log(d), abs=1e-15)

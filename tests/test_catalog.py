@@ -26,6 +26,7 @@ from tdesigncap.catalog import (
     LambdaRangeError,
     UnsupportedFamilyError,
     _three_qubit_displacements,
+    _weyl_heisenberg,
     design_strength,
     hoggar_dual_states,
     hoggar_states,
@@ -175,6 +176,46 @@ class TestHoggarOrbit:
         assert np.array_equal(hoggar_states(), np.array([D @ HOGGAR_FIDUCIAL for D in ref]))
         assert np.array_equal(hoggar_dual_states(),
                               np.array([D @ HOGGAR_FIDUCIAL.conj() for D in ref]))
+
+
+def weyl_heisenberg_orbit_loop(fiducial: np.ndarray) -> np.ndarray:
+    """The orbit X^a Z^b |f> by the former double loop over a, then b (the reference)."""
+    d = fiducial.shape[0]
+    omega = np.exp(2j * np.pi / d)
+    shift = np.zeros((d, d), dtype=complex)
+    shift[np.arange(d), (np.arange(d) - 1) % d] = 1.0
+    clock = np.diag(omega ** np.arange(d))
+    orbit = []
+    xa = np.eye(d, dtype=complex)
+    for _ in range(d):
+        zb = np.eye(d, dtype=complex)
+        for _ in range(d):
+            orbit.append(xa @ zb @ fiducial)
+            zb = clock @ zb
+        xa = shift @ xa
+    return np.array(orbit)
+
+
+class TestWeylHeisenberg:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_equals_explicit_products(self, d):
+        # X^a Z^b |j> = omega^(j b) |j + a mod d>, at index a d + b
+        group = _weyl_heisenberg(d)
+        assert group.shape == (d * d, d, d)
+        for a, b in product(range(d), repeat=2):
+            ref = np.zeros((d, d), dtype=complex)
+            for j in range(d):
+                ref[(j + a) % d, j] = np.exp(2j * np.pi * j * b / d)
+            g = group[a * d + b]
+            assert np.array_equal(g == 0, ref == 0)
+            assert np.abs(g - ref).max() <= 1e-14
+
+    @pytest.mark.parametrize("phase", [0.0, 0.7, 2.1])
+    def test_qutrit_orbit_equals_the_loop_bit_for_bit(self, phase):
+        f = np.array([0.0, 1.0, -np.exp(1j * phase)], dtype=complex) / math.sqrt(2)
+        got, ref = qutrit_sic_states(phase), weyl_heisenberg_orbit_loop(f)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestDepolarize:

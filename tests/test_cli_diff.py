@@ -76,6 +76,16 @@ class TestMatrix:
         assert [code for code, _, _ in oracle] == [1, 1]
         assert all(out == "" and "limited to d = 2" in err for _, out, err in oracle)
 
+    def test_pins_the_fiducial_phase_calls(self):
+        # the only calls whose qutrit SIC orbit is not the default phase's; each echoes it
+        argvs = cli_diff.matrix()
+        assert all(argv in argvs for argv in cli_diff.PHASE_CALLS)
+        for argv, (code, out, err) in zip(cli_diff.PHASE_CALLS,
+                                          cli_diff.run_matrix(cli_diff.PHASE_CALLS)):
+            assert (code, err) == (0, "")
+            phase = float(argv[argv.index("--fiducial-phase") + 1])
+            assert json.loads(out)["result"]["spec"]["fiducial_phase"] == phase
+
     def test_pins_every_admissible_interval_refusal(self):
         # catalog.build (qubit_sic, anti_sic:3), DesignSpec (uniform:3) and the CLI's
         # lambda = 1 base (qutrit_sic) each refuse a lambda outside the interval

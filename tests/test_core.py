@@ -17,7 +17,8 @@ from tdesigncap import (
 )
 from tdesigncap.catalog import qutrit_sic_states
 from tdesigncap.core import (GRID_BLOCK, check_probability_vector, compact_operator_view,
-                             compact_projector_view, haar_random_states, overlaps)
+                             compact_projector_view, dedupe_states, haar_random_states,
+                             overlaps)
 from tdesigncap.verify import moments
 
 from reference_grid import former_compact_projector_view, former_haar_random_states
@@ -179,6 +180,42 @@ class TestHaarRandomState:
         for count in (0, -1):
             with pytest.raises(ValueError, match="count"):
                 haar_random_states(2, count, seed=0)
+
+
+def dedupe_states_pairwise(states, tol: float = 1e-8) -> np.ndarray:
+    """The pairwise loop: keep each state unless an earlier kept one is within tol (reference)."""
+    kept: list[np.ndarray] = []
+    for phi in states:
+        if not any(abs(np.vdot(phi, other)) ** 2 > 1 - tol for other in kept):
+            kept.append(phi)
+    return np.array(kept)
+
+
+class TestDedupeStates:
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-6])
+    def test_matches_pairwise_reference(self, dim, tol):
+        """Random states, each followed by near-duplicates of infidelity 1e-9 and 1e-7."""
+        rng = np.random.default_rng(dim)
+        base = haar_random_states(dim, 40, seed=dim)
+        states = []
+        for phi in base:
+            states.append(phi)
+            for infidelity in (1e-9, 1e-7):
+                v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                v -= np.vdot(phi, v) * phi
+                near = phi + math.sqrt(infidelity) * v / np.linalg.norm(v)
+                states.append(np.exp(2j * math.pi * rng.random()) * near / np.linalg.norm(near))
+        states = np.array(states)[rng.permutation(len(states))]
+        got = dedupe_states(states, tol)
+        assert np.array_equal(got, dedupe_states_pairwise(states, tol))
+        # the 1e-7 copies survive tol = 1e-8 and fall to tol = 1e-6
+        assert len(got) == (80 if tol == 1e-8 else 40)
+        assert np.array_equal(dedupe_states(list(states), tol), got)
+
+    def test_empty(self):
+        got, ref = dedupe_states([]), dedupe_states_pairwise([])
+        assert got.shape == ref.shape and got.dtype == ref.dtype
 
 
 class TestGridKernels:

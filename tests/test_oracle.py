@@ -813,42 +813,6 @@ class TestRowTermsMemo:
         assert [r() for r in refs] == [None, None]
 
 
-def dedupe_states_pairwise(states, tol: float = 1e-8) -> np.ndarray:
-    """The pairwise loop: keep each state unless an earlier kept one is within tol (reference)."""
-    kept: list[np.ndarray] = []
-    for phi in states:
-        if not any(abs(np.vdot(phi, other)) ** 2 > 1 - tol for other in kept):
-            kept.append(phi)
-    return np.array(kept)
-
-
-class TestDedupeStates:
-    @pytest.mark.parametrize("dim", [2, 3, 8])
-    @pytest.mark.parametrize("tol", [1e-8, 1e-6])
-    def test_matches_pairwise_reference(self, dim, tol):
-        """Random states, each followed by near-duplicates of infidelity 1e-9 and 1e-7."""
-        rng = np.random.default_rng(dim)
-        base = haar_random_states(dim, 40, seed=dim)
-        states = []
-        for phi in base:
-            states.append(phi)
-            for infidelity in (1e-9, 1e-7):
-                v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-                v -= np.vdot(phi, v) * phi
-                near = phi + math.sqrt(infidelity) * v / np.linalg.norm(v)
-                states.append(np.exp(2j * math.pi * rng.random()) * near / np.linalg.norm(near))
-        states = np.array(states)[rng.permutation(len(states))]
-        got = oracle._dedupe_states(states, tol)
-        assert np.array_equal(got, dedupe_states_pairwise(states, tol))
-        # the 1e-7 copies survive tol = 1e-8 and fall to tol = 1e-6
-        assert len(got) == (80 if tol == 1e-8 else 40)
-        assert np.array_equal(oracle._dedupe_states(list(states), tol), got)
-
-    def test_empty(self):
-        got, ref = oracle._dedupe_states([]), dedupe_states_pairwise([])
-        assert got.shape == ref.shape and got.dtype == ref.dtype
-
-
 class TestLazyCertificate:
     """The tightness certificate and the average state are computed on first read."""
 
@@ -1255,6 +1219,40 @@ class TestNnls:
                 b = np.concatenate([target.ravel(), np.zeros(d * d)])
                 assert abs(oracle._nnls(a, b)[1] - nnls(a, b)[1]) <= 1e-12
         assert oracle._identity_hull_residual(states, d) <= 1e-12
+
+
+def concatenated_hull_residual(states, d):
+    """The hull residual in the former column layout: every real part, then every imaginary
+    part of the flattened projectors (the reference for the interleaved projector view)."""
+    def columns(states):
+        projs = np.einsum("xi,xj->xij", states, states.conj()).reshape(len(states), -1)
+        return np.concatenate([projs.real, projs.imag], axis=1).T
+
+    target = np.concatenate([(np.eye(d) / d).ravel(), np.zeros(d * d)])
+    stride = max(1, len(states) // (8 * d * d))
+    _, resid = oracle._nnls(columns(states[::stride]), target)
+    if resid > oracle.TIGHTNESS_RESIDUAL_TOL and stride > 1:
+        _, resid = oracle._nnls(columns(states), target)
+    return float(resid)
+
+
+class TestHullResidualLayout:
+    """The hull check reads core.projector_view; its residual is the former layout's."""
+
+    @pytest.mark.parametrize("family,lam", [("qubit_sic", 0.5), ("icosahedron", 0.3),
+                                            ("qutrit_sic", 0.5)])
+    def test_acceptance_4_support(self, family, lam, qubit_grid):
+        base = build(DesignSpec(family))
+        grid = qubit_grid if base.dim == 2 else default_grid(3, seed=2016)
+        states = informational_power(depolarize(base, lam), grid, tol=1e-5).optimizer_states
+        got = oracle._identity_hull_residual(states, base.dim)
+        assert abs(got - concatenated_hull_residual(states, base.dim)) <= 1e-15
+
+    def test_flat_uniform_grid(self, qubit_grid):
+        # capacity --family uniform:2 --lambda 0.4 --method both checks the whole flat grid
+        states = qubit_grid.states
+        got = oracle._identity_hull_residual(states, 2)
+        assert abs(got - concatenated_hull_residual(states, 2)) <= 1e-15
 
 
 class TestDiscretizedUniform:

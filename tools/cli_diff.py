@@ -24,9 +24,11 @@ d >= 3; ``capacity --method both`` of uniform:2 (``UNIFORM2_ORACLE``), the one c
 whose ``oracle_tightness`` is that of the flat grid (no pricing round runs), so its
 hull check solves an evenly spaced subset; ``UNIFORM_CALLS``: ``verify`` of uniform
 without a dimension, at an admitted and a refused lambda, and an oracle sweep that
-names uniform:3; sweeps of all 12 tokens with and without ``--with-oracle`` (d <= 3
-only with it); the error cases, among
-them one lambda outside the admissible interval at each site that refuses it
+names uniform:3; ``PHASE_CALLS``: ``build``, ``verify``, ``bound`` and ``capacity
+--method both`` of qutrit_sic or anti_sic:3 at the fiducial phases 0.7 and 2.1, the only
+calls whose qutrit SIC orbit is not the default phase's; sweeps of all 12 tokens with
+and without ``--with-oracle`` (d <= 3 only with it); the error cases, among them one
+lambda outside the admissible interval at each site that refuses it
 (``build --lambda 1.5`` of qubit_sic and anti_sic:3 in ``catalog.build``, of
 uniform:3 in ``DesignSpec``; ``bound --lambda -0.6`` of qutrit_sic in the CLI's
 shared lambda = 1 base, of uniform:3 in ``DesignSpec``); and two d = 8 oracle
@@ -66,6 +68,13 @@ UNIFORM_CALLS = (
     ["sweep", "--families", "qubit_sic,uniform:3", "--steps", "2", "--with-oracle",
      "--tol", "1e-4"],
 )
+PHASE_CALLS = (
+    ["build", "--family", "qutrit_sic", "--fiducial-phase", "0.7", "--lambda", "0.5"],
+    ["verify", "--family", "qutrit_sic", "--fiducial-phase", "2.1", "--t", "2"],
+    ["bound", "--family", "anti_sic:3", "--fiducial-phase", "0.7", "--lambda", "0.5"],
+    ["capacity", "--family", "anti_sic:3", "--fiducial-phase", "0.7", "--lambda", "0.5",
+     "--method", "both", "--tol", "1e-4"],
+)
 DIFF_LINES = 12  # diff lines printed per stream of a differing call
 D8_ORACLE = (
     ["capacity", "--family", "hoggar_sic", "--lambda", "0.7", "--method", "both",
@@ -87,7 +96,7 @@ def matrix() -> list[list[str]]:
     for tok in ORACLE_TOKENS:
         out += [["capacity", "--family", tok, "--lambda", "0.5", "--method", method,
                  "--tol", "1e-4"] for method in ("oracle", "both")]
-    out += [UNIFORM3_ORACLE, UNIFORM2_ORACLE, *UNIFORM_CALLS]
+    out += [UNIFORM3_ORACLE, UNIFORM2_ORACLE, *UNIFORM_CALLS, *PHASE_CALLS]
     every = ",".join(TOKENS)
     out += [
         ["sweep", "--families", every, "--steps", "5"],

@@ -25,7 +25,7 @@ node fixed at 0 for even t, Gauss-Lobatto with nodes fixed at 0 and 1 for
 odd t. The rule integrates r exactly and r = eta on its nodes, so
 C_t = ln d - d sum_j w_j eta(x_j) (Golub & Welsch 1969 give the
 construction). One path computes every t. Each call still builds the
-interpolant, and the run-time checks listed at ``_assemble`` carry the
+interpolant, and the run-time checks listed at ``bound_Ct`` carry the
 remainder argument's hypotheses; the tests check the property numerically
 on every interpolant of the figure sweeps.
 
@@ -184,25 +184,9 @@ def _check_gammas(d: int, gammas: np.ndarray, t: int) -> None:
             f"gamma_1 = {gammas[0]!r} != 1/d; rescaled coincidence vectors are rejected")
 
 
-def _assemble(d: int, gammas: np.ndarray, nodes: tuple[float, ...],
-              mult: tuple[int, ...]) -> float:
-    """ln d - d sum_i a_i gamma_i for the Hermite interpolant at the given contacts.
-
-    The interpolant lies below eta by the remainder argument of the module
-    docstring, so no numeric scan runs. Its hypotheses are checked at run
-    time: ``hermite_interpolate`` validates the pattern (simple contact at 0,
-    double contacts inside, simple contact at 1 for odd t), the node
-    separation ``NODE_MIN_SEPARATION`` and the defining residual
-    ``DEFINING_RESIDUAL_TOL``; ``bound_Ct`` checks the free nodes lie in
-    (0, 1) and that the returned value matches the quadrature to
-    ``CROSS_CHECK_TOL``.
-    """
-    coeffs = hermite_interpolate(InterpolationSpec(nodes=nodes, multiplicities=mult))
-    return math.log(d) - d * float(coeffs[1:] @ gammas[:len(coeffs) - 1])
-
-
 def _hankel(m: np.ndarray, n: int) -> np.ndarray:
-    return np.array([[m[i + j] for j in range(n)] for i in range(n)]).reshape(n, n)
+    r = np.arange(n)
+    return m[np.add.outer(r, r)]
 
 
 def _gauss_rule(m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -234,9 +218,14 @@ def bound_Ct(d: int, gammas, t: int) -> BoundReport:
     x (1 - x), which vanishes on the fixed nodes; eta vanishes there too, so
     only the free nodes enter the value. The Hermite interpolant of eta at
     the same nodes is built (it lies below eta by the remainder argument of
-    the module docstring), and its assembly
+    the module docstring, so no numeric scan runs), and its assembly
     ln d - d sum_i a_i gamma_i must agree with the quadrature value to 1e-10;
-    it is recorded as diagnostics["assembled"].
+    it is recorded as diagnostics["assembled"]. The remainder argument's
+    hypotheses are checked at run time: ``hermite_interpolate`` validates the
+    pattern (simple contact at 0, double contacts inside, simple contact at 1
+    for odd t), the node separation ``NODE_MIN_SEPARATION`` and the defining
+    residual ``DEFINING_RESIDUAL_TOL``; the free nodes must lie in (0, 1) and
+    the assembly must match the quadrature to ``CROSS_CHECK_TOL``.
 
     A numerically singular Hankel matrix (a one-point coincidence vector,
     e.g. full depolarization) drops the rule to fewer free nodes and marks
@@ -268,7 +257,8 @@ def bound_Ct(d: int, gammas, t: int) -> BoundReport:
     value = math.log(d) - d * float(w @ eta_array(x))
 
     nodes = (0.0, *map(float, x), *(1.0,) * odd)
-    assembled = _assemble(d, gam, nodes, (1, *(2,) * n, *(1,) * odd))
+    coeffs = hermite_interpolate(InterpolationSpec(nodes, (1, *(2,) * n, *(1,) * odd)))
+    assembled = math.log(d) - d * float(coeffs[1:] @ gam[:len(coeffs) - 1])
     if abs(assembled - value) > CROSS_CHECK_TOL:
         raise ArithmeticError(
             f"C_{t} quadrature {value!r} and Hermite assembly {assembled!r} disagree")

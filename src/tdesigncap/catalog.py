@@ -87,12 +87,10 @@ class AdmissibleInterval:
     hi: float
     clamped: bool = False
 
-    def contains(self, lam: float) -> bool:
-        return self.lo - 1e-12 <= lam <= self.hi + 1e-12
-
     def require(self, lam: float, family: str = "") -> None:
-        """Refuse ``lam`` outside the interval, naming ``family`` if one is given."""
-        if not self.contains(lam):
+        """Refuse ``lam`` more than 1e-12 outside the interval (nan too), naming ``family`` if
+        one is given."""
+        if not self.lo - 1e-12 <= lam <= self.hi + 1e-12:
             raise LambdaRangeError(f"lambda={lam} outside admissible interval"
                                    f" [{self.lo:.6g}, {self.hi:.6g}]"
                                    + (f" for {family}" if family else ""))
@@ -217,11 +215,6 @@ def hoggar_dual_states() -> np.ndarray:
     return duals
 
 
-def _bloch_amplitudes(vectors: np.ndarray) -> np.ndarray:
-    return bloch_states(np.arccos(np.clip(vectors[:, 2], -1.0, 1.0)),
-                        np.arctan2(vectors[:, 1], vectors[:, 0]))
-
-
 # ---------------------------------------------------------------------------
 # the family record
 
@@ -238,7 +231,9 @@ class Family:
 
 
 def _bloch(vectors: np.ndarray) -> Callable:
-    return lambda d, phase: _bloch_amplitudes(vectors)
+    """(d, phase) -> the qubit states of the unit Bloch ``vectors``."""
+    return lambda d, phase: bloch_states(np.arccos(np.clip(vectors[:, 2], -1.0, 1.0)),
+                                         np.arctan2(vectors[:, 1], vectors[:, 0]))
 
 
 def _rank_one(label: str, states: Callable) -> Callable:
@@ -247,13 +242,13 @@ def _rank_one(label: str, states: Callable) -> Callable:
 
 # The SIC states of each cataloged dimension, by fiducial phase (only the
 # qutrit SIC has a fiducial family); the anti-SICs are their anti-designs.
-_SIC_STATES = {2: lambda phase: _bloch_amplitudes(_TETRAHEDRON),
-               3: qutrit_sic_states,
-               8: lambda phase: hoggar_states()}
+_SIC_STATES = {2: _bloch(_TETRAHEDRON),
+               3: lambda d, phase: qutrit_sic_states(phase),
+               8: lambda d, phase: hoggar_states()}
 
 
 def _sic(d: int, phase: float) -> np.ndarray:
-    return _SIC_STATES[d](phase)
+    return _SIC_STATES[d](d, phase)
 
 
 def _anti_sic(d: int, phase: float) -> WeightedElementSet:
@@ -352,18 +347,18 @@ def admissible_lambda(eset: WeightedElementSet) -> AdmissibleInterval:
 
 
 def anti_design(eset: WeightedElementSet) -> WeightedElementSet:
-    """Depolarize at the extreme negative endpoint 1/(1 - d a_max).
+    """Depolarize at the extreme negative endpoint, the ``lo`` of :func:`admissible_lambda`.
 
-    a_max is read from the set's spectrum (shared with the interval check of
-    :func:`depolarize`); the output is not diagonalised and keeps the input's label.
-    For rank-one input every output element is (1 - chi)/(d - 1).
+    The interval is read from the set's spectrum (shared with the interval check of
+    :func:`depolarize`); the output is not diagonalised and keeps the input's label. A set
+    whose interval is clamped (every element 1/d) has no anti-design. For rank-one input
+    every output element is (1 - chi)/(d - 1).
     """
-    d = eset.dim
-    a_max = float(eset.spectrum[:, -1].max())
-    if 1.0 - d * a_max > -1e-12:
-        raise LambdaRangeError(
-            f"anti-design undefined: max element eigenvalue {a_max:.6g} <= 1/d")
-    return depolarize(eset, 1.0 / (1.0 - d * a_max))
+    interval = admissible_lambda(eset)
+    if interval.clamped:
+        raise LambdaRangeError("anti-design undefined: the admissible interval is clamped"
+                               " (every element is 1/d)")
+    return depolarize(eset, interval.lo)
 
 
 def moments_of_depolarized(mv: MomentVector, lam: float) -> MomentVector:

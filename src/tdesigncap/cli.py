@@ -38,12 +38,20 @@ class _Parser(argparse.ArgumentParser):
 def _spec_fields(args, token: str | None = None) -> dict:
     """Design-spec fields: flags > family token ('anti_sic:3') > JSON spec file.
 
-    ``token`` stands in for ``--family``; flags the subcommand lacks count as unset.
+    ``token`` stands in for ``--family``; flags the subcommand lacks count as unset. A spec
+    file holds one JSON object: ``family`` a string, ``lambda`` a number and
+    ``fiducial_phase`` a number or null (the default), each optional; a bool is no number.
     """
     data: dict = {}
     if getattr(args, "spec", None):
         with open(args.spec, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"spec file must hold a JSON object, got {data!r}")
+        for key, kinds, what in (("family", str, "a string"), ("lambda", (int, float), "a number"),
+                                 ("fiducial_phase", (int, float, type(None)), "a number or null")):
+            if key in data and (isinstance(data[key], bool) or not isinstance(data[key], kinds)):
+                raise ValueError(f"spec file field {key!r} must be {what}, got {data[key]!r}")
     token = token or getattr(args, "family", None)
     if token:
         name, _, dim = token.partition(":")
@@ -99,22 +107,20 @@ class _Base:
     subcommand.
 
     ``eset`` is the lambda = 1 element set (None for the analytic uniform family), ``mv`` its
-    moments mu_1..mu_MAX_T (mu_0 = d; all 1 for uniform) and, given a seed, ``route3`` the
-    oracle's element set and state grid. The constructor checks spec.lam against the
-    admissible interval of the lambda = 1 set (a uniform spec checks its own). The uniform
-    oracle runs on a discretized POVM (d = 2 only). In d = 8 the grid is seeded with the
-    family's capacity-achieving states.
+    moments mu_1..mu_MAX_T (mu_0 = d; all 1 for uniform), computed on first read, since only
+    the bounds read them, and, given a seed, ``route3`` the oracle's element set and state
+    grid. The constructor checks spec.lam against the admissible interval of the lambda = 1
+    set (a uniform spec checks its own). The uniform oracle runs on a discretized POVM (d = 2
+    only). In d = 8 the grid is seeded with the family's capacity-achieving states.
     """
 
     def __init__(self, spec: DesignSpec, seed: int | None = None):
         self.family, self.dim = spec.family, spec.dimension
         if spec.family == "uniform":
             self.eset = None
-            self.mv = verify.MomentVector((1.0,) * bounds.MAX_T, self.dim)
         else:
             self.eset = catalog.build(DesignSpec(spec.family, 1.0, spec.fiducial_phase, spec.dim))
             catalog.admissible_lambda(self.eset).require(spec.lam, spec.family)
-            self.mv = verify.moments(self.eset, bounds.MAX_T)
         self.route3 = None
         if seed is not None:
             _check_oracle(spec)
@@ -123,6 +129,12 @@ class _Base:
             optimal = catalog.FAMILY[spec.family].optimal
             extra = optimal[1](8, spec.fiducial_phase) if optimal and self.dim == 8 else None
             self.route3 = (eset, oracle.default_grid(self.dim, seed, extra_states=extra))
+
+    @functools.cached_property
+    def mv(self) -> verify.MomentVector:
+        if self.eset is None:
+            return verify.MomentVector((1.0,) * bounds.MAX_T, self.dim)
+        return verify.moments(self.eset, bounds.MAX_T)
 
     def bounds_at(self, lam: float, t: int | None = None) -> list:
         """C_t of the family depolarized at ``lam``: at ``t``, or at every

@@ -37,8 +37,6 @@ def hyp2f1_11(c: float, z: float) -> float:
         raise ValueError("hyp2f1_11 supports z <= 0 only")
     if c <= 2:
         raise ValueError("hyp2f1_11 requires c > 2")
-    if z == 0.0:
-        return 1.0
     w = z / (z - 1.0)
     if w > 1.0 - 1e-3:
         # 1 - w = 1/(1-z), formed from z directly to dodge cancellation

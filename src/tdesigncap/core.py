@@ -51,10 +51,15 @@ def eta(x: float) -> float:
     return float(-x * np.log(x))
 
 
+def masked_log(x: np.ndarray) -> np.ndarray:
+    """ln x where x > 0, and 0 elsewhere: the 0 ln 0 := 0 convention of every entropy sum."""
+    return np.log(x, out=np.zeros_like(x), where=x > 0)
+
+
 def eta_array(x: np.ndarray) -> np.ndarray:
     """Vectorized eta with the 0 ln 0 := 0 convention (no domain check)."""
     x = np.asarray(x, dtype=float)
-    out = np.log(x, out=np.zeros_like(x), where=x > 0.0)
+    out = masked_log(x)
     out *= x
     return np.negative(out, out=out)
 

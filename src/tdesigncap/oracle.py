@@ -1,20 +1,13 @@
 """Brute-force capacity route: column generation over pure-state ensembles, priced on a
 state grid and refined off it by an L-BFGS ascent with analytic gradients, plus the KL
 upper-bound objective (maximized by the same ascent) and its tightness certificate. Each
-pricing round climbs from the grid states of its top max(32, d^2) prices in one stacked
-L-BFGS solve, in the KL form, stopped at the rounding floor of its gradient. The first
+pricing round climbs from its best grid states (:meth:`_GridPricing.climb`). The first
 round's climb is the KL search's, and the KL value is the best of its climbs.
 
-The grid is priced without forming its (n, m) channel: each linear term is one d x d operator
-applied to the grid's projectors, and the one nonlinear term, sum_y p ln p per grid state, is
-one pass in cache-sized row blocks that floors p only in the rows holding a p <= 0. That pass
-and the first climb run once per (POVM, grid) pair for both searches: every pricing round of
-:func:`informational_power`, and :func:`kl_maximize`. The projectors are read from one view
-per grid (:attr:`StateGrid.compact_view`), in the compact Hermitian layout of d (d + 1) reals
-per state, built on its first read and shared by every pricing of the grid: each lambda of a
-sweep, and both searches. Each round's starts are its top prices, picked by one partition.
-The stacked ascent builds one evaluator per climb and makes 8 passes over its (K, m)
-overlaps (7 in the KL form), in cache-sized row blocks too.
+The kernels are cut for the grid's size: :class:`_GridPricing` prices the grid without
+forming its (n, m) channel, in one pass per (POVM, grid) pair shared by both searches, on the
+grid's one projector view (:attr:`StateGrid.compact_view`), which every lambda of a sweep
+reads; :class:`_AscentTerms` evaluates a climb's whole stack of starts in cache-sized blocks.
 
 The oracle lower-bounds capacity by construction (it exhibits an achievable
 ensemble); the KL route upper-bounds it. Together they bracket the closed
@@ -32,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (GRID_BLOCK, WeightedElementSet, bloch_states, compact_operator_view,
-                   compact_projector_view, dedupe_states, haar_random_states, overlaps,
-                   projector_view, pure_ensemble)
+                   compact_projector_view, dedupe_states, haar_random_states, masked_log,
+                   overlaps, projector_view, pure_ensemble)
 
 DEFAULT_GRID_SIZES = {2: 4096, 3: 20000, 8: 60000}
 TIGHTNESS_RESIDUAL_TOL = 1e-6
@@ -138,7 +131,7 @@ class _GridPricing:
     stay in cache. A row holding an exact-zero or a rounding-negative P sums to nan there and
     is summed again with P floored at the smallest normal float, which adds at most
     m * 1.6e-305; the other rows skip that floor. The pass runs once per (POVM, grid)
-    pair, and so does the first pricing round's climb (:meth:`first_climb`): H and that
+    pair, and so does the first pricing round's climb (:meth:`climb` against q): H and that
     climb of the last pair are kept, under weak references to the pair, so the KL search
     after :func:`informational_power` (or the other way round) reuses both, and the memo
     keeps neither the pair nor the grid's view alive. It checks both searches' inputs: a
@@ -154,7 +147,7 @@ class _GridPricing:
             raise ValueError("grid and element set dimensions differ")
         m = len(eset.weights)
         self.a = grid.dim * eset.weights
-        self.lnq = _masked_log(eset.weights)  # the maximally mixed input's output (unit trace)
+        self.lnq = masked_log(eset.weights)  # the maximally mixed input's output (unit trace)
         self.ops = np.ascontiguousarray(eset.ops).reshape(m, grid.dim ** 2)
         self.states, self.proj = grid.states, grid.compact_view
         eset_ref, grid_ref, self._shared = _GridPricing._last
@@ -197,7 +190,7 @@ class _GridPricing:
         is one matvec of the flat weights over the projector view."""
         mean_proj = np.full(len(self.proj), 1.0 / len(self.proj)) @ self.proj
         out = np.maximum(self.a * (self.twin @ mean_proj), 0.0)
-        return float(self.row_terms.mean() - out @ _masked_log(out))
+        return float(self.row_terms.mean() - out @ masked_log(out))
 
     def prices(self, lnout: np.ndarray) -> np.ndarray:
         """D(p(.|phi_x) || out) = H_x - P_x . ln out at every grid state.
@@ -207,18 +200,27 @@ class _GridPricing:
         """
         return self.row_terms - self.proj @ ((self.a * lnout) @ self.twin)
 
-    def first_climb(self):
-        """The first pricing round's climb, against q (b = 0), which is the KL search's, from
-        the grid states of the top max(32, d^2) first prices, as every round climbs. Returns
-        :func:`_ascend`'s result, read-only."""
-        if self._shared[1] is None:
-            top = _top_k(self.prices(self.lnq), max(32, self.states.shape[1] ** 2))
-            climbed, vals, capped = _ascend(self.ops, self.a, np.zeros_like(self.a),
-                                            self.states[top])
-            for arr in (climbed, vals):
+    def climb(self, lnout: np.ndarray, priced: np.ndarray):
+        """A pricing round's climb: :func:`_ascend` of D(p(.|phi) || out) = ln d + F, with
+        b = a (ln q - ln out) as p_y = a_y x_y, from the grid states of the top max(32, d^2)
+        of ``priced``, the prices against ``lnout``. Against :attr:`lnq` itself, b = 0: that
+        climb, the first round's and the KL search's, is kept read-only for the pair and
+        returned again."""
+        first = lnout is self.lnq
+        if first and self._shared[1] is not None:
+            return self._shared[1]
+        top = _top_k(priced, max(32, self.states.shape[1] ** 2))
+        climb = _ascend(self.ops, self.a, self.a * (self.lnq - lnout), self.states[top])
+        if first:
+            for arr in climb[:2]:
                 arr.setflags(write=False)
-            self._shared[1] = (climbed, vals, capped)
-        return self._shared[1]
+            self._shared[1] = climb
+        return climb
+
+    def first_climb(self):
+        """The first round's :meth:`climb`, kept for the pair; the first prices are computed
+        only if it is not kept yet."""
+        return self._shared[1] or self.climb(self.lnq, self.prices(self.lnq))
 
 
 @dataclass(frozen=True)
@@ -249,7 +251,7 @@ def _refine_solve(channel: np.ndarray, tol: float, prior: np.ndarray | None = No
     n = P.shape[0]
     if n == 1:  # one input carries no information
         return BAResult(capacity=0.0, prior=np.ones(1), iterations=0, bracket_width=0.0)
-    H = np.einsum("xy,xy->x", P, _masked_log(P))
+    H = np.einsum("xy,xy->x", P, masked_log(P))
 
     def divergences(r):
         out = np.maximum(r @ P, _TINY)  # an unreached output makes D huge
@@ -305,10 +307,6 @@ def _refine_solve(channel: np.ndarray, tol: float, prior: np.ndarray | None = No
         steps += 1
     r, _, _, lower, width = best
     return BAResult(capacity=lower, prior=r, iterations=steps, bracket_width=width)
-
-
-def _masked_log(a: np.ndarray) -> np.ndarray:
-    return np.log(a, out=np.zeros_like(a), where=a > 0)
 
 
 def _top_k(v: np.ndarray, k: int) -> np.ndarray:
@@ -455,7 +453,7 @@ def kl_maximize(eset: WeightedElementSet, grid: StateGrid) -> tuple[float, np.nd
 
     That KL objective is D(p(.|phi) || q) = ln d + F (b = 0 in :func:`_ascend`), so it is
     the first pricing round of :func:`informational_power`: the grid values are that
-    round's prices, and the refinement is its climb (:meth:`_GridPricing.first_climb`) from
+    round's prices, and the refinement is its climb (:meth:`_GridPricing.climb`) from
     the top max(32, d^2) of them, run once per (POVM, grid) pair by whichever search comes
     first. Every climb is scored, ln d + F at its end, so the value is the best of them.
     Returns it and every climb within 1e-8 of it (deduplicated by projector overlap): the
@@ -481,11 +479,6 @@ class OracleResult:
     refinement_rounds: int
     bracket_width: float
     diagnostics: dict = field(default_factory=dict)
-
-    @functools.cached_property
-    def average_state(self) -> np.ndarray:
-        states = self.optimizer_states
-        return np.einsum("x,xi,xj->ij", self.optimizer_weights, states, states.conj())
 
     @functools.cached_property
     def tightness_residual(self) -> float:
@@ -549,12 +542,8 @@ def informational_power(eset: WeightedElementSet, grid: StateGrid,
     rounds = refine_capped = ascent_capped = 0
     upper, stop = math.inf, "flat"  # upper: the least climbed max of D(p(.|phi) || out)
     while rounds < PRICING_MAX_ROUNDS and (rounds or priced.max() > value + tol):
-        if rounds:  # D(p(.|phi) || out) = ln d + F with b = a (ln q - ln out), p_y = a_y x_y
-            top = grid.states[_top_k(priced, max(32, d * d))]
-            climb = _ascend(pricing.ops, pricing.a, pricing.a * (pricing.lnq - lnout), top)
-        else:  # out = q, so b = 0: the KL search's climb
-            climb = pricing.first_climb()
-        climbed, prices, capped = climb[0], math.log(d) + climb[1], climb[2]
+        climbed, vals, capped = pricing.climb(lnout, priced)
+        prices = math.log(d) + vals
         ascent_capped += len(climbed) if capped else 0
         upper = min(upper, float(prices.max()))
         # the climbs start at the best grid prices: none above value + tol, no grid state either

@@ -11,7 +11,8 @@ import math
 import numpy as np
 
 from tdesigncap.closedform import ConvergenceError
-from tdesigncap.oracle import BAResult, _masked_log
+from tdesigncap.core import masked_log
+from tdesigncap.oracle import BAResult
 
 
 def blahut_arimoto(channel: np.ndarray, tol: float = 1e-6, max_iter: int = 200_000,
@@ -38,7 +39,7 @@ def blahut_arimoto(channel: np.ndarray, tol: float = 1e-6, max_iter: int = 200_0
     m = P.shape[0]
     full_P = P
     # D_x = sum_y P log P - P . log out: the row term once, one matvec per iteration
-    full_H = np.einsum("xy,xy->x", P, _masked_log(P))
+    full_H = np.einsum("xy,xy->x", P, masked_log(P))
     active = np.arange(m)
     r = np.full(m, 1.0 / m)
     H = full_H
@@ -48,7 +49,7 @@ def blahut_arimoto(channel: np.ndarray, tol: float = 1e-6, max_iter: int = 200_0
     it = 0
     while it < max_iter:
         out = r @ P
-        lnout = _masked_log(out[None, :])[0]
+        lnout = masked_log(out[None, :])[0]
         D = H - np.einsum("xy,y->x", P, lnout)
         best_lower = max(best_lower, float(r @ D))
         if it % check_every == 0:

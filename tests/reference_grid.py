@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tdesigncap.core import eta_array, overlaps
-from tdesigncap.oracle import _masked_log, povm_channel
+from tdesigncap.core import eta_array, masked_log, overlaps
+from tdesigncap.oracle import povm_channel
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,10 @@ class DenseGridPhase:
 
 def dense_grid_phase(eset, states: np.ndarray) -> DenseGridPhase:
     channel = povm_channel(eset, states)
-    row_terms = np.einsum("xy,xy->x", channel, _masked_log(channel))
+    row_terms = np.einsum("xy,xy->x", channel, masked_log(channel))
     prior = np.full(len(channel), 1.0 / len(channel))
-    flat_rate = float(prior @ (row_terms - channel @ _masked_log(prior @ channel)))
-    first_prices = row_terms - channel @ _masked_log(eset.weights)
+    flat_rate = float(prior @ (row_terms - channel @ masked_log(prior @ channel)))
+    first_prices = row_terms - channel @ masked_log(eset.weights)
     ov = overlaps(states, eset.ops)
     kl_values = math.log(eset.dim) - eset.dim * (eta_array(ov) @ eset.weights)
     return DenseGridPhase(channel, row_terms, flat_rate, first_prices, kl_values)

@@ -1,4 +1,4 @@
-"""Reference information quantities of a finite ensemble-POVM pair, and three set helpers.
+"""Reference information quantities of a finite ensemble-POVM pair, and four set helpers.
 
 `tdesigncap` evaluates capacity from its closed forms, its bounds and its
 oracle, and none of them reads a joint distribution. The tests keep the
@@ -6,7 +6,9 @@ direct quantities, so that a capacity-achieving ensemble's rate can be
 checked from its joint outcome distribution: the relative entropy, the
 mutual information of a joint probability matrix and the joint distribution
 of an ensemble measured by a POVM. They also keep three views of an element
-set: its POVM effects, its average element and its elementwise transpose.
+set: its POVM effects, its average element and its elementwise transpose; and
+the average state of an oracle result's ensemble, which nothing in the package
+reads.
 """
 
 import numpy as np
@@ -76,6 +78,12 @@ def effects(eset: WeightedElementSet) -> np.ndarray:
 def average(eset: WeightedElementSet) -> np.ndarray:
     """The weighted average sum_x p_x chi_x of the elements."""
     return np.einsum("x,xij->ij", eset.weights, eset.ops)
+
+
+def average_state(result) -> np.ndarray:
+    """sum_x w_x |phi_x><phi_x| of an ``oracle.OracleResult``'s optimizer states and weights."""
+    states = result.optimizer_states
+    return np.einsum("x,xi,xj->ij", result.optimizer_weights, states, states.conj())
 
 
 def transposed(eset: WeightedElementSet) -> WeightedElementSet:

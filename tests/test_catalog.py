@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -396,8 +397,22 @@ class TestAntiDesign:
         assert np.abs(twice.ops - qubit_sic.ops).max() < 1e-10
 
     def test_undefined_for_flat_set(self, qubit_sic):
-        with pytest.raises(LambdaRangeError):
-            anti_design(depolarize(qubit_sic, 0.0))
+        flat = depolarize(qubit_sic, 0.0)
+        assert admissible_lambda(flat).clamped
+        message = "anti-design undefined: the admissible interval is clamped (every element is 1/d)"
+        with pytest.raises(LambdaRangeError, match=f"^{re.escape(message)}$"):
+            anti_design(flat)
+
+    @pytest.mark.parametrize("family,phase", [("qubit_sic", 0.0), ("qutrit_sic", 0.0),
+                                              ("qutrit_sic", 0.7), ("hoggar_sic", 0.0)])
+    def test_endpoint_is_one_over_one_minus_d_a_max(self, family, phase):
+        # the endpoint is the admissible interval's lo, which writes the same expression
+        sic = build(DesignSpec(family, 1.0, phase))
+        d, a_max = sic.dim, float(sic.spectrum[:, -1].max())
+        assert admissible_lambda(sic).lo == 1.0 / (1.0 - d * a_max)
+        anti = anti_design(sic)
+        assert np.array_equal(anti.ops, depolarize(sic, 1.0 / (1.0 - d * a_max)).ops)
+        assert anti.label == sic.label
 
 
 def _mv(values, d):

@@ -86,6 +86,22 @@ class TestMatrix:
             phase = float(argv[argv.index("--fiducial-phase") + 1])
             assert json.loads(out)["result"]["spec"]["fiducial_phase"] == phase
 
+    def test_pins_the_interval_edge_calls(self):
+        # each end of the interval is admitted exactly and 5e-13 outside, within the 1e-12
+        # slack of AdmissibleInterval.require; 1e-6 outside is refused
+        argvs = cli_diff.matrix()
+        assert all(argv in argvs for argv in cli_diff.INTERVAL_EDGE_CALLS)
+        records = cli_diff.run_matrix(cli_diff.INTERVAL_EDGE_CALLS)
+        assert [code for code, _, _ in records] == [0, 0, 1, 0, 0, 1, 0]
+        for argv, (code, out, err) in zip(cli_diff.INTERVAL_EDGE_CALLS, records):
+            lam, family = argv[4], argv[2].partition(":")[0]
+            if code == 0:
+                assert err == "" and json.loads(out)["result"]["spec"]["lambda"] == float(lam)
+            else:
+                assert out == "" and re.fullmatch(
+                    rf"tdesigncap: error: lambda={lam} outside admissible interval"
+                    rf" \[[-0-9.e]+, 1\] for {family}\n", err)
+
     def test_pins_every_admissible_interval_refusal(self):
         # catalog.build (qubit_sic, anti_sic:3), DesignSpec (uniform:3) and the CLI's
         # lambda = 1 base (qutrit_sic) each refuse a lambda outside the interval

@@ -36,3 +36,39 @@ def test_capacity_refuses_a_dim_that_is_not_an_int(spec, tmp_path, capsys):
     assert main(["capacity", "--spec", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and f"got {spec['dim']!r}" in err
+
+
+@pytest.mark.parametrize("command,spec,message", [
+    ("capacity", [1, 2], "spec file must hold a JSON object, got [1, 2]"),
+    ("capacity", "qubit_sic", "spec file must hold a JSON object, got 'qubit_sic'"),
+    ("capacity", {"family": ["qubit_sic"]},
+     "spec file field 'family' must be a string, got ['qubit_sic']"),
+    ("capacity", {"family": "qubit_sic", "lambda": None},
+     "spec file field 'lambda' must be a number, got None"),
+    ("capacity", {"family": "qubit_sic", "lambda": True},
+     "spec file field 'lambda' must be a number, got True"),
+    ("capacity", {"family": "qubit_sic", "lambda": "0.5"},
+     "spec file field 'lambda' must be a number, got '0.5'"),
+    ("capacity", {"family": "qutrit_sic", "fiducial_phase": False},
+     "spec file field 'fiducial_phase' must be a number or null, got False"),
+    ("verify", {"family": "uniform", "lambda": True},
+     "spec file field 'lambda' must be a number, got True"),
+], ids=["list", "string", "family-list", "lambda-null", "lambda-true", "lambda-string",
+        "phase-false", "verify-uniform-lambda-true"])
+def test_a_malformed_spec_file_is_refused(command, spec, message, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    extra = ["--t", "2"] if command == "verify" else []
+    assert main([command, "--spec", str(path), *extra]) == 1
+    assert capsys.readouterr() == ("", f"tdesigncap: error: {message}\n")
+
+
+def test_a_written_spec_reads_back(tmp_path, capsys):
+    # the spec a result echoes (fiducial_phase null where it does not apply), with an
+    # integer lambda: both are admitted
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": "qubit_sic", "lambda": 1, "fiducial_phase": None}),
+                    encoding="utf-8")
+    assert main(["capacity", "--spec", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["spec"] == {
+        "family": "qubit_sic", "lambda": 1, "fiducial_phase": None}

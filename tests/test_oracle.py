@@ -22,7 +22,7 @@ from tdesigncap import (
 )
 from tdesigncap import oracle
 from tdesigncap.closedform import ConvergenceError, optimal_ensemble
-from tdesigncap.core import haar_random_states, overlaps
+from tdesigncap.core import haar_random_states, masked_log, overlaps
 from tdesigncap.oracle import StateGrid, fibonacci_bloch_states
 
 from reference_ascent import (ascend_per_start, ascent_objective, ascent_terms_one_pass,
@@ -30,7 +30,7 @@ from reference_ascent import (ascend_per_start, ascent_objective, ascent_terms_o
 from reference_blahut_arimoto import blahut_arimoto
 from reference_grid import (dense_grid_phase, floored_row_terms,
                             former_compact_projector_view, former_haar_random_states)
-from reference_information import effects
+from reference_information import average_state, effects
 
 
 def _seeded_d8_grid(family):
@@ -577,9 +577,50 @@ class TestSharedFirstClimb:
             assert kl[0] == fresh_kl[0] and np.array_equal(kl[1], fresh_kl[1])
             # the fields, then the names computed on first read, which the walk does not reach
             names = [f.name for f in dataclasses.fields(res)]
-            for name in names + ["average_state", "tightness_residual", "tightness"]:
+            for name in names + ["tightness_residual", "tightness"]:
                 got, want = getattr(res, name), getattr(fresh_res, name)
                 assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
+            assert np.array_equal(average_state(res), average_state(fresh_res))
+
+
+class TestOneClimbPerRound:
+    """Every pricing round climbs through ``_GridPricing.climb``, the first one included."""
+
+    @staticmethod
+    def _inline_ascent(pricing, grid, lnout, priced):
+        # a later round's climb as informational_power wrote it inline before climb existed
+        d = grid.dim
+        top = grid.states[oracle._top_k(priced, max(32, d * d))]
+        return oracle._ascend(pricing.ops, pricing.a, pricing.a * (pricing.lnq - lnout), top)
+
+    @pytest.mark.parametrize("kind", ["qubit_sic", "non_design"])
+    def test_later_rounds_match_the_inline_ascent(self, kind, monkeypatch):
+        later = []
+        real = oracle._GridPricing.climb
+
+        def recorded(self, lnout, priced):
+            got = real(self, lnout, priced)
+            if lnout is not self.lnq:
+                later.append((lnout, priced, got))
+            return got
+
+        monkeypatch.setattr(oracle._GridPricing, "climb", recorded)
+        povm, grid = _fresh_pair(kind)
+        res = informational_power(povm, grid, tol=1e-6)
+        pricing = oracle._GridPricing(povm, grid)
+        assert len(later) == (0 if kind == "qubit_sic" else res.refinement_rounds - 1)
+        # and the round after the last: against the output of the returned support
+        out = res.optimizer_weights @ oracle.povm_channel(povm, res.optimizer_states)
+        lnout = np.log(np.maximum(out, np.finfo(float).tiny))
+        priced = pricing.prices(lnout)
+        later.append((lnout, priced, pricing.climb(lnout, priced)))
+        for lnout, priced, got in later:
+            want = self._inline_ascent(pricing, grid, lnout, priced)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+        # a later round leaves the pair's kept first climb as it was, and that is returned
+        # against ln q without reading the prices
+        assert pricing.climb(pricing.lnq, None) is pricing.first_climb()
 
 
 CATALOG_FAMILIES = [("qubit_sic", None), ("qubit_mub", None), ("icosahedron", None),
@@ -599,7 +640,7 @@ class TestGridPricing:
         rows = min(len(states), oracle.GRID_BLOCK // len(eset.weights))
         assert np.array_equal(pricing.row_terms, floored_row_terms(pricing, rows))
         assert pricing.flat_rate() == pytest.approx(ref.flat_rate, abs=1e-12)
-        first = pricing.prices(oracle._masked_log(eset.weights))
+        first = pricing.prices(masked_log(eset.weights))
         assert np.abs(first - ref.first_prices).max() <= 1e-12
         assert np.abs(first - ref.kl_values).max() <= 1e-12
         # repricing against a support's output, floored where the support reaches no outcome
@@ -814,7 +855,7 @@ class TestRowTermsMemo:
 
 
 class TestLazyCertificate:
-    """The tightness certificate and the average state are computed on first read."""
+    """The tightness certificate is computed on first read."""
 
     @pytest.mark.parametrize("kind", ["qubit_sic", "non_design"])
     def test_unread_result_runs_no_nnls(self, kind, monkeypatch):
@@ -829,16 +870,13 @@ class TestLazyCertificate:
         povm, grid = _fresh_pair(kind)
         res = informational_power(povm, grid, tol=1e-6)
         assert calls == []
-        assert not {"average_state", "tightness_residual"} & set(vars(res))
-        states, weights, d = res.optimizer_states, res.optimizer_weights, povm.dim
+        assert "tightness_residual" not in vars(res)
+        states, d = res.optimizer_states, povm.dim
         assert res.tightness_residual == oracle._identity_hull_residual(states, d)
         assert len(calls) >= 2  # the read solved once, the reference once more
         n = len(calls)
         assert res.tightness == (res.tightness_residual <= oracle.TIGHTNESS_RESIDUAL_TOL)
         assert len(calls) == n  # kept: tightness reads the stored residual
-        sigma = np.einsum("x,xi,xj->ij", weights, states, states.conj())
-        assert np.array_equal(res.average_state, sigma)
-        assert res.average_state is res.average_state
 
     def test_support_is_read_only(self):
         res = informational_power(*_fresh_pair("non_design"), tol=1e-6)
@@ -868,7 +906,7 @@ class TestInformationalPower:
         assert res.capacity_estimate == pytest.approx(math.log(4 / 3), abs=2e-3)
         assert res.tightness
         assert res.optimizer_states.shape[0] == 4
-        assert np.abs(res.average_state - np.eye(2) / 2).max() < 1e-4
+        assert np.abs(average_state(res) - np.eye(2) / 2).max() < 1e-4
 
     def test_qutrit_mub(self, qutrit_mub, qutrit_grid):
         res = informational_power(qutrit_mub, qutrit_grid, tol=1e-6)

@@ -26,7 +26,10 @@ hull check solves an evenly spaced subset; ``UNIFORM_CALLS``: ``verify`` of unif
 without a dimension, at an admitted and a refused lambda, and an oracle sweep that
 names uniform:3; ``PHASE_CALLS``: ``build``, ``verify``, ``bound`` and ``capacity
 --method both`` of qutrit_sic or anti_sic:3 at the fiducial phases 0.7 and 2.1, the only
-calls whose qutrit SIC orbit is not the default phase's; sweeps of all 12 tokens with
+calls whose qutrit SIC orbit is not the default phase's; ``INTERVAL_EDGE_CALLS``: ``build``
+of qutrit_sic at its lower end -1/2 and of anti_sic:3 at its ends -2 and 1, each exactly,
+5e-13 outside (admitted by the interval's 1e-12 slack) and, at the lower ends, 1e-6 outside
+(refused); sweeps of all 12 tokens with
 and without ``--with-oracle`` (d <= 3 only with it); the error cases, among them one
 lambda outside the admissible interval at each site that refuses it
 (``build --lambda 1.5`` of qubit_sic and anti_sic:3 in ``catalog.build``, of
@@ -75,6 +78,15 @@ PHASE_CALLS = (
     ["capacity", "--family", "anti_sic:3", "--fiducial-phase", "0.7", "--lambda", "0.5",
      "--method", "both", "--tol", "1e-4"],
 )
+INTERVAL_EDGE_CALLS = (
+    ["build", "--family", "qutrit_sic", "--lambda", "-0.5"],
+    ["build", "--family", "qutrit_sic", "--lambda", "-0.5000000000005"],
+    ["build", "--family", "qutrit_sic", "--lambda", "-0.500001"],
+    ["build", "--family", "anti_sic:3", "--lambda", "-2"],
+    ["build", "--family", "anti_sic:3", "--lambda", "-2.0000000000005"],
+    ["build", "--family", "anti_sic:3", "--lambda", "-2.000001"],
+    ["build", "--family", "anti_sic:3", "--lambda", "1.0000000000005"],
+)
 DIFF_LINES = 12  # diff lines printed per stream of a differing call
 D8_ORACLE = (
     ["capacity", "--family", "hoggar_sic", "--lambda", "0.7", "--method", "both",
@@ -96,7 +108,8 @@ def matrix() -> list[list[str]]:
     for tok in ORACLE_TOKENS:
         out += [["capacity", "--family", tok, "--lambda", "0.5", "--method", method,
                  "--tol", "1e-4"] for method in ("oracle", "both")]
-    out += [UNIFORM3_ORACLE, UNIFORM2_ORACLE, *UNIFORM_CALLS, *PHASE_CALLS]
+    out += [UNIFORM3_ORACLE, UNIFORM2_ORACLE, *UNIFORM_CALLS, *PHASE_CALLS,
+            *INTERVAL_EDGE_CALLS]
     every = ",".join(TOKENS)
     out += [
         ["sweep", "--families", every, "--steps", "5"],
